@@ -8,75 +8,26 @@ the wedge between the characteristics through the discontinuity (Picard
 iteration on the characteristic parallelogram identity), and assembly into a
 piecewise-smooth global field with prescribed constant jumps across the
 characteristics.
+
+The package root lists what callers of the library use; everything else is
+importable from its own submodule.
 """
 
 from .assembly import (
     CaseKind,
-    Diagnostics,
-    Solution,
     characteristic_jump,
     classify_case,
     evaluate,
-    generalized_dalembert_holds,
     sample_user_grid,
     solve,
 )
-from .cauchy import (
-    GridParams,
-    PicardParams,
-    PicardReport,
-    ProblemSpec,
-    RegionField,
-    SolverGrid,
-    build_grid,
-    estimate_lipschitz,
-    picard_step_cauchy,
-    solve_cauchy_region,
-)
-from .errors import (
-    ArityError,
-    CharwaveError,
-    ConfigError,
-    CoverageError,
-    DomainError,
-    ExpressionError,
-    ExprSyntaxError,
-    InvalidSpeed,
-    MissingBinding,
-    NegativeTime,
-    NonConvergence,
-    NotDifferentiable,
-    NotLinear,
-    OutOfRegion,
-    OutOfWindow,
-    TooCloseToCharacteristic,
-    UnknownVariable,
-)
-from .geometry import (
-    CharPoint,
-    Region,
-    classify_point,
-    from_characteristic,
-    parallelogram_vertices,
-    to_characteristic,
-)
-from .goursat import (
-    GoursatTraces,
-    goursat_traces,
-    picard_step_goursat,
-    solve_goursat_region,
-)
+from .cauchy import GridParams, PicardParams, ProblemSpec, build_grid
+from .errors import CharwaveError, ConfigError, DomainError, NonConvergence
 from .verify import (
-    CheckResult,
-    ConvergenceEntry,
-    ConvergenceStudy,
-    ToleranceProfile,
-    VerificationReport,
     check_definition1,
     convergence_study,
     inject_fault,
     linear_oracle,
-    pde_residual,
     probe_points,
 )
 
@@ -84,60 +35,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CaseKind",
-    "Diagnostics",
-    "Solution",
     "characteristic_jump",
     "classify_case",
     "evaluate",
-    "generalized_dalembert_holds",
     "sample_user_grid",
     "solve",
     "GridParams",
     "PicardParams",
-    "PicardReport",
     "ProblemSpec",
-    "RegionField",
-    "SolverGrid",
     "build_grid",
-    "estimate_lipschitz",
-    "picard_step_cauchy",
-    "solve_cauchy_region",
-    "GoursatTraces",
-    "goursat_traces",
-    "picard_step_goursat",
-    "solve_goursat_region",
-    "CheckResult",
-    "ConvergenceEntry",
-    "ConvergenceStudy",
-    "ToleranceProfile",
-    "VerificationReport",
     "check_definition1",
     "convergence_study",
     "inject_fault",
     "linear_oracle",
-    "pde_residual",
     "probe_points",
-    "CharPoint",
-    "Region",
-    "classify_point",
-    "from_characteristic",
-    "parallelogram_vertices",
-    "to_characteristic",
     "CharwaveError",
-    "ExpressionError",
-    "ExprSyntaxError",
-    "UnknownVariable",
-    "ArityError",
-    "MissingBinding",
-    "DomainError",
-    "NotDifferentiable",
     "ConfigError",
-    "InvalidSpeed",
-    "NegativeTime",
+    "DomainError",
     "NonConvergence",
-    "NotLinear",
-    "OutOfRegion",
-    "OutOfWindow",
-    "CoverageError",
-    "TooCloseToCharacteristic",
 ]

@@ -41,6 +41,8 @@ from .cauchy import (
     RegionField,
     SolverGrid,
     build_grid,
+    plan_strips,
+    resolve_lipschitz,
     solve_cauchy_region,
 )
 from .errors import ConfigError, OutOfWindow
@@ -53,8 +55,8 @@ __all__ = [
     "Solution",
     "solve",
     "evaluate",
+    "diagnose",
     "classify_case",
-    "generalized_dalembert_holds",
     "characteristic_jump",
     "sample_user_grid",
 ]
@@ -68,12 +70,14 @@ class CaseKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """The data at the discontinuity and the case they fall in."""
+
     phi1_at_x0: float
     phi2_at_x0: float
     left_jump_constant: float  # A - phi1(x0)
     right_jump_constant: float  # phi2(x0) - A
-    generalized_dalembert: bool
-    lipschitz: float
+    case: CaseKind
+    generalized_dalembert: bool  # A is the midpoint of phi1(x0), phi2(x0)
 
 
 @dataclass(frozen=True)
@@ -81,62 +85,67 @@ class Solution:
     spec: ProblemSpec
     grid: SolverGrid
     picard: PicardParams
+    lipschitz: float  # declared in the spec, or estimated
     field1: RegionField
     field2: RegionField
     field3: RegionField
     traces: GoursatTraces
-    case: "CaseKind"
     diagnostics: Diagnostics
 
 
-def classify_case(spec: ProblemSpec, eps: float = 0.0) -> CaseKind:
-    """Assign the data to its case; comparisons are exact unless eps > 0."""
-    p1 = ex.evaluate(spec.phi1, {"x": spec.x0})
-    p2 = ex.evaluate(spec.phi2, {"x": spec.x0})
-    if abs(p1 - spec.A) <= eps and abs(p2 - spec.A) <= eps:
-        return CaseKind.CONTINUOUS
-    if abs(spec.A - 0.5 * (p1 + p2)) <= eps:
-        return CaseKind.MIDPOINT_JUMP
-    return CaseKind.GENERAL_JUMP
+def diagnose(spec: ProblemSpec) -> Diagnostics:
+    """One-sided limits of phi at x0, jump constants and case; comparisons
+    are exact.  With A the midpoint the assembled formula has no indicator
+    term (the generalized d'Alembert representation holds)."""
+    p1 = float(ex.evaluate(spec.phi1, {"x": spec.x0}))
+    p2 = float(ex.evaluate(spec.phi2, {"x": spec.x0}))
+    midpoint = spec.A == 0.5 * (p1 + p2)
+    if p1 == spec.A and p2 == spec.A:
+        case = CaseKind.CONTINUOUS
+    elif midpoint:
+        case = CaseKind.MIDPOINT_JUMP
+    else:
+        case = CaseKind.GENERAL_JUMP
+    return Diagnostics(
+        phi1_at_x0=p1,
+        phi2_at_x0=p2,
+        left_jump_constant=spec.A - p1,
+        right_jump_constant=p2 - spec.A,
+        case=case,
+        generalized_dalembert=midpoint,
+    )
 
 
-def generalized_dalembert_holds(spec: ProblemSpec, eps: float = 0.0) -> bool:
-    """True iff the vertex value equals the midpoint of the one-sided limits
-    of phi, in which case the assembled formula has no indicator term."""
-    p1 = ex.evaluate(spec.phi1, {"x": spec.x0})
-    p2 = ex.evaluate(spec.phi2, {"x": spec.x0})
-    return abs(spec.A - 0.5 * (p1 + p2)) <= eps
+def classify_case(spec: ProblemSpec) -> CaseKind:
+    """Assign the data to its case."""
+    return diagnose(spec).case
 
 
 def solve(
     spec: ProblemSpec, grid: GridParams, picard: PicardParams = PicardParams()
 ) -> Solution:
-    """Run both side solves, build the traces, solve the wedge, assemble."""
+    """Run both side solves, build the traces, solve the wedge, assemble.
+
+    The Lipschitz constant and the strip plan are resolved once and shared
+    by all three region solves.
+    """
     sgrid = build_grid(spec, grid)
-    field1 = solve_cauchy_region(spec, 1, sgrid, picard)
-    field2 = solve_cauchy_region(spec, 2, sgrid, picard)
+    L = resolve_lipschitz(spec, sgrid)
+    strips = plan_strips(sgrid, L, picard)
+    field1 = solve_cauchy_region(spec, 1, sgrid, strips, picard)
+    field2 = solve_cauchy_region(spec, 2, sgrid, strips, picard)
     traces = goursat_traces(spec, field1, field2)
-    field3 = solve_goursat_region(spec, traces, sgrid, picard)
-    p1 = ex.evaluate(spec.phi1, {"x": spec.x0})
-    p2 = ex.evaluate(spec.phi2, {"x": spec.x0})
-    diag = Diagnostics(
-        phi1_at_x0=p1,
-        phi2_at_x0=p2,
-        left_jump_constant=spec.A - p1,
-        right_jump_constant=p2 - spec.A,
-        generalized_dalembert=generalized_dalembert_holds(spec),
-        lipschitz=field1.report.lipschitz,
-    )
+    field3 = solve_goursat_region(spec, traces, strips, picard)
     return Solution(
         spec=spec,
         grid=sgrid,
         picard=picard,
+        lipschitz=L,
         field1=field1,
         field2=field2,
         field3=field3,
         traces=traces,
-        case=classify_case(spec),
-        diagnostics=diag,
+        diagnostics=diagnose(spec),
     )
 
 

@@ -61,14 +61,14 @@ is already exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .errors import ConfigError, InvalidSpeed, NonConvergence
-from .geometry import Region
+from .errors import ConfigError, NonConvergence
+from .geometry import Region, _check_speed
 
 __all__ = [
     "ProblemSpec",
@@ -117,8 +117,7 @@ class ProblemSpec:
     lipschitz: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.a, (int, float)) and math.isfinite(self.a) and self.a > 0):
-            raise InvalidSpeed(f"wave speed must be a finite positive number, got {self.a!r}")
+        _check_speed(self.a)
         for name in ("x0", "A"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
@@ -255,9 +254,6 @@ class SolverGrid:
     def user_xs(self) -> np.ndarray:
         return self.x0 + self.dx_user * np.arange(-self.n_left, self.n_right + 1)
 
-    def region_ncols(self, side: int) -> int:
-        return self.ncols1 if side == 1 else self.ncols2
-
     def region_xcols(self, side: int) -> np.ndarray:
         if side == 1:
             return self.x0 + self.dx * (np.arange(self.ncols1) + self.j1_min)
@@ -273,8 +269,6 @@ class PicardReport:
     strips: tuple[tuple[int, int], ...]
     iterations: tuple[int, ...]
     update_norms: tuple[tuple[float, ...], ...]
-    converged: bool
-    lipschitz: float
 
 
 @dataclass(frozen=True)
@@ -282,10 +276,11 @@ class RegionField:
     """(u, u_t, u_x) samples over one region's closure.
 
     For the side regions the arrays are (n_levels+1, ncols) in (level,
-    column) layout as described on SolverGrid; entries outside the sector
-    are zero filler.  For the wedge region ``char_lattice`` is True and the
-    arrays are indexed (s, r) with node (s, r) at t = (s+r)*dt,
-    x = x0 + (r-s)*dx, valid for s + r <= n_levels.
+    column) layout as described on SolverGrid; only the sector [i, ncols-1-i]
+    of level i holds solution values, the entries outside it are left over
+    from the band sweeps and mean nothing.  For the wedge region the arrays
+    are indexed (s, r) with node (s, r) at t = (s+r)*dt, x = x0 + (r-s)*dx,
+    valid for s + r <= n_levels.
     """
 
     region: Region
@@ -295,7 +290,6 @@ class RegionField:
     q: np.ndarray
     report: PicardReport
     col_offset: int = 0
-    char_lattice: bool = False
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +411,7 @@ def resolve_lipschitz(spec: ProblemSpec, grid: SolverGrid) -> float:
 
 
 # --------------------------------------------------------------------------
-# Core marching machinery (shared by solve and the single-sweep map)
+# The band kernel (shared by the solver and the single-sweep map)
 
 
 def _grid_eval(e: ex.Expr, shape: tuple[int, ...], **env) -> np.ndarray:
@@ -487,17 +481,38 @@ def _char_integrals(G: np.ndarray, dt: float, dx: float):
     return Ip, Im, D
 
 
-def _band_sweep(a, dt, dal, G, Ub, Pb, Qb):
-    """One application of the fixed-point map on a band, given integrand G."""
-    u_dal, p_dal, q_dal = dal
-    Ip, Im, D = _char_integrals(G, dt, a * dt)
-    Un = u_dal + D / (2.0 * a)
-    Pn = p_dal + 0.5 * (Ip + Im)
-    Qn = q_dal + (Im - Ip) / (2.0 * a)
-    Un[0] = Ub
-    Pn[0] = Pb
-    Qn[0] = Qb
-    return Un, Pn, Qn
+def _band_map(
+    spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, e: int, Ub, Pb, Qb
+):
+    """The fixed-point map on band [b, e], anchored at its bottom samples.
+
+    Returns ``sweep(state)``, one application of the map to the band rows
+    ``state`` = (u, ut, ux): the integrand G = F - f(., ., u, ut, ux) is read
+    from them, or is F alone when ``state`` is None (f dropped).  Row 0 of the
+    result is the bottom row (Ub, Pb, Qb) itself.
+    """
+    a, dt = grid.a, grid.dt
+    u_dal, p_dal, q_dal = _dal_parts(a, dt, b, e - b, Ub, Pb, Qb)
+    shape = (e - b + 1, x_cols.shape[0])
+    t2 = (dt * np.arange(b, e + 1))[:, None]
+    x2 = x_cols[None, :]
+    Fg = _grid_eval(spec.F, shape, t=t2, x=x2)
+
+    def sweep(state):
+        G = Fg
+        if state is not None:
+            u, ut, ux = state
+            G = Fg - _grid_eval(spec.f, shape, t=t2, x=x2, u=u, ut=ut, ux=ux)
+        Ip, Im, D = _char_integrals(G, dt, a * dt)
+        Un = u_dal + D / (2.0 * a)
+        Pn = p_dal + 0.5 * (Ip + Im)
+        Qn = q_dal + (Im - Ip) / (2.0 * a)
+        Un[0] = Ub
+        Pn[0] = Pb
+        Qn[0] = Qb
+        return Un, Pn, Qn
+
+    return sweep
 
 
 def _band_delta(b: int, Un, Pn, Qn, Uc, Pc, Qc) -> float:
@@ -517,72 +532,6 @@ def _band_delta(b: int, Un, Pn, Qn, Uc, Pc, Qc) -> float:
     return delta
 
 
-def _march(
-    grid: SolverGrid,
-    x_cols: np.ndarray,
-    u0: np.ndarray,
-    p0: np.ndarray,
-    q0: np.ndarray,
-    F_expr: ex.Expr,
-    f_expr: ex.Expr,
-    strips: Sequence[tuple[int, int]],
-    picard: PicardParams,
-    L: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, PicardReport]:
-    """Strip-marched Picard solve over one side's (level, column) arrays."""
-    ncols = x_cols.shape[0]
-    n_levels = grid.n_levels
-    U = np.zeros((n_levels + 1, ncols))
-    P = np.zeros((n_levels + 1, ncols))
-    Q = np.zeros((n_levels + 1, ncols))
-    U[0], P[0], Q[0] = u0, p0, q0
-    feeds_back = bool(ex.free_vars(f_expr) & {"u", "ut", "ux"})
-    iterations: list[int] = []
-    all_norms: list[tuple[float, ...]] = []
-    for b, e in strips:
-        nb = e - b
-        Ub, Pb, Qb = U[b], P[b], Q[b]
-        dal = _dal_parts(grid.a, grid.dt, b, nb, Ub, Pb, Qb)
-        shape = (nb + 1, ncols)
-        t2 = (grid.dt * np.arange(b, e + 1))[:, None]
-        x2 = x_cols[None, :]
-        Fg = _grid_eval(F_expr, shape, t=t2, x=x2)
-        # warm start: representation with the f term dropped
-        Uc, Pc, Qc = _band_sweep(grid.a, grid.dt, dal, Fg, Ub, Pb, Qb)
-        norms: list[float] = []
-        # without (u,ut,ux) feedback one sweep past the warm start is exact
-        converged = not feeds_back
-        for _ in range(picard.max_iter):
-            fg = _grid_eval(f_expr, shape, t=t2, x=x2, u=Uc, ut=Pc, ux=Qc)
-            Un, Pn, Qn = _band_sweep(grid.a, grid.dt, dal, Fg - fg, Ub, Pb, Qb)
-            delta = _band_delta(b, Un, Pn, Qn, Uc, Pc, Qc)
-            Uc, Pc, Qc = Un, Pn, Qn
-            norms.append(delta)
-            if delta <= picard.tol:
-                converged = True
-                break
-        if not converged:
-            raise NonConvergence(
-                f"Picard iteration stalled on band [{b}, {e}] after "
-                f"{len(norms)} sweeps (last update {norms[-1]:.3e} > tol "
-                f"{picard.tol:.1e})",
-                last_update=norms[-1],
-            )
-        U[b + 1 : e + 1] = Uc[1:]
-        P[b + 1 : e + 1] = Pc[1:]
-        Q[b + 1 : e + 1] = Qc[1:]
-        iterations.append(max(1, len(norms)))
-        all_norms.append(tuple(norms))
-    report = PicardReport(
-        strips=tuple(strips),
-        iterations=tuple(iterations),
-        update_norms=tuple(all_norms),
-        converged=True,
-        lipschitz=L,
-    )
-    return U, P, Q, report
-
-
 def _side_initial_rows(spec: ProblemSpec, side: int, x_cols: np.ndarray):
     phi = spec.phi(side)
     psi = spec.psi(side)
@@ -597,84 +546,82 @@ def _side_initial_rows(spec: ProblemSpec, side: int, x_cols: np.ndarray):
 def solve_cauchy_region(
     spec: ProblemSpec,
     side: int,
-    grid: GridParams | SolverGrid,
-    picard: PicardParams = PicardParams(),
+    grid: SolverGrid,
+    strips: Sequence[tuple[int, int]],
+    picard: PicardParams,
 ) -> RegionField:
-    """Solve the one-sided Cauchy problem on sector ``side`` (1 left, 2 right)."""
+    """Solve the one-sided Cauchy problem on sector ``side`` (1 left, 2 right)
+    by Picard iteration, marching the bands ``strips`` of :func:`plan_strips`."""
     if side not in (1, 2):
         raise ConfigError(f"side must be 1 or 2, got {side!r}")
-    sgrid = grid if isinstance(grid, SolverGrid) else build_grid(spec, grid)
-    L = resolve_lipschitz(spec, sgrid)
-    strips = plan_strips(sgrid, L, picard)
-    x_cols = sgrid.region_xcols(side)
-    u0, p0, q0 = _side_initial_rows(spec, side, x_cols)
-    U, P, Q, report = _march(sgrid, x_cols, u0, p0, q0, spec.F, spec.f, strips, picard, L)
+    x_cols = grid.region_xcols(side)
+    U = np.zeros((grid.n_levels + 1, x_cols.shape[0]))
+    P = np.zeros_like(U)
+    Q = np.zeros_like(U)
+    U[0], P[0], Q[0] = _side_initial_rows(spec, side, x_cols)
+    feeds_back = bool(ex.free_vars(spec.f) & {"u", "ut", "ux"})
+    iterations: list[int] = []
+    all_norms: list[tuple[float, ...]] = []
+    for b, e in strips:
+        sweep = _band_map(spec, grid, x_cols, b, e, U[b], P[b], Q[b])
+        # warm start: representation with the f term dropped
+        cur = sweep(None)
+        norms: list[float] = []
+        # without (u,ut,ux) feedback one sweep past the warm start is exact
+        converged = not feeds_back
+        for _ in range(picard.max_iter):
+            new = sweep(cur)
+            delta = _band_delta(b, *new, *cur)
+            cur = new
+            norms.append(delta)
+            if delta <= picard.tol:
+                converged = True
+                break
+        if not converged:
+            raise NonConvergence(
+                f"Picard iteration stalled on band [{b}, {e}] after "
+                f"{len(norms)} sweeps (last update {norms[-1]:.3e} > tol "
+                f"{picard.tol:.1e})",
+                last_update=norms[-1],
+            )
+        for dst, src in zip((U, P, Q), cur):
+            dst[b + 1 : e + 1] = src[1:]
+        iterations.append(len(norms))
+        all_norms.append(tuple(norms))
     for arr in (U, P, Q):
         arr.setflags(write=False)
+    report = PicardReport(
+        strips=tuple(strips), iterations=tuple(iterations), update_norms=tuple(all_norms)
+    )
     return RegionField(
         region=Region.Q1_STAR if side == 1 else Region.Q2_STAR,
-        grid=sgrid,
+        grid=grid,
         u=U,
         p=P,
         q=Q,
         report=report,
-        col_offset=sgrid.j1_min if side == 1 else 0,
-        char_lattice=False,
+        col_offset=grid.j1_min if side == 1 else 0,
     )
 
 
-def picard_step_cauchy(
-    spec: ProblemSpec,
-    side: int,
-    grid: GridParams | SolverGrid,
-    iterate: RegionField,
-) -> RegionField:
+def picard_step_cauchy(spec: ProblemSpec, iterate: RegionField) -> RegionField:
     """One sweep of the integral-representation map applied to ``iterate``.
 
     Every band re-anchors at the input's own bottom row and reads the
     integrand (u, ut, ux) from the input, so a converged field is a fixed
     point of this map up to the stopping tolerance.
     """
-    if side not in (1, 2):
-        raise ConfigError(f"side must be 1 or 2, got {side!r}")
-    sgrid = iterate.grid
-    strips = iterate.report.strips
-    x_cols = sgrid.region_xcols(side)
-    ncols = x_cols.shape[0]
-    U = np.zeros((sgrid.n_levels + 1, ncols))
+    grid = iterate.grid
+    x_cols = grid.region_xcols(iterate.region.value)
+    U = np.zeros_like(iterate.u)
     P = np.zeros_like(U)
     Q = np.zeros_like(U)
     U[0], P[0], Q[0] = iterate.u[0], iterate.p[0], iterate.q[0]
-    for b, e in strips:
-        nb = e - b
-        Ub, Pb, Qb = iterate.u[b], iterate.p[b], iterate.q[b]
-        dal = _dal_parts(sgrid.a, sgrid.dt, b, nb, Ub, Pb, Qb)
-        shape = (nb + 1, ncols)
-        t2 = (sgrid.dt * np.arange(b, e + 1))[:, None]
-        x2 = x_cols[None, :]
-        Fg = _grid_eval(spec.F, shape, t=t2, x=x2)
-        fg = _grid_eval(
-            spec.f,
-            shape,
-            t=t2,
-            x=x2,
-            u=iterate.u[b : e + 1],
-            ut=iterate.p[b : e + 1],
-            ux=iterate.q[b : e + 1],
-        )
-        Un, Pn, Qn = _band_sweep(sgrid.a, sgrid.dt, dal, Fg - fg, Ub, Pb, Qb)
-        U[b + 1 : e + 1] = Un[1:]
-        P[b + 1 : e + 1] = Pn[1:]
-        Q[b + 1 : e + 1] = Qn[1:]
+    for b, e in iterate.report.strips:
+        rows = (iterate.u[b : e + 1], iterate.p[b : e + 1], iterate.q[b : e + 1])
+        sweep = _band_map(spec, grid, x_cols, b, e, *(arr[0] for arr in rows))
+        for dst, src in zip((U, P, Q), sweep(rows)):
+            dst[b + 1 : e + 1] = src[1:]
     for arr in (U, P, Q):
         arr.setflags(write=False)
-    return RegionField(
-        region=iterate.region,
-        grid=sgrid,
-        u=U,
-        p=P,
-        q=Q,
-        report=iterate.report,
-        col_offset=iterate.col_offset,
-        char_lattice=False,
-    )
+    return replace(iterate, u=U, p=P, q=Q)

@@ -8,7 +8,9 @@ Subcommands::
     charwave converge problem.json --levels 3
 
 Exit codes: 0 success (or all checks passed), 1 configuration or expression
-error, 2 interior iteration failed to converge, 3 verification failed.
+error (including a wave speed that is not a finite positive number, an
+unwritable ``-o`` path and ``converge --levels`` below 2), 2 interior
+iteration failed to converge, 3 verification failed.
 
 The problem file is strict JSON with exactly these keys::
 
@@ -35,7 +37,7 @@ import json
 import sys
 
 from . import expr as ex
-from .assembly import classify_case, generalized_dalembert_holds, sample_user_grid, solve
+from .assembly import diagnose, sample_user_grid, solve
 from .cauchy import GridParams, PicardParams, ProblemSpec
 from .errors import ConfigError, ExpressionError, NonConvergence, NotLinear
 from .verify import check_definition1, convergence_study
@@ -135,8 +137,11 @@ def write_csv(sol, path: str) -> None:
                 "%.17g,%.17g,%d,%.17g,%.17g,%.17g"
                 % (times[i], xs[j], region[i, j], u[i, j], p[i, j], q[i, j])
             )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
 
 
 # --------------------------------------------------------------------------
@@ -152,43 +157,38 @@ def _cmd_solve(args) -> int:
     if args.json:
         print(json.dumps({
             "output": args.output,
-            "case": sol.case.value,
+            "case": sol.diagnostics.case.value,
             "iterations": iters,
-            "lipschitz": sol.diagnostics.lipschitz,
+            "lipschitz": sol.lipschitz,
         }))
     else:
         print(f"wrote {args.output}")
-        print(f"case: {sol.case.value}")
+        print(f"case: {sol.diagnostics.case.value}")
         print(f"iterations (left, right, wedge): {iters[0]}, {iters[1]}, {iters[2]}")
     return 0
 
 
 def _cmd_classify(args) -> int:
     spec, _, _ = load_config(args.config)
-    case = classify_case(spec)
-    p1 = float(ex.evaluate(spec.phi1, {"x": spec.x0}))
-    p2 = float(ex.evaluate(spec.phi2, {"x": spec.x0}))
-    left = spec.A - p1
-    right = p2 - spec.A
-    gd = generalized_dalembert_holds(spec)
+    d = diagnose(spec)
     if args.json:
         print(json.dumps({
-            "case": case.value,
-            "phi1_at_x0": p1,
-            "phi2_at_x0": p2,
+            "case": d.case.value,
+            "phi1_at_x0": d.phi1_at_x0,
+            "phi2_at_x0": d.phi2_at_x0,
             "A": spec.A,
-            "left_jump_constant": left,
-            "right_jump_constant": right,
-            "generalized_dalembert": gd,
+            "left_jump_constant": d.left_jump_constant,
+            "right_jump_constant": d.right_jump_constant,
+            "generalized_dalembert": d.generalized_dalembert,
         }))
     else:
-        print(f"case: {case.value}")
-        print(f"phi1(x0) = {p1:.17g}")
-        print(f"phi2(x0) = {p2:.17g}")
+        print(f"case: {d.case.value}")
+        print(f"phi1(x0) = {d.phi1_at_x0:.17g}")
+        print(f"phi2(x0) = {d.phi2_at_x0:.17g}")
         print(f"A = {spec.A:.17g}")
-        print(f"left jump constant  (A - phi1(x0)) = {left:.17g}")
-        print(f"right jump constant (phi2(x0) - A) = {right:.17g}")
-        print(f"generalized d'Alembert: {'yes' if gd else 'no'}")
+        print(f"left jump constant  (A - phi1(x0)) = {d.left_jump_constant:.17g}")
+        print(f"right jump constant (phi2(x0) - A) = {d.right_jump_constant:.17g}")
+        print(f"generalized d'Alembert: {'yes' if d.generalized_dalembert else 'no'}")
     return 0
 
 

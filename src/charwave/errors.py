@@ -19,7 +19,6 @@ __all__ = [
     "ConfigError",
     "InvalidSpeed",
     "NegativeTime",
-    "OutOfRegion",
     "OutOfWindow",
     "NonConvergence",
     "CoverageError",
@@ -74,16 +73,12 @@ class ConfigError(CharwaveError):
     """A problem configuration file is malformed or inconsistent."""
 
 
-class InvalidSpeed(CharwaveError):
+class InvalidSpeed(ConfigError):
     """Wave speed must be a finite positive number."""
 
 
 class NegativeTime(CharwaveError):
     """Geometry queries are defined on the closed upper half-plane only."""
-
-
-class OutOfRegion(CharwaveError):
-    """A point does not lie in the region required by the operation."""
 
 
 class OutOfWindow(CharwaveError):

@@ -20,18 +20,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .errors import InvalidSpeed, NegativeTime, OutOfRegion
+from .errors import InvalidSpeed, NegativeTime
 
-__all__ = [
-    "Region",
-    "CharPoint",
-    "to_characteristic",
-    "from_characteristic",
-    "classify_point",
-    "parallelogram_vertices",
-]
+__all__ = ["Region", "classify_point"]
 
 
 class Region(enum.Enum):
@@ -42,34 +34,9 @@ class Region(enum.Enum):
     Q3_STAR = 3
 
 
-@dataclass(frozen=True)
-class CharPoint:
-    """A point in characteristic coordinates (xi = x - a t, eta = x + a t)."""
-
-    xi: float
-    eta: float
-
-
 def _check_speed(a: float) -> None:
     if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
         raise InvalidSpeed(f"wave speed must be a finite positive number, got {a!r}")
-
-
-def to_characteristic(a: float, t: float, x: float) -> CharPoint:
-    """Map (t, x) to characteristic coordinates for speed ``a``."""
-    _check_speed(a)
-    return CharPoint(xi=x - a * t, eta=x + a * t)
-
-
-def from_characteristic(a: float, p: CharPoint) -> tuple[float, float]:
-    """Inverse of :func:`to_characteristic`; returns (t, x).
-
-    Requires eta >= xi, else the preimage would have t < 0.
-    """
-    _check_speed(a)
-    if p.eta < p.xi:
-        raise NegativeTime(f"eta < xi gives negative time: {p}")
-    return ((p.eta - p.xi) / (2.0 * a), (p.xi + p.eta) / 2.0)
 
 
 def classify_point(a: float, x0: float, t: float, x: float) -> Region:
@@ -89,32 +56,3 @@ def classify_point(a: float, x0: float, t: float, x: float) -> Region:
         return Region.Q2_STAR
     return Region.Q3_STAR
 
-
-def parallelogram_vertices(
-    a: float, x0: float, t: float, x: float
-) -> tuple[
-    tuple[float, float], tuple[float, float], tuple[float, float], tuple[float, float]
-]:
-    """Characteristic parallelogram of a region-3 point against the split lines.
-
-    For C = (t, x) in region 3 the two characteristics through C meet the
-    boundary characteristics at B (on the left line x = x0 - a t, sharing xi
-    with C) and D (on the right line x = x0 + a t, sharing eta with C);
-    together with the apex A = (0, x0) these close a parallelogram in the
-    (xi, eta) plane.  Returns ((t,x) pairs, in order) PA, PB, PC, PD:
-
-        PA = (0, x0)
-        PB = ((x0 + a t - x)/(2a), (x0 - a t + x)/2)
-        PC = (t, x)
-        PD = ((a t + x - x0)/(2a), (a t + x + x0)/2)
-
-    At the apex itself all four vertices coincide.
-    """
-    _check_speed(a)
-    if classify_point(a, x0, t, x) is not Region.Q3_STAR:
-        raise OutOfRegion(f"point (t={t}, x={x}) is not in region 3")
-    pa = (0.0, x0)
-    pb = ((x0 + a * t - x) / (2.0 * a), (x0 - a * t + x) / 2.0)
-    pc = (t, x)
-    pd = ((a * t + x - x0) / (2.0 * a), (a * t + x + x0) / 2.0)
-    return pa, pb, pc, pd

@@ -42,12 +42,12 @@ strips, and every band's boundary nodes reproduce the traces identically
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import expr as ex
 from .cauchy import (
-    GridParams,
     PicardParams,
     PicardReport,
     ProblemSpec,
@@ -55,9 +55,6 @@ from .cauchy import (
     SolverGrid,
     _cumtrapz_row,
     _grid_eval,
-    build_grid,
-    plan_strips,
-    resolve_lipschitz,
 )
 from .errors import ConfigError, CoverageError, NonConvergence
 from .geometry import Region
@@ -80,7 +77,6 @@ class GoursatTraces:
     """
 
     grid: SolverGrid
-    times: np.ndarray
     gamma1: np.ndarray
     gamma2: np.ndarray
     dgamma1: np.ndarray
@@ -114,7 +110,6 @@ def goursat_traces(spec: ProblemSpec, field1: RegionField, field2: RegionField) 
     q1c = field1.q[levels, c1]
     q2c = field2.q[levels, c2]
     arrays = (
-        grid.dt * levels.astype(float),
         u1c + (spec.A - phi1_x0),
         u2c + (spec.A - phi2_x0),
         p1c - grid.a * q1c,
@@ -122,10 +117,9 @@ def goursat_traces(spec: ProblemSpec, field1: RegionField, field2: RegionField) 
     )
     for arr in arrays:
         arr.setflags(write=False)
-    times, g1, g2, dg1, dg2 = arrays
+    g1, g2, dg1, dg2 = arrays
     return GoursatTraces(
         grid=grid,
-        times=times,
         gamma1=g1,
         gamma2=g2,
         dgamma1=dg1,
@@ -134,56 +128,61 @@ def goursat_traces(spec: ProblemSpec, field1: RegionField, field2: RegionField) 
     )
 
 
-def _wedge_candidates(a: float, hc: float, traces: GoursatTraces, H: np.ndarray, A: float):
-    """Full-rectangle candidate (u, p, q) of the parallelogram map given H.
+def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, R: int):
+    """The parallelogram map on the lattice block [0..R-1]^2.
 
-    ``H`` covers lattice rows/columns 0..R-1; the returned arrays are valid
-    wherever their integral prefixes stay inside the supplied block, which
-    for band marching means all nodes with s + r < R.
+    Returns ``sweep(state)``, the candidate (u, p, q) with the integrand
+    H = F - f(., ., u, u_t, u_x) read from the block arrays ``state`` =
+    (u, u_t, u_x), or the boundary part alone, with the integral dropped, when
+    ``state`` is None.  The candidates are valid wherever their integral
+    prefixes stay inside the block, which for band marching means all nodes
+    with s + r < R.
     """
-    R = H.shape[0]
-    jrow = _cumtrapz_row(np.swapaxes(H, 0, 1), hc)
-    jrow = np.swapaxes(jrow, 0, 1)  # int over y in [xi_s, x0] at fixed eta_r
-    jcol = _cumtrapz_row(H, hc)  # int over z in [x0, eta_r] at fixed xi_s
-    p2d = _cumtrapz_row(jrow, hc)  # then over z: the full rectangle integral
+    g = traces.grid
+    a = g.a
+    hc = 2.0 * a * g.dt
+    idx = np.arange(R)
+    # t clamped to the window: nodes past the hypotenuse are unused
+    t = np.minimum((idx[:, None] + idx[None, :]) * g.dt, g.T)
+    x = g.x0 + (idx[None, :] - idx[:, None]) * g.dx
+    shape = (R, R)
+    Fg = _grid_eval(spec.F, shape, t=t, x=x)
     g1 = traces.gamma1[:R, None]
     g2 = traces.gamma2[None, :R]
     dg1 = traces.dgamma1[:R, None]
     dg2 = traces.dgamma2[None, :R]
-    u_c = g1 + g2 - A + p2d / (4.0 * a * a)
-    p_c = 0.5 * (dg1 + dg2) + (jrow + jcol) / (4.0 * a)
-    q_c = (dg2 - dg1) / (2.0 * a) + (jrow - jcol) / (4.0 * a * a)
-    return u_c, p_c, q_c
 
+    def boundary():
+        return g1 + g2 - traces.apex, 0.5 * (dg1 + dg2), (dg2 - dg1) / (2.0 * a)
 
-def _wedge_coords(grid: SolverGrid, R: int):
-    """(t, x) arrays of the lattice block [0..R-1]^2, t clamped to the band."""
-    idx = np.arange(R)
-    k = idx[:, None] + idx[None, :]
-    t = np.minimum(k * grid.dt, grid.T)  # nodes past the hypotenuse are unused
-    x = grid.x0 + (idx[None, :] - idx[:, None]) * grid.dx
-    return t, x
+    def sweep(state):
+        if state is None:
+            return boundary()
+        u, ut, ux = state
+        H = Fg - _grid_eval(spec.f, shape, t=t, x=x, u=u, ut=ut, ux=ux)
+        jrow = _cumtrapz_row(np.swapaxes(H, 0, 1), hc)
+        jrow = np.swapaxes(jrow, 0, 1)  # int over y in [xi_s, x0] at fixed eta_r
+        jcol = _cumtrapz_row(H, hc)  # int over z in [x0, eta_r] at fixed xi_s
+        p2d = _cumtrapz_row(jrow, hc)  # then over z: the full rectangle integral
+        u_c, p_c, q_c = boundary()
+        u_c += p2d / (4.0 * a * a)
+        p_c += (jrow + jcol) / (4.0 * a)
+        q_c += (jrow - jcol) / (4.0 * a * a)
+        return u_c, p_c, q_c
+
+    return sweep
 
 
 def solve_goursat_region(
     spec: ProblemSpec,
     traces: GoursatTraces,
-    grid: GridParams | SolverGrid,
-    picard: PicardParams = PicardParams(),
+    strips: Sequence[tuple[int, int]],
+    picard: PicardParams,
 ) -> RegionField:
-    """Solve the wedge problem by Picard iteration on the parallelogram map."""
+    """Solve the wedge problem by Picard iteration on the parallelogram map,
+    marching the bands ``strips`` (levels s + r) of :func:`plan_strips`."""
     g = traces.grid
-    if isinstance(grid, SolverGrid):
-        if grid != g:
-            raise ConfigError("grid does not match the traces' grid")
-    else:
-        if build_grid(spec, grid) != g:
-            raise ConfigError("grid parameters do not match the traces' grid")
-    m = g.n_levels
-    n = m + 1
-    hc = 2.0 * g.a * g.dt
-    L = resolve_lipschitz(spec, g)
-    bands = plan_strips(g, L, picard)
+    n = g.n_levels + 1
     feeds_back = bool(ex.free_vars(spec.f) & {"u", "ut", "ux"})
 
     U = np.zeros((n, n))
@@ -198,35 +197,24 @@ def solve_goursat_region(
 
     iterations: list[int] = []
     all_norms: list[tuple[float, ...]] = []
-    for b, e in bands:
+    for b, e in strips:
         R = e + 1
         band = (K[:R, :R] > b) & (K[:R, :R] <= e)
-        t2, x2 = _wedge_coords(g, R)
-        shape = (R, R)
-        Fg = _grid_eval(spec.F, shape, t=t2, x=x2)
+        block = (U[:R, :R], P[:R, :R], Q[:R, :R])
+        sweep = _wedge_map(spec, traces, R)
         # warm start: boundary part with the integral dropped
-        g1 = traces.gamma1[:R, None]
-        g2 = traces.gamma2[None, :R]
-        dg1 = traces.dgamma1[:R, None]
-        dg2 = traces.dgamma2[None, :R]
-        U[:R, :R][band] = np.broadcast_to(g1 + g2 - traces.apex, shape)[band]
-        P[:R, :R][band] = np.broadcast_to(0.5 * (dg1 + dg2), shape)[band]
-        Q[:R, :R][band] = np.broadcast_to((dg2 - dg1) / (2.0 * g.a), shape)[band]
+        for dst, src in zip(block, sweep(None)):
+            dst[band] = src[band]
         norms: list[float] = []
         converged = not feeds_back
         for _ in range(picard.max_iter):
-            fg = _grid_eval(
-                spec.f, shape, t=t2, x=x2, u=U[:R, :R], ut=P[:R, :R], ux=Q[:R, :R]
-            )
-            u_c, p_c, q_c = _wedge_candidates(g.a, hc, traces, Fg - fg, traces.apex)
+            cand = sweep(block)
             delta = max(
-                float(np.max(np.abs(u_c[band] - U[:R, :R][band]), initial=0.0)),
-                float(np.max(np.abs(p_c[band] - P[:R, :R][band]), initial=0.0)),
-                float(np.max(np.abs(q_c[band] - Q[:R, :R][band]), initial=0.0)),
+                float(np.max(np.abs(c[band] - cur[band]), initial=0.0))
+                for c, cur in zip(cand, block)
             )
-            U[:R, :R][band] = u_c[band]
-            P[:R, :R][band] = p_c[band]
-            Q[:R, :R][band] = q_c[band]
+            for dst, src in zip(block, cand):
+                dst[band] = src[band]
             norms.append(delta)
             if delta <= picard.tol:
                 converged = True
@@ -238,7 +226,7 @@ def solve_goursat_region(
                 f"{picard.tol:.1e})",
                 last_update=norms[-1],
             )
-        iterations.append(max(1, len(norms)))
+        iterations.append(len(norms))
         all_norms.append(tuple(norms))
         # the converged candidates reproduce the traces only up to rounding
         # (they add and subtract the apex value); pin the boundary exactly
@@ -249,22 +237,9 @@ def solve_goursat_region(
     for arr in (U, P, Q):
         arr.setflags(write=False)
     report = PicardReport(
-        strips=tuple(bands),
-        iterations=tuple(iterations),
-        update_norms=tuple(all_norms),
-        converged=True,
-        lipschitz=L,
+        strips=tuple(strips), iterations=tuple(iterations), update_norms=tuple(all_norms)
     )
-    return RegionField(
-        region=Region.Q3_STAR,
-        grid=g,
-        u=U,
-        p=P,
-        q=Q,
-        report=report,
-        col_offset=0,
-        char_lattice=True,
-    )
+    return RegionField(region=Region.Q3_STAR, grid=g, u=U, p=P, q=Q, report=report)
 
 
 def picard_step_goursat(
@@ -275,19 +250,11 @@ def picard_step_goursat(
     A converged wedge field is a fixed point of this map up to the stopping
     tolerance.
     """
-    g = iterate.grid
-    n = g.n_levels + 1
-    hc = 2.0 * g.a * g.dt
-    t2, x2 = _wedge_coords(g, n)
-    shape = (n, n)
-    Fg = _grid_eval(spec.F, shape, t=t2, x=x2)
-    fg = _grid_eval(spec.f, shape, t=t2, x=x2, u=iterate.u, ut=iterate.p, ux=iterate.q)
-    u_c, p_c, q_c = _wedge_candidates(g.a, hc, traces, Fg - fg, traces.apex)
+    n = traces.grid.n_levels + 1
+    sweep = _wedge_map(spec, traces, n)
     idx = np.arange(n)
-    tri = (idx[:, None] + idx[None, :]) <= g.n_levels
-    U = np.where(tri, u_c, 0.0)
-    P = np.where(tri, p_c, 0.0)
-    Q = np.where(tri, q_c, 0.0)
+    tri = (idx[:, None] + idx[None, :]) < n
+    U, P, Q = (np.where(tri, c, 0.0) for c in sweep((iterate.u, iterate.p, iterate.q)))
     for arr in (U, P, Q):
         arr.setflags(write=False)
     return replace(iterate, u=U, p=P, q=Q)

@@ -26,7 +26,7 @@ import numpy as np
 from . import expr as ex
 from .assembly import Solution, _jump_triple, evaluate
 from .cauchy import GridParams, PicardParams, ProblemSpec, RegionField
-from .errors import NegativeTime, NotLinear, TooCloseToCharacteristic
+from .errors import ConfigError, NegativeTime, NotLinear, TooCloseToCharacteristic
 from .geometry import Region, classify_point
 from .goursat import goursat_traces
 
@@ -192,9 +192,15 @@ def _residual_probes(sol: Solution, h: float):
 
 
 def _field_scale(sol: Solution) -> float:
+    """max(1, max |u|) over the live nodes: the sector [i, ncols-1-i] of level
+    i on the sides, s + r <= n_levels in the wedge.  The side arrays hold
+    meaningless values outside their sectors."""
+    n = sol.grid.n_levels
     s = 1.0
-    for f in (sol.field1, sol.field2, sol.field3):
-        s = max(s, float(np.max(np.abs(f.u))))
+    for i in range(n + 1):
+        for f in (sol.field1, sol.field2):
+            s = max(s, float(np.max(np.abs(f.u[i, i : f.u.shape[1] - i]))))
+        s = max(s, float(np.max(np.abs(sol.field3.u[i, : n + 1 - i]))))
     return s
 
 
@@ -530,6 +536,8 @@ def convergence_study(
     """
     from .assembly import solve  # local import: assembly imports this module's peers
 
+    if levels < 2:
+        raise ConfigError(f"a convergence study needs levels >= 2, got {levels}")
     if probes is None:
         collar = spec.a * grid.T / grid.nt + 1e-9  # one coarse cell
         probes = probe_points(spec.a, spec.x0, grid.T, grid.x_lo, grid.x_hi, collar)

@@ -7,6 +7,13 @@ import pathlib
 import pytest
 
 import charwave as cw
+from charwave.cauchy import (
+    PicardParams,
+    build_grid,
+    plan_strips,
+    resolve_lipschitz,
+    solve_cauchy_region,
+)
 from charwave.cli import load_config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -29,6 +36,17 @@ LINEAR_NAMES = tuple(n for n in CORPUS_NAMES if n != "manufactured")
 
 def config_path(name: str) -> pathlib.Path:
     return CONFIG_DIR / f"{name}.json"
+
+
+def strip_plan(spec, grid, picard=PicardParams()):
+    """The strip plan ``solve`` hands to every region solve on ``grid``."""
+    return plan_strips(grid, resolve_lipschitz(spec, grid), picard)
+
+
+def solve_side(spec, side, params, picard=PicardParams()):
+    """One side's Cauchy solve on the grid and strips ``solve`` would use."""
+    grid = build_grid(spec, params)
+    return solve_cauchy_region(spec, side, grid, strip_plan(spec, grid, picard), picard)
 
 
 def load_problem(name: str):

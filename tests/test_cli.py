@@ -250,16 +250,40 @@ class TestExitCodes:
         assert cli.main(["classify", str(tmp_path / "nope.json")]) == 1
         capsys.readouterr()
 
+    def test_invalid_speed_is_1(self, tmp_path, capsys):
+        assert cli.main(["classify", write_cfg(tmp_path, a=-1)]) == 1
+        assert "error: wave speed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", ["0", "1"])
+    def test_converge_needs_two_levels(self, tmp_path, capsys, levels):
+        assert cli.main(["converge", write_cfg(tmp_path), "--levels", levels]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "order" not in captured.out
+
+    def test_unwritable_output_is_1(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "out.csv"
+        assert cli.main(["solve", write_cfg(tmp_path), "-o", str(out)]) == 1
+        assert "error: cannot write" in capsys.readouterr().err
+
 
 def test_module_entry_point(tmp_path):
+    import os
+    import pathlib
     import subprocess
     import sys
 
+    import charwave
+
+    # the child imports the same charwave as this process, installed or not
+    src = str(pathlib.Path(charwave.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     cfg = write_cfg(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "charwave.cli", "classify", cfg, "--json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["case"] == "Continuous"

@@ -2,30 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charwave.errors import NegativeTime, OutOfRegion
-from charwave.geometry import (
-    CharPoint,
-    Region,
-    classify_point,
-    from_characteristic,
-    parallelogram_vertices,
-    to_characteristic,
-)
-
-
-class TestCharacteristicCoords:
-    def test_forward(self):
-        cp = to_characteristic(2.0, 1.0, 3.0)
-        assert cp == CharPoint(xi=1.0, eta=5.0)
-
-    def test_round_trip(self):
-        t, x = from_characteristic(2.0, to_characteristic(2.0, 1.25, -0.5))
-        assert t == pytest.approx(1.25)
-        assert x == pytest.approx(-0.5)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(NegativeTime):
-            from_characteristic(1.0, CharPoint(xi=1.0, eta=0.0))
+from charwave.errors import NegativeTime
+from charwave.geometry import Region, classify_point
 
 
 class TestClassify:
@@ -50,43 +28,14 @@ class TestClassify:
         assert classify_point(1.0, 0.0, 0.0, -0.1) is Region.Q1_STAR
         assert classify_point(1.0, 0.0, 0.0, 0.1) is Region.Q2_STAR
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(NegativeTime):
+            classify_point(1.0, 0.0, -0.5, 0.0)
+
     def test_region_values_are_csv_codes(self):
         assert Region.Q1_STAR.value == 1
         assert Region.Q2_STAR.value == 2
         assert Region.Q3_STAR.value == 3
-
-
-class TestParallelogram:
-    def test_known_vertices(self):
-        pa, pb, pc, pd = parallelogram_vertices(1.0, 0.0, 1.0, 0.0)
-        assert pa == (0.0, 0.0)
-        assert pb == (0.5, -0.5)
-        assert pc == (1.0, 0.0)
-        assert pd == (0.5, 0.5)
-
-    def test_requires_wedge_point(self):
-        with pytest.raises(OutOfRegion):
-            parallelogram_vertices(1.0, 0.0, 1.0, 5.0)
-
-    def test_midpoint_identity(self):
-        # opposite corners of a parallelogram share their midpoint
-        a, x0, t, x = 0.75, -0.5, 1.3, -0.2
-        pa, pb, pc, pd = parallelogram_vertices(a, x0, t, x)
-        assert pa[0] + pc[0] == pytest.approx(pb[0] + pd[0])
-        assert pa[1] + pc[1] == pytest.approx(pb[1] + pd[1])
-
-    def test_sides_are_characteristic(self):
-        a, x0, t, x = 2.0, 1.0, 0.8, 1.5
-        pa, pb, pc, pd = parallelogram_vertices(a, x0, t, x)
-        # A->B and D->C run along x + a t = const; A->D and B->C along x - a t
-        assert pb[1] + a * pb[0] == pytest.approx(pa[1] + a * pa[0])
-        assert pc[1] + a * pc[0] == pytest.approx(pd[1] + a * pd[0])
-        assert pd[1] - a * pd[0] == pytest.approx(pa[1] - a * pa[0])
-        assert pc[1] - a * pc[0] == pytest.approx(pb[1] - a * pb[0])
-
-    def test_anchored_at_discontinuity(self):
-        pa, _, _, _ = parallelogram_vertices(0.5, 2.0, 3.0, 2.2)
-        assert pa == (0.0, 2.0)
 
 
 @settings(max_examples=120, deadline=None)

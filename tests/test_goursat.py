@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from charwave.cauchy import (
-    GridParams,
-    PicardParams,
-    ProblemSpec,
-    solve_cauchy_region,
-)
+from charwave.cauchy import GridParams, PicardParams, ProblemSpec
 from charwave.errors import ConfigError
 from charwave.goursat import goursat_traces, picard_step_goursat, solve_goursat_region
+
+from conftest import solve_side, strip_plan
 
 
 def make_spec(**kw):
@@ -21,9 +18,14 @@ def make_spec(**kw):
 
 
 def solve_both_sides(spec, gp, picard=PicardParams()):
-    f1 = solve_cauchy_region(spec, 1, gp, picard)
-    f2 = solve_cauchy_region(spec, 2, gp, picard)
+    f1 = solve_side(spec, 1, gp, picard)
+    f2 = solve_side(spec, 2, gp, picard)
     return f1, f2
+
+
+def solve_wedge(spec, gp, picard=PicardParams()):
+    tr = goursat_traces(spec, *solve_both_sides(spec, gp, picard))
+    return solve_goursat_region(spec, tr, strip_plan(spec, tr.grid, picard), picard), tr
 
 
 def triangle_mask(n):
@@ -67,21 +69,16 @@ class TestTraces:
 
     def test_mismatched_grids_rejected(self):
         spec = make_spec()
-        f1 = solve_cauchy_region(spec, 1, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
-        f2 = solve_cauchy_region(spec, 2, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=16))
+        f1 = solve_side(spec, 1, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
+        f2 = solve_side(spec, 2, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=16))
         with pytest.raises(ConfigError):
             goursat_traces(spec, f1, f2)
 
 
 class TestWedgeSolve:
-    def wedge(self, spec, gp, picard=PicardParams()):
-        f1, f2 = solve_both_sides(spec, gp, picard)
-        tr = goursat_traces(spec, f1, f2)
-        return solve_goursat_region(spec, tr, gp, picard), tr
-
     def test_step_case_constant_wedge(self):
         spec = make_spec(phi1="0", phi2="1", A=1.0)
-        field, _ = self.wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
+        field, _ = solve_wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
         n = field.grid.n_levels
         tri = triangle_mask(n)
         assert np.max(np.abs(field.u[tri] - 1.0)) < 1e-13
@@ -91,7 +88,7 @@ class TestWedgeSolve:
     def test_psi_step_wedge_closed_form(self):
         # u = (x + a t)/2a in the wedge; on the lattice that is r*dt
         spec = make_spec(psi2="1")
-        field, _ = self.wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
+        field, _ = solve_wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
         g = field.grid
         n = g.n_levels
         idx = np.arange(n + 1)
@@ -104,7 +101,7 @@ class TestWedgeSolve:
 
     def test_constant_forcing_wedge_exact(self):
         spec = make_spec(F="1")
-        field, _ = self.wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
+        field, _ = solve_wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
         g = field.grid
         n = g.n_levels
         idx = np.arange(n + 1)
@@ -116,12 +113,12 @@ class TestWedgeSolve:
 
     def test_apex_carries_assigned_value(self):
         spec = make_spec(phi1="0", phi2="1", A=0.3, F="t*x")
-        field, _ = self.wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
+        field, _ = solve_wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
         assert field.u[0, 0] == pytest.approx(0.3, abs=1e-12)
 
     def test_boundary_rows_reproduce_traces_exactly(self):
         spec = make_spec(phi1="x", phi2="x^2", A=0.5, F="t*x", psi2="cos(x)")
-        field, tr = self.wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
+        field, tr = solve_wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
         n = field.grid.n_levels
         lv = np.arange(n + 1)
         np.testing.assert_array_equal(field.u[lv, 0], tr.gamma1)
@@ -134,7 +131,7 @@ class TestWedgeSolve:
         a = 2.0
         spec = make_spec(a=a, F="t*x + 1")
         gp = GridParams(T=1.0, x_lo=-5.0, x_hi=5.0, nt=8)
-        field, tr = self.wedge(spec, gp)
+        field, tr = solve_wedge(spec, gp)
         g = field.grid
         hc = 2.0 * a * g.dt
         for s, r in ((3, 5), (7, 2), (6, 6), (1, 1)):
@@ -164,11 +161,7 @@ class TestNonlinearWedge:
         )
 
     def wedge(self, nt, picard=PicardParams()):
-        gp = GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=nt)
-        f1 = solve_cauchy_region(self.spec, 1, gp, picard)
-        f2 = solve_cauchy_region(self.spec, 2, gp, picard)
-        tr = goursat_traces(self.spec, f1, f2)
-        return solve_goursat_region(self.spec, tr, gp, picard), tr
+        return solve_wedge(self.spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=nt), picard)
 
     def test_matches_manufactured_solution(self):
         field, _ = self.wedge(32)

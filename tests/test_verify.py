@@ -138,6 +138,22 @@ class TestAudit:
         target = next(c for c in report.checks if c.name == name)
         assert not target.passed, f"fault in {name} went unnoticed"
 
+    def test_scale_reads_live_nodes_only(self, solved):
+        # the side arrays hold leftover values outside their sectors, larger
+        # than the field itself on this problem; they must not set the scale
+        sol = solved["mixed_forcing"]
+        n = sol.grid.n_levels
+        live = 1.0
+        for f in (sol.field1, sol.field2):
+            for i in range(n + 1):
+                live = max(live, float(np.max(np.abs(f.u[i, i : f.u.shape[1] - i]))))
+        for s in range(n + 1):
+            live = max(live, float(np.max(np.abs(sol.field3.u[s, : n + 1 - s]))))
+        h = sol.grid.dt_user
+        tolerances = {c.name: c.tolerance for c in check_definition1(sol).checks}
+        assert tolerances["goursat_traces"] == 20.0 * h * h * live
+        assert tolerances["jump_constancy"] == 20.0 * h * h * live
+
     def test_unknown_fault_name(self, solved):
         with pytest.raises(ValueError):
             inject_fault(solved["psi_step"], "nonsense")

@@ -126,15 +126,16 @@ def solve(
 ) -> Solution:
     """Run both side solves, build the traces, solve the wedge, assemble.
 
-    The Lipschitz constant and the strip plan are resolved once and shared
-    by all three region solves.
+    The diagnostics, the Lipschitz constant and the strip plan are resolved
+    once and shared by all three region solves.
     """
+    diagnostics = diagnose(spec)
     sgrid = build_grid(spec, grid)
     L = resolve_lipschitz(spec, sgrid)
     strips = plan_strips(sgrid, L, picard)
     field1 = solve_cauchy_region(spec, 1, sgrid, strips, picard)
     field2 = solve_cauchy_region(spec, 2, sgrid, strips, picard)
-    traces = goursat_traces(spec, field1, field2)
+    traces = goursat_traces(spec, field1, field2, diagnostics)
     field3 = solve_goursat_region(spec, traces, strips, picard)
     return Solution(
         spec=spec,
@@ -145,7 +146,7 @@ def solve(
         field2=field2,
         field3=field3,
         traces=traces,
-        diagnostics=diagnose(spec),
+        diagnostics=diagnostics,
     )
 
 

@@ -52,7 +52,7 @@ with D[0,.] = 0; both identities reproduce the direct trapezoid sum exactly
 (in exact arithmetic), which the test suite checks to near rounding error.
 
 Time stepping is strip-marched: [0, T] is cut into bands short enough that
-the Picard map contracts at the configured rate; each band re-anchors the
+the Picard map contracts at the rate STRIP_SAFETY; each band re-anchors the
 representation at its bottom row, whose (u, u_t, u_x) samples play the role
 of (phi, psi, phi').  With L = 0 there is a single band and the first sweep
 is already exact.
@@ -160,6 +160,11 @@ class ProblemSpec:
             lipschitz=lipschitz,
         )
 
+    @property
+    def f_reads_state(self) -> bool:
+        """Whether f reads u, ut or ux, i.e. the Picard map has feedback."""
+        return bool(ex.free_vars(self.f) & {"u", "ut", "ux"})
+
     def phi(self, side: int) -> ex.Expr:
         return self.phi1 if side == 1 else self.phi2
 
@@ -186,19 +191,20 @@ class GridParams:
             raise ConfigError(f"window must satisfy x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
 
 
+# contraction target of the Picard map per strip, in (0, 1)
+STRIP_SAFETY = 0.5
+
+
 @dataclass(frozen=True)
 class PicardParams:
     tol: float = 1e-10
     max_iter: int = 64
-    strip_safety: float = 0.5  # contraction target per strip, in (0, 1)
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise ConfigError("tol must be > 0")
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
             raise ConfigError("max_iter must be an integer >= 1")
-        if not (0 < self.strip_safety < 1):
-            raise ConfigError("strip_safety must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -267,8 +273,11 @@ class SolverGrid:
 @dataclass(frozen=True)
 class PicardReport:
     strips: tuple[tuple[int, int], ...]
-    iterations: tuple[int, ...]
-    update_norms: tuple[tuple[float, ...], ...]
+    update_norms: tuple[tuple[float, ...], ...]  # one per sweep, per strip
+
+    @property
+    def iterations(self) -> tuple[int, ...]:
+        return tuple(len(norms) for norms in self.update_norms)
 
 
 @dataclass(frozen=True)
@@ -336,14 +345,15 @@ def build_grid(spec: ProblemSpec, params: GridParams) -> SolverGrid:
 def plan_strips(grid: SolverGrid, L: float, picard: PicardParams) -> tuple[tuple[int, int], ...]:
     """Partition the internal levels into bands on which Picard contracts.
 
-    Band height h_s = strip_safety / (L * (1 + 1/a + 1/(2a)) + eps); with
+    Band height h_s = STRIP_SAFETY / (L * (1 + 1/a + 1/(2a)) + eps); with
     L = 0 a single band covers everything.  Raises NonConvergence when even
     one internal step exceeds h_s (L so large no grid band can contract).
+    ``picard`` is not read: the plan depends on the grid and L alone.
     """
     n = grid.n_levels
     if L <= 0.0:
         return ((0, n),)
-    h_s = picard.strip_safety / (L * (1.0 + 1.0 / grid.a + 1.0 / (2.0 * grid.a)) + 1e-12)
+    h_s = STRIP_SAFETY / (L * (1.0 + 1.0 / grid.a + 1.0 / (2.0 * grid.a)) + 1e-12)
     per = int(math.floor(h_s / grid.dt))
     if per < 1:
         raise NonConvergence(
@@ -362,13 +372,12 @@ def estimate_lipschitz(spec: ProblemSpec, grid: SolverGrid) -> float:
 
     Samples the gradient over a coarse lattice of the window's (t, x) range
     crossed with [-R, R]^3, R = 1 + 2*max initial-data magnitude, and takes
-    1.5x the largest l1 gradient norm.  Returns 0 for a literal zero f.
+    1.5x the largest l1 gradient norm.  Returns 0 when f reads none of
+    u, ut, ux.
     """
-    if ex.is_zero(spec.f):
+    if not spec.f_reads_state:
         return 0.0
     fv = ex.free_vars(spec.f)
-    if not (fv & {"u", "ut", "ux"}):
-        return 0.0
     # data magnitude over the dependence-widened window
     lo = grid.x0 + grid.j1_min * grid.dx
     hi = grid.x0 + grid.j2_max * grid.dx
@@ -515,21 +524,36 @@ def _band_map(
     return sweep
 
 
-def _band_delta(b: int, Un, Pn, Qn, Uc, Pc, Qc) -> float:
-    """Sup-norm change over the sector nodes of the band's computed rows."""
-    ncols = Un.shape[1]
-    delta = 0.0
-    for m in range(1, Un.shape[0]):
-        sl = slice(b + m, ncols - 1 - (b + m) + 1)
-        if sl.start >= sl.stop:
-            continue
-        delta = max(
-            delta,
-            float(np.max(np.abs(Un[m, sl] - Uc[m, sl]), initial=0.0)),
-            float(np.max(np.abs(Pn[m, sl] - Pc[m, sl]), initial=0.0)),
-            float(np.max(np.abs(Qn[m, sl] - Qc[m, sl]), initial=0.0)),
+def _picard(sweep, block, live, write, feeds_back: bool, picard: PicardParams, where: str):
+    """Iterate ``sweep`` in place on ``block`` = (u, ut, ux) views of a band.
+
+    The warm start is ``sweep(None)`` (the f term dropped); each sweep then
+    writes the map applied to the block back onto its nodes ``write`` and
+    stops once the largest update over the nodes ``live`` is at most
+    ``picard.tol``.  Without (u, ut, ux) feedback one sweep past the warm
+    start is exact whatever its update.  Returns the update norms, or raises
+    NonConvergence naming ``where``.
+    """
+    for dst, src in zip(block, sweep(None)):
+        dst[write] = src[write]
+    norms: list[float] = []
+    for _ in range(picard.max_iter):
+        new = sweep(block)
+        norms.append(
+            max(float(np.max(np.abs(n[live] - c[live]), initial=0.0)) for n, c in zip(new, block))
         )
-    return delta
+        for dst, src in zip(block, new):
+            dst[write] = src[write]
+        del new  # the next sweep allocates in its place
+        if norms[-1] <= picard.tol:
+            break
+    if feeds_back and norms[-1] > picard.tol:
+        raise NonConvergence(
+            f"Picard iteration stalled on {where} after {len(norms)} sweeps "
+            f"(last update {norms[-1]:.3e} > tol {picard.tol:.1e})",
+            last_update=norms[-1],
+        )
+    return tuple(norms)
 
 
 def _side_initial_rows(spec: ProblemSpec, side: int, x_cols: np.ndarray):
@@ -559,40 +583,22 @@ def solve_cauchy_region(
     P = np.zeros_like(U)
     Q = np.zeros_like(U)
     U[0], P[0], Q[0] = _side_initial_rows(spec, side, x_cols)
-    feeds_back = bool(ex.free_vars(spec.f) & {"u", "ut", "ux"})
-    iterations: list[int] = []
-    all_norms: list[tuple[float, ...]] = []
+    cols = np.arange(x_cols.shape[0])[None, :]
+    all_norms = []
     for b, e in strips:
         sweep = _band_map(spec, grid, x_cols, b, e, U[b], P[b], Q[b])
-        # warm start: representation with the f term dropped
-        cur = sweep(None)
-        norms: list[float] = []
-        # without (u,ut,ux) feedback one sweep past the warm start is exact
-        converged = not feeds_back
-        for _ in range(picard.max_iter):
-            new = sweep(cur)
-            delta = _band_delta(b, *new, *cur)
-            cur = new
-            norms.append(delta)
-            if delta <= picard.tol:
-                converged = True
-                break
-        if not converged:
-            raise NonConvergence(
-                f"Picard iteration stalled on band [{b}, {e}] after "
-                f"{len(norms)} sweeps (last update {norms[-1]:.3e} > tol "
-                f"{picard.tol:.1e})",
-                last_update=norms[-1],
-            )
-        for dst, src in zip((U, P, Q), cur):
-            dst[b + 1 : e + 1] = src[1:]
-        iterations.append(len(norms))
-        all_norms.append(tuple(norms))
+        # every sweep writes the whole band: the next band's bottom-row prefix
+        # sums read its nodes outside the sector too; only the sector counts
+        # towards the stopping test
+        levels = np.arange(b, e + 1)[:, None]
+        live = (levels > b) & (cols >= levels) & (cols < x_cols.shape[0] - levels)
+        block = (U[b : e + 1], P[b : e + 1], Q[b : e + 1])
+        all_norms.append(
+            _picard(sweep, block, live, ..., spec.f_reads_state, picard, f"band [{b}, {e}]")
+        )
     for arr in (U, P, Q):
         arr.setflags(write=False)
-    report = PicardReport(
-        strips=tuple(strips), iterations=tuple(iterations), update_norms=tuple(all_norms)
-    )
+    report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
     return RegionField(
         region=Region.Q1_STAR if side == 1 else Region.Q2_STAR,
         grid=grid,

@@ -60,7 +60,6 @@ __all__ = [
     "evaluate",
     "free_vars",
     "differentiate",
-    "to_source",
 ]
 
 
@@ -473,58 +472,3 @@ def _neg(a: Expr) -> Expr:
     if isinstance(a, Neg):
         return a.arg
     return Neg(a)
-
-
-# --------------------------------------------------------------------------
-# Printing
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _fmt(node: Expr) -> tuple[str, int]:
-    if isinstance(node, Num):
-        value = node.value
-        if value == math.floor(value) and abs(value) < 1e16:
-            text = str(int(value))
-        else:
-            text = repr(value)
-        return (text, _PREC_NEG if value < 0 else _PREC_ATOM)
-    if isinstance(node, Var):
-        return node.name, _PREC_ATOM
-    if isinstance(node, Neg):
-        inner, prec = _fmt(node.arg)
-        if prec < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}", _PREC_NEG
-    if isinstance(node, Call):
-        args = ", ".join(_fmt(a)[0] for a in node.args)
-        return f"{node.fn}({args})", _PREC_ATOM
-    left, lp = _fmt(node.left)
-    right, rp = _fmt(node.right)
-    if node.op in "+-":
-        if lp < _PREC_ADD:
-            left = f"({left})"
-        if rp < _PREC_ADD or (rp == _PREC_ADD and node.op == "-"):
-            right = f"({right})"
-        return f"{left} {node.op} {right}", _PREC_ADD
-    if node.op in "*/":
-        if lp < _PREC_MUL:
-            left = f"({left})"
-        if rp < _PREC_MUL or (rp == _PREC_MUL and node.op == "/"):
-            right = f"({right})"
-        return f"{left}{node.op}{right}", _PREC_MUL
-    # power: the grammar admits only an atom on the left and a unary on the right
-    if lp < _PREC_ATOM:
-        left = f"({left})"
-    if rp < _PREC_NEG:
-        right = f"({right})"
-    return f"{left}^{right}", _PREC_POW
-
-
-def to_source(expr: Expr) -> str:
-    """Render ``expr`` back to grammar-conformant source text.
-
-    Parsing the result yields a tree that evaluates identically (formatting of
-    literals aside, it is the same tree).
-    """
-    return _fmt(expr)[0]

@@ -42,11 +42,10 @@ strips, and every band's boundary nodes reproduce the traces identically
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import expr as ex
 from .cauchy import (
     PicardParams,
     PicardReport,
@@ -55,9 +54,13 @@ from .cauchy import (
     SolverGrid,
     _cumtrapz_row,
     _grid_eval,
+    _picard,
 )
-from .errors import ConfigError, CoverageError, NonConvergence
+from .errors import ConfigError, CoverageError
 from .geometry import Region
+
+if TYPE_CHECKING:  # assembly imports this module
+    from .assembly import Diagnostics
 
 __all__ = [
     "GoursatTraces",
@@ -84,8 +87,11 @@ class GoursatTraces:
     apex: float  # the common value gamma1(0) = gamma2(0) = A
 
 
-def goursat_traces(spec: ProblemSpec, field1: RegionField, field2: RegionField) -> GoursatTraces:
-    """Build the wedge boundary traces from the two solved side fields."""
+def goursat_traces(
+    spec: ProblemSpec, field1: RegionField, field2: RegionField, diagnostics: Diagnostics
+) -> GoursatTraces:
+    """Build the wedge boundary traces from the two solved side fields and
+    the jump constants of ``diagnostics``."""
     grid = field1.grid
     if field2.grid != grid:
         raise ConfigError("side fields were solved on different grids")
@@ -101,8 +107,6 @@ def goursat_traces(spec: ProblemSpec, field1: RegionField, field2: RegionField) 
         or c2.max() >= field2.u.shape[1]
     ):
         raise CoverageError("side fields do not cover the characteristics up to T")
-    phi1_x0 = ex.evaluate(spec.phi1, {"x": spec.x0})
-    phi2_x0 = ex.evaluate(spec.phi2, {"x": spec.x0})
     u1c = field1.u[levels, c1]
     u2c = field2.u[levels, c2]
     p1c = field1.p[levels, c1]
@@ -110,8 +114,8 @@ def goursat_traces(spec: ProblemSpec, field1: RegionField, field2: RegionField) 
     q1c = field1.q[levels, c1]
     q2c = field2.q[levels, c2]
     arrays = (
-        u1c + (spec.A - phi1_x0),
-        u2c + (spec.A - phi2_x0),
+        u1c + diagnostics.left_jump_constant,
+        u2c - diagnostics.right_jump_constant,
         p1c - grid.a * q1c,
         p2c + grid.a * q2c,
     )
@@ -183,8 +187,6 @@ def solve_goursat_region(
     marching the bands ``strips`` (levels s + r) of :func:`plan_strips`."""
     g = traces.grid
     n = g.n_levels + 1
-    feeds_back = bool(ex.free_vars(spec.f) & {"u", "ut", "ux"})
-
     U = np.zeros((n, n))
     P = np.zeros((n, n))
     Q = np.zeros((n, n))
@@ -195,39 +197,17 @@ def solve_goursat_region(
     P[0, 0] = 0.5 * (traces.dgamma1[0] + traces.dgamma2[0])
     Q[0, 0] = (traces.dgamma2[0] - traces.dgamma1[0]) / (2.0 * g.a)
 
-    iterations: list[int] = []
-    all_norms: list[tuple[float, ...]] = []
+    all_norms = []
     for b, e in strips:
         R = e + 1
+        # sweeps write only the band: the nodes below it are final, with their
+        # boundary pinned, and the candidates are not valid above it
         band = (K[:R, :R] > b) & (K[:R, :R] <= e)
         block = (U[:R, :R], P[:R, :R], Q[:R, :R])
         sweep = _wedge_map(spec, traces, R)
-        # warm start: boundary part with the integral dropped
-        for dst, src in zip(block, sweep(None)):
-            dst[band] = src[band]
-        norms: list[float] = []
-        converged = not feeds_back
-        for _ in range(picard.max_iter):
-            cand = sweep(block)
-            delta = max(
-                float(np.max(np.abs(c[band] - cur[band]), initial=0.0))
-                for c, cur in zip(cand, block)
-            )
-            for dst, src in zip(block, cand):
-                dst[band] = src[band]
-            norms.append(delta)
-            if delta <= picard.tol:
-                converged = True
-                break
-        if not converged:
-            raise NonConvergence(
-                f"Picard iteration stalled on wedge band [{b}, {e}] after "
-                f"{len(norms)} sweeps (last update {norms[-1]:.3e} > tol "
-                f"{picard.tol:.1e})",
-                last_update=norms[-1],
-            )
-        iterations.append(len(norms))
-        all_norms.append(tuple(norms))
+        all_norms.append(
+            _picard(sweep, block, band, band, spec.f_reads_state, picard, f"wedge band [{b}, {e}]")
+        )
         # the converged candidates reproduce the traces only up to rounding
         # (they add and subtract the apex value); pin the boundary exactly
         ks = np.arange(b + 1, e + 1)
@@ -236,9 +216,7 @@ def solve_goursat_region(
 
     for arr in (U, P, Q):
         arr.setflags(write=False)
-    report = PicardReport(
-        strips=tuple(strips), iterations=tuple(iterations), update_norms=tuple(all_norms)
-    )
+    report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
     return RegionField(region=Region.Q3_STAR, grid=g, u=U, p=P, q=Q, report=report)
 
 

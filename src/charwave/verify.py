@@ -18,7 +18,6 @@ not asserted; constancy is only claimed for u itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +30,6 @@ from .geometry import Region, classify_point
 from .goursat import goursat_traces
 
 __all__ = [
-    "ToleranceProfile",
     "CheckResult",
     "VerificationReport",
     "pde_residual",
@@ -49,16 +47,14 @@ __all__ = [
 # Reports and tolerances
 
 
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Tolerances for the audit; the quadratic ones scale with h = dt_user
-    and the magnitude of the data / right-hand side."""
-
-    initial_tol: float = 1e-9
-    goursat_coeff: float = 20.0
-    jump_coeff: float = 20.0
-    residual_coeff: float = 50.0
-    h_fd: float | None = None  # residual FD step; default 2*dt_user
+# Audit tolerances: the initial-data one is absolute, the others are these
+# coefficients times h^2 (h = dt_user) times the field or right-hand-side
+# magnitude.  The residual's finite-difference step is _FD_STEPS * dt_user.
+_INITIAL_TOL = 1e-9
+_GOURSAT_COEFF = 20.0
+_JUMP_COEFF = 20.0
+_RESIDUAL_COEFF = 50.0
+_FD_STEPS = 2.0
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ def pde_residual(sol: Solution, t: float, x: float, h_fd: float | None = None) -
     otherwise TooCloseToCharacteristic is raised.
     """
     g = sol.grid
-    h = h_fd if h_fd is not None else 2.0 * g.dt_user
+    h = h_fd if h_fd is not None else _FD_STEPS * g.dt_user
     pts = ((t, x), (t + h, x), (t - h, x), (t, x + h), (t, x - h))
     regions = [classify_point(g.a, g.x0, *pt) for pt in pts]
     if len(set(regions)) != 1:
@@ -217,103 +213,85 @@ def _rhs_scale(sol: Solution, grouped) -> float:
     return s
 
 
-def check_definition1(
-    sol: Solution, tol_profile: ToleranceProfile | None = None
-) -> VerificationReport:
-    """Audit the five defining conditions of the solved field."""
-    prof = tol_profile or ToleranceProfile()
+def _tolerances(sol: Solution):
+    """The residual step, the residual probes, and each check's tolerance."""
     g = sol.grid
     h = g.dt_user
-    h_fd = prof.h_fd if prof.h_fd is not None else 2.0 * g.dt_user
+    h_fd = _FD_STEPS * h
+    grouped = _residual_probes(sol, h_fd)
     scale = _field_scale(sol)
+    # the residual tolerance scales with the right-hand sides, not the field,
+    # so an injected field error cannot inflate its own tolerance
+    tolerances = {
+        "initial_u": _INITIAL_TOL,
+        "initial_ut": _INITIAL_TOL,
+        "pde_residual": _RESIDUAL_COEFF * (h * h + h_fd * h_fd) * _rhs_scale(sol, grouped),
+        "goursat_traces": _GOURSAT_COEFF * h * h * scale,
+        "jump_constancy": _JUMP_COEFF * h * h * scale,
+    }
+    return h_fd, grouped, tolerances
+
+
+def _initial_errors(sol: Solution) -> tuple[float, float]:
+    """Largest |u(0,x) - phi(x)| and |u_t(0,x) - psi(x)| over the user nodes
+    except x0, each data expression evaluated once on its side's nodes."""
+    g, spec = sol.grid, sol.spec
+    j = np.arange(-g.n_left, g.n_right + 1)
+    xs = g.user_xs()
+    err_u = err_p = 0.0
+    for field, on_side, cols, phi, psi in (
+        (sol.field1, j < 0, 2 * j - g.j1_min, spec.phi1, spec.psi1),
+        (sol.field2, j > 0, 2 * j, spec.phi2, spec.psi2),
+    ):
+        env = {"x": xs[on_side]}
+        row = cols[on_side]
+        err_u = max(err_u, float(np.max(np.abs(field.u[0, row] - ex.evaluate(phi, env)))))
+        err_p = max(err_p, float(np.max(np.abs(field.p[0, row] - ex.evaluate(psi, env)))))
+    return err_u, err_p
+
+
+def check_definition1(sol: Solution) -> VerificationReport:
+    """Audit the five defining conditions of the solved field."""
+    g = sol.grid
+    h_fd, grouped, tol = _tolerances(sol)
     checks: list[CheckResult] = []
     info: list[tuple[str, float]] = []
 
-    # (i) u(0, .) = phi, with the assigned value at x0
-    xs = g.user_xs()
-    j_users = np.arange(-g.n_left, g.n_right + 1)
-    err_u0 = abs(sol.field3.u[0, 0] - sol.spec.A)  # vertex
-    for j, xv in zip(j_users, xs):
-        if j < 0:
-            got = sol.field1.u[0, 2 * j - g.j1_min]
-            want = ex.evaluate(sol.spec.phi1, {"x": xv})
-        elif j > 0:
-            got = sol.field2.u[0, 2 * j]
-            want = ex.evaluate(sol.spec.phi2, {"x": xv})
-        else:
-            continue
-        err_u0 = max(err_u0, abs(got - want))
-    checks.append(
-        CheckResult(
-            "initial_u",
-            err_u0,
-            prof.initial_tol,
-            err_u0 <= prof.initial_tol,
-            "u(0,x) vs phi on user nodes, and u(0,x0) vs A",
-        )
-    )
+    def check(name: str, measured: float, detail: str) -> None:
+        checks.append(CheckResult(name, measured, tol[name], measured <= tol[name], detail))
 
-    # (ii) u_t(0, .) = psi away from x0
-    err_p0 = 0.0
-    for j, xv in zip(j_users, xs):
-        if j < 0:
-            got = sol.field1.p[0, 2 * j - g.j1_min]
-            want = ex.evaluate(sol.spec.psi1, {"x": xv})
-        elif j > 0:
-            got = sol.field2.p[0, 2 * j]
-            want = ex.evaluate(sol.spec.psi2, {"x": xv})
-        else:
-            continue
-        err_p0 = max(err_p0, abs(got - want))
-    checks.append(
-        CheckResult(
-            "initial_ut",
-            err_p0,
-            prof.initial_tol,
-            err_p0 <= prof.initial_tol,
-            "u_t(0,x) vs psi on user nodes except x0",
-        )
-    )
+    # (i) u(0, .) = phi, with the assigned value at x0; (ii) u_t(0, .) = psi
+    # away from x0
+    err_u0, err_p0 = _initial_errors(sol)
+    err_u0 = max(err_u0, abs(sol.field3.u[0, 0] - sol.spec.A))  # vertex
+    check("initial_u", err_u0, "u(0,x) vs phi on user nodes, and u(0,x0) vs A")
+    check("initial_ut", err_p0, "u_t(0,x) vs psi on user nodes except x0")
 
-    # (iii) equation residual on interior probes; tolerance scales with the
-    # right-hand sides, not the field, so an injected field error cannot
-    # inflate its own tolerance
-    grouped = _residual_probes(sol, h_fd)
-    rhs_scale = _rhs_scale(sol, grouped)
+    # (iii) equation residual on interior probes
     res_max = 0.0
     n_probes = 0
     for pts in grouped.values():
         for t, x in pts:
             res_max = max(res_max, pde_residual(sol, t, x, h_fd))
             n_probes += 1
-    tol_res = prof.residual_coeff * (h * h + h_fd * h_fd) * rhs_scale
-    checks.append(
-        CheckResult(
-            "pde_residual",
-            res_max,
-            tol_res,
-            res_max <= tol_res,
-            f"max |u_tt - a^2 u_xx + f - F| over {n_probes} interior probes",
-        )
+    check(
+        "pde_residual",
+        res_max,
+        f"max |u_tt - a^2 u_xx + f - F| over {n_probes} interior probes",
     )
 
     # (iv) wedge boundary vs traces, traces rebuilt from the side fields
-    fresh = goursat_traces(sol.spec, sol.field1, sol.field2)
+    fresh = goursat_traces(sol.spec, sol.field1, sol.field2, sol.diagnostics)
     m = g.n_levels
     lv = np.arange(m + 1)
     err_tr = max(
         float(np.max(np.abs(sol.field3.u[lv, 0] - fresh.gamma1))),
         float(np.max(np.abs(sol.field3.u[0, lv] - fresh.gamma2))),
     )
-    tol_g = prof.goursat_coeff * h * h * scale
-    checks.append(
-        CheckResult(
-            "goursat_traces",
-            err_tr,
-            tol_g,
-            err_tr <= tol_g,
-            "wedge boundary values vs traces recomputed from the side fields",
-        )
+    check(
+        "goursat_traces",
+        err_tr,
+        "wedge boundary values vs traces recomputed from the side fields",
     )
 
     # (v) jump constancy across both characteristics
@@ -329,15 +307,10 @@ def check_definition1(
         pj_r = max(pj_r, abs(pr))
         qj_l = max(qj_l, abs(ql))
         qj_r = max(qj_r, abs(qr))
-    tol_j = prof.jump_coeff * h * h * scale
-    checks.append(
-        CheckResult(
-            "jump_constancy",
-            err_jump,
-            tol_j,
-            err_jump <= tol_j,
-            "u-jumps across both characteristics vs A - phi1(x0), phi2(x0) - A",
-        )
+    check(
+        "jump_constancy",
+        err_jump,
+        "u-jumps across both characteristics vs A - phi1(x0), phi2(x0) - A",
     )
     info.extend(
         [
@@ -358,32 +331,29 @@ def _bumped(field: RegionField, attr: str, bump: np.ndarray | float) -> RegionFi
     return replace(field, **{attr: arr})
 
 
-def inject_fault(
-    sol: Solution, check: str, tol_profile: ToleranceProfile | None = None
-) -> Solution:
+def inject_fault(sol: Solution, check: str) -> Solution:
     """Perturb the field behind one audit check by 10x its tolerance.
 
     Used to demonstrate that no check passes vacuously; the returned Solution
     must fail ``check`` (and may legitimately trip related checks that read
     the same arrays).
     """
-    prof = tol_profile or ToleranceProfile()
+    tolerances = _tolerances(sol)[2]
+    if check not in tolerances:
+        raise ValueError(f"unknown check name {check!r}")
+    tol = tolerances[check]
     g = sol.grid
-    h = g.dt_user
-    h_fd = prof.h_fd if prof.h_fd is not None else 2.0 * g.dt_user
-    scale = _field_scale(sol)
     if check == "initial_u":
         row = np.zeros_like(sol.field1.u)
-        row[0, :] = 10.0 * prof.initial_tol
+        row[0, :] = 10.0 * tol
         return replace(sol, field1=_bumped(sol.field1, "u", row))
     if check == "initial_ut":
         row = np.zeros_like(sol.field1.p)
-        row[0, :] = 10.0 * prof.initial_tol
+        row[0, :] = 10.0 * tol
         return replace(sol, field1=_bumped(sol.field1, "p", row))
     if check == "pde_residual":
         # adding c*t^2 shifts u_tt by 2c everywhere, nothing else at order one
-        rhs_scale = _rhs_scale(sol, _residual_probes(sol, h_fd))
-        c = 5.0 * prof.residual_coeff * (h * h + h_fd * h_fd) * rhs_scale
+        c = 5.0 * tol
         t_side = (g.dt * np.arange(g.n_levels + 1))[:, None]
         idx = np.arange(g.n_levels + 1)
         t_wedge = g.dt * (idx[:, None] + idx[None, :])
@@ -394,20 +364,15 @@ def inject_fault(
             field3=_bumped(sol.field3, "u", c * t_wedge * t_wedge),
         )
     if check == "goursat_traces":
-        tol_g = prof.goursat_coeff * h * h * scale
         idx = np.arange(g.n_levels + 1)
         off_apex = (idx[:, None] + idx[None, :]) >= 1
-        return replace(
-            sol, field3=_bumped(sol.field3, "u", 10.0 * tol_g * off_apex)
-        )
-    if check == "jump_constancy":
-        tol_j = prof.jump_coeff * h * h * scale
-        bump = np.zeros_like(sol.field1.u)
-        for level in range(1, g.n_levels + 1):
-            c_char = g.char_col(1, level)
-            bump[level, :c_char] = 10.0 * tol_j
-        return replace(sol, field1=_bumped(sol.field1, "u", bump))
-    raise ValueError(f"unknown check name {check!r}")
+        return replace(sol, field3=_bumped(sol.field3, "u", 10.0 * tol * off_apex))
+    # jump_constancy
+    bump = np.zeros_like(sol.field1.u)
+    for level in range(1, g.n_levels + 1):
+        c_char = g.char_col(1, level)
+        bump[level, :c_char] = 10.0 * tol
+    return replace(sol, field1=_bumped(sol.field1, "u", bump))
 
 
 # --------------------------------------------------------------------------

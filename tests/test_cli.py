@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -140,7 +141,7 @@ class TestSolveCommand:
         # writing the parsed JSON back out (different key order, formatting)
         # must not change the result
         cfg1 = write_cfg(tmp_path, name="one.json")
-        blob = json.loads(open(cfg1).read())
+        blob = json.loads(pathlib.Path(cfg1).read_text())
         cfg2 = tmp_path / "two.json"
         cfg2.write_text(json.dumps(dict(reversed(list(blob.items()))), indent=4))
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -163,7 +163,8 @@ class TestDifferentiate:
         assert ex.is_zero(ex.differentiate(ex.parse("abs(t)", ("t",)), "x"))
 
     def test_power_rule_simplifies(self):
-        assert ex.to_source(ex.differentiate(ex.parse("x^2", ("x",)), "x")) == "2*x"
+        d = ex.differentiate(ex.parse("x^2", ("x",)), "x")
+        assert d == ex.BinOp("*", ex.Num(2.0), ex.Var("x"))
 
     @pytest.mark.parametrize("src", ["abs(u)", "min(u, 1)", "max(0, u)"])
     def test_kinks_not_differentiable(self, src):
@@ -173,27 +174,6 @@ class TestDifferentiate:
     def test_variable_exponent(self):
         d = ex.differentiate(ex.parse("x^t", ("t", "x")), "x")
         assert ex.evaluate(d, {"x": 2.0, "t": 3.0}) == pytest.approx(12.0)
-
-
-class TestPrinting:
-    @pytest.mark.parametrize(
-        "src",
-        SMOOTH_CASES
-        + ["-x", "-(x + 1)", "x - (x - 1)", "x/(2*x)", "2^-x", "max(x, -1)"],
-    )
-    def test_round_trip_evaluates_identically(self, src):
-        e = ex.parse(src, ("x",))
-        e2 = ex.parse(ex.to_source(e), ("x",))
-        rng = np.random.default_rng(0)
-        xs = rng.uniform(0.1, 3.0, size=100)
-        np.testing.assert_array_equal(
-            ex.evaluate(e, {"x": xs}), ex.evaluate(e2, {"x": xs})
-        )
-
-    def test_round_trip_is_stable(self):
-        e = ex.parse("x^2 - 3*x/(t + 2) + max(x, t)*tanh(t)", ("t", "x"))
-        s1 = ex.to_source(e)
-        assert ex.to_source(ex.parse(s1, ("t", "x"))) == s1
 
 
 @settings(max_examples=60, deadline=None)

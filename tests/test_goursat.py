@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from charwave.assembly import diagnose
 from charwave.cauchy import GridParams, PicardParams, ProblemSpec
-from charwave.errors import ConfigError
+from charwave.errors import ConfigError, NonConvergence
 from charwave.goursat import goursat_traces, picard_step_goursat, solve_goursat_region
 
 from conftest import solve_side, strip_plan
@@ -24,7 +25,7 @@ def solve_both_sides(spec, gp, picard=PicardParams()):
 
 
 def solve_wedge(spec, gp, picard=PicardParams()):
-    tr = goursat_traces(spec, *solve_both_sides(spec, gp, picard))
+    tr = goursat_traces(spec, *solve_both_sides(spec, gp, picard), diagnose(spec))
     return solve_goursat_region(spec, tr, strip_plan(spec, tr.grid, picard), picard), tr
 
 
@@ -37,7 +38,7 @@ class TestTraces:
     def test_step_data_gives_constant_traces(self):
         spec = make_spec(phi1="0", phi2="1", A=1.0)
         gp = GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8)
-        tr = goursat_traces(spec, *solve_both_sides(spec, gp))
+        tr = goursat_traces(spec, *solve_both_sides(spec, gp), diagnose(spec))
         np.testing.assert_allclose(tr.gamma1, 1.0)
         np.testing.assert_allclose(tr.gamma2, 1.0)
         np.testing.assert_allclose(tr.dgamma1, 0.0, atol=1e-14)
@@ -53,7 +54,7 @@ class TestTraces:
         ):
             spec = make_spec(**kw)
             gp = GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8)
-            tr = goursat_traces(spec, *solve_both_sides(spec, gp))
+            tr = goursat_traces(spec, *solve_both_sides(spec, gp), diagnose(spec))
             assert tr.gamma1[0] == pytest.approx(spec.A, abs=1e-12)
             assert tr.gamma2[0] == pytest.approx(spec.A, abs=1e-12)
 
@@ -61,7 +62,7 @@ class TestTraces:
         # psi2 = 1: right-side solution is u = t on the right characteristic
         spec = make_spec(psi2="1")
         gp = GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8)
-        tr = goursat_traces(spec, *solve_both_sides(spec, gp))
+        tr = goursat_traces(spec, *solve_both_sides(spec, gp), diagnose(spec))
         g = tr.grid
         ts = g.dt * np.arange(g.n_levels + 1)
         np.testing.assert_allclose(tr.gamma2, ts, atol=1e-14)
@@ -72,7 +73,7 @@ class TestTraces:
         f1 = solve_side(spec, 1, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
         f2 = solve_side(spec, 2, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=16))
         with pytest.raises(ConfigError):
-            goursat_traces(spec, f1, f2)
+            goursat_traces(spec, f1, f2, diagnose(spec))
 
 
 class TestWedgeSolve:
@@ -173,6 +174,16 @@ class TestNonlinearWedge:
         tri = triangle_mask(n)
         err = np.max(np.abs((field.u - np.sin(xs - ts))[tri]))
         assert err < 2e-3
+
+    def test_stalled_iteration_raises(self):
+        # the sides converge as usual; one sweep cannot settle a wedge band
+        gp = GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8)
+        tr = goursat_traces(self.spec, *solve_both_sides(self.spec, gp), diagnose(self.spec))
+        with pytest.raises(NonConvergence, match=r"wedge band \[0, \d+\]") as err:
+            solve_goursat_region(
+                self.spec, tr, strip_plan(self.spec, tr.grid), PicardParams(max_iter=1)
+            )
+        assert err.value.last_update > 0.0
 
     def test_fixed_point_residual_small(self):
         field, tr = self.wedge(16, PicardParams(tol=1e-11))

@@ -9,7 +9,6 @@ from charwave.assembly import solve
 from charwave.cauchy import GridParams, PicardParams, ProblemSpec
 from charwave.errors import NegativeTime, NotLinear, TooCloseToCharacteristic
 from charwave.verify import (
-    ToleranceProfile,
     check_definition1,
     convergence_study,
     inject_fault,
@@ -157,12 +156,6 @@ class TestAudit:
     def test_unknown_fault_name(self, solved):
         with pytest.raises(ValueError):
             inject_fault(solved["psi_step"], "nonsense")
-
-    def test_profile_scales_tolerances(self, solved):
-        tight = ToleranceProfile(jump_coeff=1e-9, goursat_coeff=1e-9)
-        report = check_definition1(solved["phi_sq"], tight)
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["jump_constancy"].tolerance < 1e-10
 
 
 class TestConvergence:

@@ -154,7 +154,7 @@ def solve(
 # Point evaluation
 
 
-def _interp_wedge(sol: Solution, t: float, x: float) -> tuple[float, float, float]:
+def _interp_wedge(sol: Solution, t: float, x: float) -> np.ndarray:
     g = sol.grid
     hc = 2.0 * g.a * g.dt
     d = x - g.x0
@@ -166,34 +166,31 @@ def _interp_wedge(sol: Solution, t: float, x: float) -> tuple[float, float, floa
     r0 = min(int(math.floor(r_real)), m)
     fs = s_real - s0
     fr = r_real - r0
-    out = []
-    for arr in (sol.field3.u, sol.field3.p, sol.field3.q):
-        v00 = arr[s0, r0]
-        if s0 + r0 + 2 <= m:
-            v10 = arr[s0 + 1, r0]
-            v01 = arr[s0, r0 + 1]
-            v11 = arr[s0 + 1, r0 + 1]
-            out.append(
-                v00 * (1 - fs) * (1 - fr)
-                + v10 * fs * (1 - fr)
-                + v01 * (1 - fs) * fr
-                + v11 * fs * fr
-            )
-        elif s0 + r0 + 1 <= m:
-            # cell straddles the top boundary t = T: linear on three corners
-            v10 = arr[s0 + 1, r0]
-            v01 = arr[s0, r0 + 1]
-            out.append(v00 + fs * (v10 - v00) + fr * (v01 - v00))
-        else:
-            # s0 + r0 = n_levels forces fs = fr = 0 (query on the top corner)
-            out.append(v00)
-    return out[0], out[1], out[2]
+    w = sol.field3.w
+    v00 = w[:, s0, r0]
+    if s0 + r0 + 2 <= m:
+        v10 = w[:, s0 + 1, r0]
+        v01 = w[:, s0, r0 + 1]
+        v11 = w[:, s0 + 1, r0 + 1]
+        return (
+            v00 * (1 - fs) * (1 - fr)
+            + v10 * fs * (1 - fr)
+            + v01 * (1 - fs) * fr
+            + v11 * fs * fr
+        )
+    if s0 + r0 + 1 <= m:
+        # cell straddles the top boundary t = T: linear on three corners
+        v10 = w[:, s0 + 1, r0]
+        v01 = w[:, s0, r0 + 1]
+        return v00 + fs * (v10 - v00) + fr * (v01 - v00)
+    # s0 + r0 = n_levels forces fs = fr = 0 (query on the top corner)
+    return v00
 
 
-def _interp_side(sol: Solution, side: int, t: float, x: float) -> tuple[float, float, float]:
+def _interp_side(sol: Solution, side: int, t: float, x: float) -> np.ndarray:
     g = sol.grid
     field = sol.field1 if side == 1 else sol.field2
-    ncols = field.u.shape[1]
+    ncols = field.w.shape[2]
     m = g.n_levels
     i_real = t / g.dt
     c_real = (x - g.x0) / g.dx - field.col_offset
@@ -206,19 +203,13 @@ def _interp_side(sol: Solution, side: int, t: float, x: float) -> tuple[float, f
     c_hi = ncols - i0 - 3
     c0 = min(max(int(math.floor(c_real)), c_lo), c_hi)
     fc = c_real - c0
-    out = []
-    for arr in (field.u, field.p, field.q):
-        v00 = arr[i0, c0]
-        v10 = arr[i0 + 1, c0]
-        v01 = arr[i0, c0 + 1]
-        v11 = arr[i0 + 1, c0 + 1]
-        out.append(
-            v00 * (1 - fi) * (1 - fc)
-            + v10 * fi * (1 - fc)
-            + v01 * (1 - fi) * fc
-            + v11 * fi * fc
-        )
-    return out[0], out[1], out[2]
+    cell = field.w[:, i0 : i0 + 2, c0 : c0 + 2]
+    return (
+        cell[:, 0, 0] * (1 - fi) * (1 - fc)
+        + cell[:, 1, 0] * fi * (1 - fc)
+        + cell[:, 0, 1] * (1 - fi) * fc
+        + cell[:, 1, 1] * fi * fc
+    )
 
 
 def evaluate(sol: Solution, t: float, x: float) -> tuple[float, float, float, Region]:
@@ -246,33 +237,26 @@ def evaluate(sol: Solution, t: float, x: float) -> tuple[float, float, float, Re
 # Jumps across the characteristics
 
 
-def _side_limit_at_char(field: RegionField, side: int, level: int):
-    """One-sided (u, p, q) limits at the characteristic node of a level,
-    by quadratic extrapolation from the three nearest interior columns."""
-    g = field.grid
-    c = g.char_col(side, level)
+def _side_limit_at_char(field: RegionField, side: int, levels):
+    """One-sided (u, p, q) limits at the characteristic nodes of internal
+    ``levels``, by quadratic extrapolation from the three nearest interior
+    columns; shape (3,) + shape of ``levels``."""
+    c = field.grid.char_col(side, levels)
     step = -1 if side == 1 else 1
-    cols = (c + step, c + 2 * step, c + 3 * step)
-    out = []
-    for arr in (field.u, field.p, field.q):
-        out.append(3.0 * arr[level, cols[0]] - 3.0 * arr[level, cols[1]] + arr[level, cols[2]])
-    return tuple(out)
+    w = field.w
+    return (
+        3.0 * w[:, levels, c + step]
+        - 3.0 * w[:, levels, c + 2 * step]
+        + w[:, levels, c + 3 * step]
+    )
 
 
-def _jump_triple(sol: Solution, level: int, side: str) -> tuple[float, float, float]:
-    """(u, p, q) jumps across a characteristic at an internal level,
+def _jump_triple(sol: Solution, levels, side: str) -> np.ndarray:
+    """(u, p, q) jumps across a characteristic at internal ``levels``,
     oriented as larger-x side minus smaller-x side."""
     if side == "left":
-        u3 = sol.field3.u[level, 0]
-        p3 = sol.field3.p[level, 0]
-        q3 = sol.field3.q[level, 0]
-        u1, p1, q1 = _side_limit_at_char(sol.field1, 1, level)
-        return u3 - u1, p3 - p1, q3 - q1
-    u3 = sol.field3.u[0, level]
-    p3 = sol.field3.p[0, level]
-    q3 = sol.field3.q[0, level]
-    u2, p2, q2 = _side_limit_at_char(sol.field2, 2, level)
-    return u2 - u3, p2 - p3, q2 - q3
+        return sol.field3.w[:, levels, 0] - _side_limit_at_char(sol.field1, 1, levels)
+    return _side_limit_at_char(sol.field2, 2, levels) - sol.field3.w[:, 0, levels]
 
 
 def characteristic_jump(sol: Solution, t: float, side: str) -> float:
@@ -309,26 +293,16 @@ def sample_user_grid(sol: Solution):
     n_cols = xs.shape[0]
     d = 2 * np.arange(-g.n_left, g.n_right + 1)  # internal column offsets
     region = np.empty((n_rows, n_cols), dtype=np.int64)
-    u = np.empty((n_rows, n_cols))
-    p = np.empty((n_rows, n_cols))
-    q = np.empty((n_rows, n_cols))
+    w = np.empty((3, n_rows, n_cols))
+    w1, w2, w3 = sol.field1.w, sol.field2.w, sol.field3.w
     for iu in range(n_rows):
         i = 2 * iu  # internal level
         m1 = d < -i
         m2 = d > i
         m3 = ~(m1 | m2)
         region[iu] = np.where(m1, 1, np.where(m2, 2, 3))
-        c1 = d[m1] - g.j1_min
-        c2 = d[m2]
-        s3 = (i - d[m3]) // 2
-        r3 = (i + d[m3]) // 2
-        for out, f1, f2, f3 in (
-            (u, sol.field1.u, sol.field2.u, sol.field3.u),
-            (p, sol.field1.p, sol.field2.p, sol.field3.p),
-            (q, sol.field1.q, sol.field2.q, sol.field3.q),
-        ):
-            row = out[iu]
-            row[m1] = f1[i, c1]
-            row[m2] = f2[i, c2]
-            row[m3] = f3[s3, r3]
-    return times, xs, region, u, p, q
+        row = w[:, iu]
+        row[:, m1] = w1[:, i, d[m1] - g.j1_min]
+        row[:, m2] = w2[:, i, d[m2]]
+        row[:, m3] = w3[:, (i - d[m3]) // 2, (i + d[m3]) // 2]
+    return times, xs, region, w[0], w[1], w[2]

@@ -201,8 +201,8 @@ class PicardParams:
     max_iter: int = 64
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ConfigError("tol must be > 0")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError(f"tol must be a finite number > 0, got {self.tol!r}")
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
             raise ConfigError("max_iter must be an integer >= 1")
 
@@ -216,18 +216,11 @@ class SolverGrid:
     levels of dt = dt_user/2), which places the wedge lattice and all
     characteristic boundary points on nodes.
 
-    Region storage convention (internal columns are offsets j from x0, so the
-    node (level i, offset j) sits at (i*dt, x0 + j*dx)):
-
-    * side 1 arrays have columns c = j - j1_min for j in [j1_min, 0]; at level
-      i the sector occupies j in [j1_min + i, -i];
-    * side 2 arrays have columns c = j for j in [0, j2_max]; at level i the
-      sector occupies j in [i, j2_max - i].
-
-    In both layouts the occupied slice at level i is [i, ncols - 1 - i]: the
-    domain of dependence shaves one column per level per side.  j1_min and
-    j2_max include the dependence margin of the window plus three columns
-    beyond the characteristics for one-sided jump extrapolation.
+    Column convention: internal columns are offsets j from x0, so the node
+    (level i, offset j) sits at (i*dt, x0 + j*dx).  Side 1 spans j in
+    [j1_min, 0], side 2 spans j in [0, j2_max]; both bounds include the
+    dependence margin of the window plus three columns beyond the
+    characteristics for one-sided jump extrapolation.
     """
 
     a: float
@@ -282,23 +275,60 @@ class PicardReport:
 
 @dataclass(frozen=True)
 class RegionField:
-    """(u, u_t, u_x) samples over one region's closure.
+    """(u, u_t, u_x) samples over one region's closure, stacked in the
+    read-only array ``w`` of shape (3, rows, cols); ``u``, ``p`` and ``q`` are
+    its planes.
 
-    For the side regions the arrays are (n_levels+1, ncols) in (level,
-    column) layout as described on SolverGrid; only the sector [i, ncols-1-i]
-    of level i holds solution values, the entries outside it are left over
-    from the band sweeps and mean nothing.  For the wedge region the arrays
-    are indexed (s, r) with node (s, r) at t = (s+r)*dt, x = x0 + (r-s)*dx,
-    valid for s + r <= n_levels.
+    Side regions are indexed (level i, column c) with n_levels + 1 rows.
+    Side 1 column c holds offset j = c + j1_min (``col_offset``), side 2
+    column c holds j = c (see SolverGrid).  The domain of dependence shaves
+    one column per level at each end, so only the sector [i, ncols - 1 - i]
+    of level i holds solution values; the entries outside it are left over
+    from the band sweeps and mean nothing.
+
+    The wedge region is indexed (s, r), node (s, r) at t = (s + r)*dt,
+    x = x0 + (r - s)*dx, and holds the solution where s + r <= n_levels.
+
+    ``live`` marks the nodes that hold the solution.
     """
 
     region: Region
     grid: SolverGrid
-    u: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
+    w: np.ndarray
     report: PicardReport
     col_offset: int = 0
+
+    def __post_init__(self):
+        self.w.setflags(write=False)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.w[0]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.w[1]
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.w[2]
+
+    @property
+    def live(self) -> np.ndarray:
+        return _live_nodes(self.region, self.w.shape[1:])
+
+
+def _live_nodes(region: Region, shape: tuple[int, int]) -> np.ndarray:
+    """Boolean mask of the nodes of a ``region`` array of ``shape`` that hold
+    the solution (see RegionField)."""
+    rows, cols = shape
+    live = np.zeros(shape, dtype=bool)
+    for i in range(rows):
+        if region is Region.Q3_STAR:
+            live[i, : rows - i] = True
+        else:
+            live[i, i : cols - i] = True
+    return live
 
 
 # --------------------------------------------------------------------------
@@ -440,18 +470,18 @@ def _cumtrapz_row(values: np.ndarray, h: float) -> np.ndarray:
     return np.concatenate([np.zeros(pads), np.cumsum(inner, axis=-1)], axis=-1)
 
 
-def _dal_parts(a: float, dt: float, b: int, nb: int, Ub, Pb, Qb):
+def _dal_parts(a: float, dt: float, b: int, nb: int, Wb: np.ndarray) -> np.ndarray:
     """Homogeneous-part rows for a band anchored at level b.
 
-    Row m holds the value at level b+m of the representation built from the
-    band's bottom samples (Ub, Pb, Qb) standing in for (phi, psi, phi').
-    Columns outside the sector stay zero.
+    Row m of each plane holds the value at level b+m of the representation
+    built from the band's bottom samples Wb = (u, u_t, u_x) standing in for
+    (phi, psi, phi').  Columns outside the sector stay zero.
     """
+    Ub, Pb, Qb = Wb
     ncols = Ub.shape[0]
     dx = a * dt
-    u_dal = np.zeros((nb + 1, ncols))
-    p_dal = np.zeros((nb + 1, ncols))
-    q_dal = np.zeros((nb + 1, ncols))
+    dal = np.zeros((3, nb + 1, ncols))
+    u_dal, p_dal, q_dal = dal
     CPb = _cumtrapz_row(Pb, dx)
     for m in range(1, nb + 1):
         s0 = b + m
@@ -464,7 +494,7 @@ def _dal_parts(a: float, dt: float, b: int, nb: int, Ub, Pb, Qb):
         u_dal[m, tc] = 0.5 * (Ub[tl] + Ub[tr]) + (CPb[tr] - CPb[tl]) / (2.0 * a)
         p_dal[m, tc] = 0.5 * a * (Qb[tr] - Qb[tl]) + 0.5 * (Pb[tl] + Pb[tr])
         q_dal[m, tc] = 0.5 * (Qb[tl] + Qb[tr]) + (Pb[tr] - Pb[tl]) / (2.0 * a)
-    return u_dal, p_dal, q_dal
+    return dal
 
 
 def _char_integrals(G: np.ndarray, dt: float, dx: float):
@@ -490,18 +520,17 @@ def _char_integrals(G: np.ndarray, dt: float, dx: float):
     return Ip, Im, D
 
 
-def _band_map(
-    spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, e: int, Ub, Pb, Qb
-):
-    """The fixed-point map on band [b, e], anchored at its bottom samples.
+def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, e: int, Wb):
+    """The fixed-point map on band [b, e], anchored at its bottom samples
+    ``Wb`` = (u, u_t, u_x) at level b.
 
     Returns ``sweep(state)``, one application of the map to the band rows
     ``state`` = (u, ut, ux): the integrand G = F - f(., ., u, ut, ux) is read
     from them, or is F alone when ``state`` is None (f dropped).  Row 0 of the
-    result is the bottom row (Ub, Pb, Qb) itself.
+    result is the bottom row ``Wb`` itself.
     """
     a, dt = grid.a, grid.dt
-    u_dal, p_dal, q_dal = _dal_parts(a, dt, b, e - b, Ub, Pb, Qb)
+    u_dal, p_dal, q_dal = _dal_parts(a, dt, b, e - b, Wb)
     shape = (e - b + 1, x_cols.shape[0])
     t2 = (dt * np.arange(b, e + 1))[:, None]
     x2 = x_cols[None, :]
@@ -513,19 +542,17 @@ def _band_map(
             u, ut, ux = state
             G = Fg - _grid_eval(spec.f, shape, t=t2, x=x2, u=u, ut=ut, ux=ux)
         Ip, Im, D = _char_integrals(G, dt, a * dt)
-        Un = u_dal + D / (2.0 * a)
-        Pn = p_dal + 0.5 * (Ip + Im)
-        Qn = q_dal + (Im - Ip) / (2.0 * a)
-        Un[0] = Ub
-        Pn[0] = Pb
-        Qn[0] = Qb
-        return Un, Pn, Qn
+        new = (u_dal + D / (2.0 * a), p_dal + 0.5 * (Ip + Im), q_dal + (Im - Ip) / (2.0 * a))
+        for plane, bottom in zip(new, Wb):
+            plane[0] = bottom
+        return new
 
     return sweep
 
 
 def _picard(sweep, block, live, write, feeds_back: bool, picard: PicardParams, where: str):
-    """Iterate ``sweep`` in place on ``block`` = (u, ut, ux) views of a band.
+    """Iterate ``sweep`` in place on ``block``, the (3, rows, cols) view of a
+    band of a region's stacked (u, ut, ux).
 
     The warm start is ``sweep(None)`` (the f term dropped); each sweep then
     writes the map applied to the block back onto its nodes ``write`` and
@@ -557,14 +584,10 @@ def _picard(sweep, block, live, write, feeds_back: bool, picard: PicardParams, w
 
 
 def _side_initial_rows(spec: ProblemSpec, side: int, x_cols: np.ndarray):
+    """(phi, psi, phi') of ``side`` on the columns ``x_cols``."""
     phi = spec.phi(side)
-    psi = spec.psi(side)
-    dphi = ex.differentiate(phi, "x")
-    shape = x_cols.shape
-    u0 = np.array(_grid_eval(phi, shape, x=x_cols))
-    p0 = np.array(_grid_eval(psi, shape, x=x_cols))
-    q0 = np.array(_grid_eval(dphi, shape, x=x_cols))
-    return u0, p0, q0
+    data = (phi, spec.psi(side), ex.differentiate(phi, "x"))
+    return [_grid_eval(e, x_cols.shape, x=x_cols) for e in data]
 
 
 def solve_cauchy_region(
@@ -578,33 +601,28 @@ def solve_cauchy_region(
     by Picard iteration, marching the bands ``strips`` of :func:`plan_strips`."""
     if side not in (1, 2):
         raise ConfigError(f"side must be 1 or 2, got {side!r}")
+    region = Region.Q1_STAR if side == 1 else Region.Q2_STAR
     x_cols = grid.region_xcols(side)
-    U = np.zeros((grid.n_levels + 1, x_cols.shape[0]))
-    P = np.zeros_like(U)
-    Q = np.zeros_like(U)
-    U[0], P[0], Q[0] = _side_initial_rows(spec, side, x_cols)
-    cols = np.arange(x_cols.shape[0])[None, :]
+    W = np.zeros((3, grid.n_levels + 1, x_cols.shape[0]))
+    W[:, 0] = _side_initial_rows(spec, side, x_cols)
+    live = _live_nodes(region, W.shape[1:])
     all_norms = []
     for b, e in strips:
-        sweep = _band_map(spec, grid, x_cols, b, e, U[b], P[b], Q[b])
+        sweep = _band_map(spec, grid, x_cols, b, e, W[:, b])
         # every sweep writes the whole band: the next band's bottom-row prefix
         # sums read its nodes outside the sector too; only the sector counts
         # towards the stopping test
-        levels = np.arange(b, e + 1)[:, None]
-        live = (levels > b) & (cols >= levels) & (cols < x_cols.shape[0] - levels)
-        block = (U[b : e + 1], P[b : e + 1], Q[b : e + 1])
         all_norms.append(
-            _picard(sweep, block, live, ..., spec.f_reads_state, picard, f"band [{b}, {e}]")
+            _picard(
+                sweep, W[:, b : e + 1], live[b : e + 1], ..., spec.f_reads_state,
+                picard, f"band [{b}, {e}]",
+            )
         )
-    for arr in (U, P, Q):
-        arr.setflags(write=False)
     report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
     return RegionField(
-        region=Region.Q1_STAR if side == 1 else Region.Q2_STAR,
+        region=region,
         grid=grid,
-        u=U,
-        p=P,
-        q=Q,
+        w=W,
         report=report,
         col_offset=grid.j1_min if side == 1 else 0,
     )
@@ -619,15 +637,10 @@ def picard_step_cauchy(spec: ProblemSpec, iterate: RegionField) -> RegionField:
     """
     grid = iterate.grid
     x_cols = grid.region_xcols(iterate.region.value)
-    U = np.zeros_like(iterate.u)
-    P = np.zeros_like(U)
-    Q = np.zeros_like(U)
-    U[0], P[0], Q[0] = iterate.u[0], iterate.p[0], iterate.q[0]
+    W = np.zeros_like(iterate.w)
+    W[:, 0] = iterate.w[:, 0]
     for b, e in iterate.report.strips:
-        rows = (iterate.u[b : e + 1], iterate.p[b : e + 1], iterate.q[b : e + 1])
-        sweep = _band_map(spec, grid, x_cols, b, e, *(arr[0] for arr in rows))
-        for dst, src in zip((U, P, Q), sweep(rows)):
+        rows = iterate.w[:, b : e + 1]
+        for dst, src in zip(W, _band_map(spec, grid, x_cols, b, e, rows[:, 0])(rows)):
             dst[b + 1 : e + 1] = src[1:]
-    for arr in (U, P, Q):
-        arr.setflags(write=False)
-    return replace(iterate, u=U, p=P, q=Q)
+    return replace(iterate, w=W)

@@ -8,8 +8,9 @@ Subcommands::
     charwave converge problem.json --levels 3
 
 Exit codes: 0 success (or all checks passed), 1 configuration or expression
-error (including a wave speed that is not a finite positive number, an
-unwritable ``-o`` path and ``converge --levels`` below 2), 2 interior
+error (including a wave speed or a Picard ``tol`` that is not a finite
+positive number, an unwritable ``-o`` path and ``converge --levels`` below
+2), 2 interior
 iteration failed to converge, 3 verification failed.
 
 The problem file is strict JSON with exactly these keys::

@@ -100,19 +100,15 @@ def goursat_traces(
     c1 = -levels - grid.j1_min
     c2 = levels
     if (
-        field1.u.shape[0] <= m
-        or field2.u.shape[0] <= m
+        field1.w.shape[1] <= m
+        or field2.w.shape[1] <= m
         or c1.min() < 0
-        or c1.max() >= field1.u.shape[1]
-        or c2.max() >= field2.u.shape[1]
+        or c1.max() >= field1.w.shape[2]
+        or c2.max() >= field2.w.shape[2]
     ):
         raise CoverageError("side fields do not cover the characteristics up to T")
-    u1c = field1.u[levels, c1]
-    u2c = field2.u[levels, c2]
-    p1c = field1.p[levels, c1]
-    p2c = field2.p[levels, c2]
-    q1c = field1.q[levels, c1]
-    q2c = field2.q[levels, c2]
+    u1c, p1c, q1c = field1.w[:, levels, c1]
+    u2c, p2c, q2c = field2.w[:, levels, c2]
     arrays = (
         u1c + diagnostics.left_jump_constant,
         u2c - diagnostics.right_jump_constant,
@@ -187,15 +183,15 @@ def solve_goursat_region(
     marching the bands ``strips`` (levels s + r) of :func:`plan_strips`."""
     g = traces.grid
     n = g.n_levels + 1
-    U = np.zeros((n, n))
-    P = np.zeros((n, n))
-    Q = np.zeros((n, n))
+    W = np.zeros((3, n, n))
     idx = np.arange(n)
     K = idx[:, None] + idx[None, :]
     # vertex node: degenerate parallelogram, all integrals empty
-    U[0, 0] = traces.gamma1[0]
-    P[0, 0] = 0.5 * (traces.dgamma1[0] + traces.dgamma2[0])
-    Q[0, 0] = (traces.dgamma2[0] - traces.dgamma1[0]) / (2.0 * g.a)
+    W[:, 0, 0] = (
+        traces.gamma1[0],
+        0.5 * (traces.dgamma1[0] + traces.dgamma2[0]),
+        (traces.dgamma2[0] - traces.dgamma1[0]) / (2.0 * g.a),
+    )
 
     all_norms = []
     for b, e in strips:
@@ -203,21 +199,21 @@ def solve_goursat_region(
         # sweeps write only the band: the nodes below it are final, with their
         # boundary pinned, and the candidates are not valid above it
         band = (K[:R, :R] > b) & (K[:R, :R] <= e)
-        block = (U[:R, :R], P[:R, :R], Q[:R, :R])
         sweep = _wedge_map(spec, traces, R)
         all_norms.append(
-            _picard(sweep, block, band, band, spec.f_reads_state, picard, f"wedge band [{b}, {e}]")
+            _picard(
+                sweep, W[:, :R, :R], band, band, spec.f_reads_state, picard,
+                f"wedge band [{b}, {e}]",
+            )
         )
         # the converged candidates reproduce the traces only up to rounding
         # (they add and subtract the apex value); pin the boundary exactly
         ks = np.arange(b + 1, e + 1)
-        U[ks, 0] = traces.gamma1[ks]
-        U[0, ks] = traces.gamma2[ks]
+        W[0, ks, 0] = traces.gamma1[ks]
+        W[0, 0, ks] = traces.gamma2[ks]
 
-    for arr in (U, P, Q):
-        arr.setflags(write=False)
     report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
-    return RegionField(region=Region.Q3_STAR, grid=g, u=U, p=P, q=Q, report=report)
+    return RegionField(region=Region.Q3_STAR, grid=g, w=W, report=report)
 
 
 def picard_step_goursat(
@@ -228,11 +224,5 @@ def picard_step_goursat(
     A converged wedge field is a fixed point of this map up to the stopping
     tolerance.
     """
-    n = traces.grid.n_levels + 1
-    sweep = _wedge_map(spec, traces, n)
-    idx = np.arange(n)
-    tri = (idx[:, None] + idx[None, :]) < n
-    U, P, Q = (np.where(tri, c, 0.0) for c in sweep((iterate.u, iterate.p, iterate.q)))
-    for arr in (U, P, Q):
-        arr.setflags(write=False)
-    return replace(iterate, u=U, p=P, q=Q)
+    sweep = _wedge_map(spec, traces, traces.grid.n_levels + 1)
+    return replace(iterate, w=np.where(iterate.live, sweep(iterate.w), 0.0))

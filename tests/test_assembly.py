@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charwave.assembly import (
     CaseKind,
@@ -13,6 +15,7 @@ from charwave.assembly import (
 from charwave.cauchy import GridParams, PicardParams, ProblemSpec
 from charwave.errors import ConfigError, OutOfWindow
 from charwave.geometry import Region, classify_point
+from charwave.verify import linear_oracle
 
 
 def make_spec(**kw):
@@ -242,3 +245,43 @@ class TestSampleUserGrid:
         inside = region == 3
         assert inside.any()
         np.testing.assert_allclose(u[inside], 1.0, atol=1e-13)
+
+
+_HALVES = st.integers(-4, 4).map(lambda k: k / 2.0)
+_COEFFS = st.lists(_HALVES, min_size=3, max_size=3)
+
+
+def _quadratic(coeffs) -> str:
+    return " + ".join(f"({c!r})*x^{k}" for k, c in enumerate(coeffs))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    a=st.sampled_from([0.5, 1.0, 2.0]),
+    x0=st.integers(-2, 2).map(lambda k: k / 4.0),
+    A=_HALVES,
+    data=st.fixed_dictionaries({k: _COEFFS for k in ("phi1", "phi2", "psi1", "psi2")}),
+    forcing=_COEFFS,
+    nt=st.sampled_from([8, 16, 32]),
+    points=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=8),
+)
+def test_solve_matches_linear_oracle(a, x0, A, data, forcing, nt, points):
+    """Piecewise-quadratic data, linear forcing and f = 0: solve plus
+    evaluate stay within c*h^2 of the closed-form quadrature at any point off
+    the characteristics (c = 1 per unit of total coefficient magnitude)."""
+    f0, f1, f2 = forcing
+    spec = ProblemSpec.from_strings(
+        a=a, x0=x0, A=A, F=f"({f0!r}) + ({f1!r})*t + ({f2!r})*x",
+        **{k: _quadratic(c) for k, c in data.items()},
+    )
+    sol = solve(spec, GridParams(T=1.0, x_lo=x0 - 2.0, x_hi=x0 + 2.0, nt=nt))
+    g = sol.grid
+    h = g.dt_user
+    scale = 1.0 + sum(abs(c) for cs in data.values() for c in cs) + sum(map(abs, forcing))
+    for ft, fx in points:
+        t = ft * g.T
+        x = min(max(g.x_lo + fx * (g.x_hi - g.x_lo), g.x_lo), g.x_hi)
+        if min(abs(x - x0 - a * t), abs(x - x0 + a * t)) < 1e-9:
+            continue  # u jumps across the characteristics
+        err = abs(evaluate(sol, t, x)[0] - linear_oracle(spec, t, x, quad_n=256))
+        assert err <= h * h * scale, (t, x, err)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import charwave.expr as ex
+from charwave.assembly import solve
 from charwave.cauchy import (
     GridParams,
     PicardParams,
@@ -26,17 +27,6 @@ def make_spec(**kw):
     )
     base.update(kw)
     return ProblemSpec.from_strings(**base)
-
-
-def sector_mask(grid, shape):
-    """Boolean mask of the occupied trapezoid [i, ncols-1-i] per level."""
-    levels, ncols = shape
-    mask = np.zeros(shape, dtype=bool)
-    for i in range(levels):
-        lo, hi = i, ncols - 1 - i
-        if lo <= hi:
-            mask[i, lo : hi + 1] = True
-    return mask
 
 
 class TestSpecValidation:
@@ -114,6 +104,29 @@ class TestGrid:
             GridParams(T=1.0, x_lo=1.0, x_hi=-1.0, nt=8)
         with pytest.raises(ConfigError):
             GridParams(T=1.0, x_lo=-1.0, x_hi=1.0, nt=1)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                PicardParams(tol=tol)
+
+
+class TestRegionField:
+    def test_live_nodes_and_views(self):
+        sol = solve(make_spec(psi2="1"), GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
+        for field in (sol.field1, sol.field2):
+            rows, ncols = field.w.shape[1:]
+            # the sector [i, ncols-1-i] of level i
+            assert field.live.sum() == sum(max(ncols - 2 * i, 0) for i in range(rows))
+            assert field.live[0].all()
+        n = sol.field3.w.shape[1]  # wedge nodes s + r <= n - 1
+        assert sol.field3.live.sum() == n * (n + 1) // 2
+        assert sol.field3.live[:, 0].all() and sol.field3.live[0, :].all()
+        for field in (sol.field1, sol.field2, sol.field3):
+            assert field.w.shape[0] == 3
+            assert not field.w.flags.writeable
+            for k, plane in enumerate((field.u, field.p, field.q)):
+                assert np.shares_memory(plane, field.w)
+                assert not plane.flags.writeable
+                np.testing.assert_array_equal(plane, field.w[k])
 
 
 class TestStripPlanning:
@@ -181,7 +194,7 @@ class TestClosedForms:
         uex = xs[None, :] ** 2 + a * a * ts[:, None] ** 2
         pex = 2.0 * a * a * ts[:, None] + 0.0 * xs[None, :]
         qex = 2.0 * xs[None, :] + 0.0 * ts[:, None]
-        mask = sector_mask(g, field.u.shape)
+        mask = field.live
         assert np.max(np.abs((field.u - uex)[mask])) < 1e-10
         assert np.max(np.abs((field.p - pex)[mask])) < 1e-10
         assert np.max(np.abs((field.q - qex)[mask])) < 1e-10
@@ -192,7 +205,7 @@ class TestClosedForms:
         field = solve_side(spec, 1, GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
         g = field.grid
         ts = g.dt * np.arange(g.n_levels + 1)
-        mask = sector_mask(g, field.u.shape)
+        mask = field.live
         uex = np.broadcast_to((ts * ts / 2.0)[:, None], field.u.shape)
         pex = np.broadcast_to(ts[:, None], field.p.shape)
         assert np.max(np.abs((field.u - uex)[mask])) < 1e-12
@@ -238,7 +251,7 @@ class TestClosedForms:
             xs = g.region_xcols(2)
             ts = g.dt * np.arange(g.n_levels + 1)
             uex = xs[None, :] * ts[:, None] ** 3 / 6.0
-            mask = sector_mask(g, field.u.shape)
+            mask = field.live
             return np.max(np.abs((field.u - uex)[mask]))
 
         e1, e2 = err(8), err(16)
@@ -259,7 +272,7 @@ class TestNonlinear:
         xs = g.region_xcols(2)
         ts = g.dt * np.arange(g.n_levels + 1)
         uex = np.sin(xs[None, :] - ts[:, None])
-        mask = sector_mask(g, field.u.shape)
+        mask = field.live
         assert np.max(np.abs((field.u - uex)[mask])) < 2e-3
 
     def test_fixed_point_residual_small(self):
@@ -293,7 +306,7 @@ class TestNonlinear:
                 self.spec, 2, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=nt)
             )
             g = field.grid
-            inner = sector_mask(g, field.u.shape)
+            inner = field.live
             inner[0, :] = inner[-1, :] = False
             inner[:, 0] = inner[:, -1] = False
             # shave one more ring so every stencil stays in the sector

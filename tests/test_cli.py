@@ -262,6 +262,14 @@ class TestExitCodes:
         assert "error:" in captured.err
         assert "order" not in captured.out
 
+    def test_infinite_tol_is_1(self, tmp_path, capsys):
+        # json writes the float as Infinity, which the reader accepts
+        cfg = write_cfg(tmp_path, picard={"tol": float("inf")})
+        assert cli.main(["verify", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "error: tol must be a finite number" in captured.err
+        assert "PASS" not in captured.out
+
     def test_unwritable_output_is_1(self, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "out.csv"
         assert cli.main(["solve", write_cfg(tmp_path), "-o", str(out)]) == 1

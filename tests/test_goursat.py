@@ -29,11 +29,6 @@ def solve_wedge(spec, gp, picard=PicardParams()):
     return solve_goursat_region(spec, tr, strip_plan(spec, tr.grid, picard), picard), tr
 
 
-def triangle_mask(n):
-    idx = np.arange(n + 1)
-    return idx[:, None] + idx[None, :] <= n
-
-
 class TestTraces:
     def test_step_data_gives_constant_traces(self):
         spec = make_spec(phi1="0", phi2="1", A=1.0)
@@ -80,8 +75,7 @@ class TestWedgeSolve:
     def test_step_case_constant_wedge(self):
         spec = make_spec(phi1="0", phi2="1", A=1.0)
         field, _ = solve_wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
-        n = field.grid.n_levels
-        tri = triangle_mask(n)
+        tri = field.live
         assert np.max(np.abs(field.u[tri] - 1.0)) < 1e-13
         assert np.max(np.abs(field.p[tri])) < 1e-13
         assert np.max(np.abs(field.q[tri])) < 1e-13
@@ -94,7 +88,7 @@ class TestWedgeSolve:
         n = g.n_levels
         idx = np.arange(n + 1)
         uex = g.dt * np.broadcast_to(idx[None, :], field.u.shape)
-        tri = triangle_mask(n)
+        tri = field.live
         assert np.max(np.abs((field.u - uex)[tri])) < 1e-13
         # u_t = 1/2, u_x = 1/(2a) inside
         assert np.max(np.abs(field.p[tri] - 0.5)) < 1e-12
@@ -107,7 +101,7 @@ class TestWedgeSolve:
         n = g.n_levels
         idx = np.arange(n + 1)
         ts = g.dt * (idx[:, None] + idx[None, :])
-        tri = triangle_mask(n)
+        tri = field.live
         assert np.max(np.abs((field.u - ts * ts / 2.0)[tri])) < 1e-12
         assert np.max(np.abs((field.p - ts)[tri])) < 1e-12
         assert np.max(np.abs(field.q[tri])) < 1e-12
@@ -171,7 +165,7 @@ class TestNonlinearWedge:
         idx = np.arange(n + 1)
         ts = g.dt * (idx[:, None] + idx[None, :])
         xs = g.dx * (idx[None, :] - idx[:, None])
-        tri = triangle_mask(n)
+        tri = field.live
         err = np.max(np.abs((field.u - np.sin(xs - ts))[tri]))
         assert err < 2e-3
 
@@ -188,8 +182,7 @@ class TestNonlinearWedge:
     def test_fixed_point_residual_small(self):
         field, tr = self.wedge(16, PicardParams(tol=1e-11))
         again = picard_step_goursat(self.spec, tr, field)
-        n = field.grid.n_levels
-        tri = triangle_mask(n)
+        tri = field.live
         assert np.max(np.abs((again.u - field.u)[tri])) < 5e-10
         assert np.max(np.abs((again.p - field.p)[tri])) < 5e-10
         assert np.max(np.abs((again.q - field.q)[tri])) < 5e-10
@@ -230,5 +223,5 @@ class TestNonlinearWedge:
         idx = np.arange(n + 1)
         ts = g.dt * (idx[:, None] + idx[None, :])
         xs = g.dx * (idx[None, :] - idx[:, None])
-        tri = triangle_mask(n)
+        tri = field.live
         return np.max(np.abs((field.u - np.sin(xs - ts))[tri]))

@@ -292,17 +292,21 @@ def sample_user_grid(sol: Solution):
     n_rows = g.nt + 1
     n_cols = xs.shape[0]
     d = 2 * np.arange(-g.n_left, g.n_right + 1)  # internal column offsets
-    region = np.empty((n_rows, n_cols), dtype=np.int64)
+    region = np.full((n_rows, n_cols), 3, dtype=np.int64)
     w = np.empty((3, n_rows, n_cols))
     w1, w2, w3 = sol.field1.w, sol.field2.w, sol.field3.w
+    c1 = d[0] - g.j1_min  # side-1 array column of the first user column
+    # d is sorted, so a row's side nodes are a prefix and a suffix of the
+    # columns, read as step-2 slices of the field rows; the wedge is between
     for iu in range(n_rows):
         i = 2 * iu  # internal level
-        m1 = d < -i
-        m2 = d > i
-        m3 = ~(m1 | m2)
-        region[iu] = np.where(m1, 1, np.where(m2, 2, 3))
+        k1 = int(np.searchsorted(d, -i, side="left"))  # d[:k1] < -i
+        k2 = int(np.searchsorted(d, i, side="right"))  # d[k2:] > i
+        region[iu, :k1] = 1
+        region[iu, k2:] = 2
         row = w[:, iu]
-        row[:, m1] = w1[:, i, d[m1] - g.j1_min]
-        row[:, m2] = w2[:, i, d[m2]]
-        row[:, m3] = w3[:, (i - d[m3]) // 2, (i + d[m3]) // 2]
+        row[:, :k1] = w1[:, i, c1 : c1 + 2 * k1 : 2]
+        row[:, k2:] = w2[:, i, d[0] + 2 * k2 : d[-1] + 1 : 2]
+        dm = d[k1:k2]
+        row[:, k1:k2] = w3[:, (i - dm) // 2, (i + dm) // 2]
     return times, xs, region, w[0], w[1], w[2]

@@ -28,7 +28,9 @@ The problem file is strict JSON with exactly these keys::
 
 Unknown keys anywhere are rejected.  CSV output has the header
 ``t,x,region,u,ut,ux`` with rows ordered by time then by x, every float
-printed with 17 significant digits so repeated runs are byte-identical.
+printed with 17 significant digits so repeated runs are byte-identical.  It
+is written one time level at a time; a failed write exits 1 and may leave a
+partial file.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from . import expr as ex
 from .assembly import diagnose, sample_user_grid, solve
@@ -130,17 +134,28 @@ def load_config(path: str) -> tuple[ProblemSpec, GridParams, PicardParams]:
 
 
 def write_csv(sol, path: str) -> None:
+    """Write the user-grid samples as CSV, one time level at a time.
+
+    Each t and x is formatted once and each node's region code is baked into
+    a per-(region, column) line tail, so a level is one template filled by
+    one ``%`` with its u, u_t, u_x values.  Every OSError becomes a
+    ConfigError; a failed write may leave a partial file.
+    """
     times, xs, region, u, p, q = sample_user_grid(sol)
-    lines = ["t,x,region,u,ut,ux"]
-    for i in range(len(times)):
-        for j in range(len(xs)):
-            lines.append(
-                "%.17g,%.17g,%d,%.17g,%.17g,%.17g"
-                % (times[i], xs[j], region[i, j], u[i, j], p[i, j], q[i, j])
-            )
+    vals = np.stack((u, p, q), axis=-1)
+    xcells = ["%.17g" % x for x in xs.tolist()]
+    tails = np.array(
+        [[f",{x},{code},%.17g,%.17g,%.17g\n" for x in xcells] for code in (1, 2, 3)],
+        dtype=object,
+    )
+    row_tails = tails[region - 1, np.arange(len(xcells))]
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("t,x,region,u,ut,ux\n")
+            for i, t in enumerate(times.tolist()):
+                ts = "%.17g" % t
+                template = ts + ts.join(row_tails[i].tolist())
+                fh.write(template % tuple(vals[i].ravel().tolist()))
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
 

@@ -1,9 +1,13 @@
+import errno
 import json
+import os
 import pathlib
 
+import numpy as np
 import pytest
 
 import charwave.cli as cli
+from charwave.assembly import sample_user_grid
 from charwave.cauchy import PicardParams
 from charwave.errors import ConfigError
 
@@ -149,6 +153,30 @@ class TestSolveCommand:
         cli.main(["solve", str(cfg2), "-o", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("name", ["phi_step_general", "manufactured"])
+    def test_golden_bytes(self, tmp_path, monkeypatch, name):
+        # the per-node loop the writer replaced is the oracle for the format
+        sols = []
+
+        def spy(sol):
+            sols.append(sol)
+            return sample_user_grid(sol)
+
+        monkeypatch.setattr(cli, "sample_user_grid", spy)
+        out = tmp_path / "out.csv"
+        assert cli.main(["solve", str(config_path(name)), "-o", str(out)]) == 0
+        assert len(sols) == 1
+        times, xs, region, u, p, q = sample_user_grid(sols[0])
+        assert set(np.unique(region).tolist()) == {1, 2, 3}
+        lines = ["t,x,region,u,ut,ux"]
+        for i in range(len(times)):
+            for j in range(len(xs)):
+                lines.append(
+                    "%.17g,%.17g,%d,%.17g,%.17g,%.17g"
+                    % (times[i], xs[j], region[i, j], u[i, j], p[i, j], q[i, j])
+                )
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestClassifyCommand:
     def test_general_jump_text(self, capsys):
@@ -274,6 +302,15 @@ class TestExitCodes:
         out = tmp_path / "missing_dir" / "out.csv"
         assert cli.main(["solve", write_cfg(tmp_path), "-o", str(out)]) == 1
         assert "error: cannot write" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_error_is_1(self, tmp_path, capsys):
+        # /dev/full opens fine and fails every flush, so the error comes from
+        # a write or the close after rows have been formatted
+        assert cli.main(["solve", write_cfg(tmp_path), "-o", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot write /dev/full" in err
+        assert os.strerror(errno.ENOSPC) in err
 
 
 def test_module_entry_point(tmp_path):

@@ -54,8 +54,9 @@ with D[0,.] = 0; both identities reproduce the direct trapezoid sum exactly
 Time stepping is strip-marched: [0, T] is cut into bands short enough that
 the Picard map contracts at the rate STRIP_SAFETY; each band re-anchors the
 representation at its bottom row, whose (u, u_t, u_x) samples play the role
-of (phi, psi, phi').  With L = 0 there is a single band and the first sweep
-is already exact.
+of (phi, psi, phi').  A sweep reads G over the whole band first and then
+writes the band's rows in place one by one, so it keeps Jacobi order.  With
+L = 0 there is a single band and the first sweep is already exact.
 """
 
 from __future__ import annotations
@@ -315,20 +316,14 @@ class RegionField:
 
     @property
     def live(self) -> np.ndarray:
-        return _live_nodes(self.region, self.w.shape[1:])
-
-
-def _live_nodes(region: Region, shape: tuple[int, int]) -> np.ndarray:
-    """Boolean mask of the nodes of a ``region`` array of ``shape`` that hold
-    the solution (see RegionField)."""
-    rows, cols = shape
-    live = np.zeros(shape, dtype=bool)
-    for i in range(rows):
-        if region is Region.Q3_STAR:
-            live[i, : rows - i] = True
-        else:
-            live[i, i : cols - i] = True
-    return live
+        rows, cols = self.w.shape[1:]
+        live = np.zeros((rows, cols), dtype=bool)
+        for i in range(rows):
+            if self.region is Region.Q3_STAR:
+                live[i, : rows - i] = True
+            else:
+                live[i, i : cols - i] = True
+        return live
 
 
 # --------------------------------------------------------------------------
@@ -497,81 +492,76 @@ def _dal_parts(a: float, dt: float, b: int, nb: int, Wb: np.ndarray) -> np.ndarr
     return dal
 
 
-def _char_integrals(G: np.ndarray, dt: float, dx: float):
-    """Ray and triangle trapezoid integrals of G over a band.
+def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, block):
+    """The fixed-point map on the band whose rows at levels b..b+nb are
+    ``block``, a (3, nb+1, cols) view of a region's stacked (u, u_t, u_x),
+    anchored at its bottom row ``block[:, 0]``.
 
-    Returns (I+, I-, D): I+ integrates along x - at = const, I- along
-    x + at = const, D over the dependence triangle; all anchored at the
-    band's bottom row (row 0 of G).
-    """
-    nb = G.shape[0] - 1
-    Ip = np.zeros_like(G)
-    Im = np.zeros_like(G)
-    D = np.zeros_like(G)
-    half = 0.5 * dt
-    for m in range(1, nb + 1):
-        Ip[m, 1:] = Ip[m - 1, :-1] + half * (G[m - 1, :-1] + G[m, 1:])
-        Im[m, :-1] = Im[m - 1, 1:] + half * (G[m - 1, 1:] + G[m, :-1])
-        row = dt * dx * (0.5 * G[m - 1, :-2] + G[m - 1, 1:-1] + 0.5 * G[m - 1, 2:])
-        if m == 1:
-            D[1, 1:-1] = 0.5 * row
-        else:
-            D[m, 1:-1] = D[m - 1, :-2] + D[m - 1, 2:] - D[m - 2, 1:-1] + row
-    return Ip, Im, D
-
-
-def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, e: int, Wb):
-    """The fixed-point map on band [b, e], anchored at its bottom samples
-    ``Wb`` = (u, u_t, u_x) at level b.
-
-    Returns ``sweep(state)``, one application of the map to the band rows
-    ``state`` = (u, ut, ux): the integrand G = F - f(., ., u, ut, ux) is read
-    from them, or is F alone when ``state`` is None (f dropped).  Row 0 of the
-    result is the bottom row ``Wb`` itself.
+    Returns ``sweep(feedback)``, one application of the map in place on
+    ``block``: the integrand G = F - f(., ., u, ut, ux) is read from the whole
+    band before any row is written (F alone when ``feedback`` is False), then
+    rows 1..nb are formed one by one from the running I+, I- and D and written
+    back whole (the next band's bottom-row prefix sums read the columns
+    outside the sector).  The sweep returns the largest update over the
+    band's sector nodes.
     """
     a, dt = grid.a, grid.dt
-    u_dal, p_dal, q_dal = _dal_parts(a, dt, b, e - b, Wb)
-    shape = (e - b + 1, x_cols.shape[0])
-    t2 = (dt * np.arange(b, e + 1))[:, None]
+    nb = block.shape[1] - 1
+    ncols = x_cols.shape[0]
+    u_dal, p_dal, q_dal = _dal_parts(a, dt, b, nb, block[:, 0])
+    shape = (nb + 1, ncols)
+    t2 = (dt * np.arange(b, b + nb + 1))[:, None]
     x2 = x_cols[None, :]
     Fg = _grid_eval(spec.F, shape, t=t2, x=x2)
+    half, area, two_a = 0.5 * dt, dt * (a * dt), 2.0 * a
+    # the running ray integrals keep rows m-1 and m, the triangle integral
+    # rows m-2..m; upd[m] is row m's largest update
+    Ip = np.zeros((2, ncols))
+    Im = np.zeros((2, ncols))
+    D = np.zeros((3, ncols))
+    new = np.empty((3, ncols))
+    upd = np.zeros(nb + 1)
 
-    def sweep(state):
+    def sweep(feedback: bool) -> float:
         G = Fg
-        if state is not None:
-            u, ut, ux = state
+        if feedback:
+            u, ut, ux = block
             G = Fg - _grid_eval(spec.f, shape, t=t2, x=x2, u=u, ut=ut, ux=ux)
-        Ip, Im, D = _char_integrals(G, dt, a * dt)
-        new = (u_dal + D / (2.0 * a), p_dal + 0.5 * (Ip + Im), q_dal + (Im - Ip) / (2.0 * a))
-        for plane, bottom in zip(new, Wb):
-            plane[0] = bottom
-        return new
+        Ip[0] = Im[0] = D[0] = 0.0
+        for m in range(1, nb + 1):
+            g0, g1 = G[m - 1], G[m]
+            ip, im, d, d1 = Ip[m % 2], Im[m % 2], D[m % 3], D[(m - 1) % 3]
+            np.add(Ip[(m - 1) % 2, :-1], half * (g0[:-1] + g1[1:]), out=ip[1:])
+            np.add(Im[(m - 1) % 2, 1:], half * (g0[1:] + g1[:-1]), out=im[:-1])
+            row = area * (0.5 * g0[:-2] + g0[1:-1] + 0.5 * g0[2:])
+            if m == 1:
+                np.multiply(0.5, row, out=d[1:-1])
+            else:
+                np.add(d1[:-2] + d1[2:] - D[(m - 2) % 3, 1:-1], row, out=d[1:-1])
+            np.add(u_dal[m], d / two_a, out=new[0])
+            np.add(p_dal[m], 0.5 * (ip + im), out=new[1])
+            np.add(q_dal[m], (im - ip) / two_a, out=new[2])
+            sector = slice(b + m, ncols - b - m)
+            upd[m] = abs(new[:, sector] - block[:, m, sector]).max(initial=0.0)
+            block[:, m] = new
+        return float(upd.max())
 
     return sweep
 
 
-def _picard(sweep, block, live, write, feeds_back: bool, picard: PicardParams, where: str):
-    """Iterate ``sweep`` in place on ``block``, the (3, rows, cols) view of a
-    band of a region's stacked (u, ut, ux).
+def _picard(sweep, feeds_back: bool, picard: PicardParams, where: str):
+    """Iterate the in-place ``sweep`` of a band kernel to its fixed point.
 
-    The warm start is ``sweep(None)`` (the f term dropped); each sweep then
-    writes the map applied to the block back onto its nodes ``write`` and
-    stops once the largest update over the nodes ``live`` is at most
-    ``picard.tol``.  Without (u, ut, ux) feedback one sweep past the warm
-    start is exact whatever its update.  Returns the update norms, or raises
-    NonConvergence naming ``where``.
+    The warm start is ``sweep(False)`` (the f term dropped); ``sweep(True)``
+    then repeats until the update it returns is at most ``picard.tol``.
+    Without (u, ut, ux) feedback one sweep past the warm start is exact
+    whatever its update.  Returns the update norms, or raises NonConvergence
+    naming ``where``.
     """
-    for dst, src in zip(block, sweep(None)):
-        dst[write] = src[write]
+    sweep(False)
     norms: list[float] = []
     for _ in range(picard.max_iter):
-        new = sweep(block)
-        norms.append(
-            max(float(np.max(np.abs(n[live] - c[live]), initial=0.0)) for n, c in zip(new, block))
-        )
-        for dst, src in zip(block, new):
-            dst[write] = src[write]
-        del new  # the next sweep allocates in its place
+        norms.append(sweep(True))
         if norms[-1] <= picard.tol:
             break
     if feeds_back and norms[-1] > picard.tol:
@@ -605,19 +595,13 @@ def solve_cauchy_region(
     x_cols = grid.region_xcols(side)
     W = np.zeros((3, grid.n_levels + 1, x_cols.shape[0]))
     W[:, 0] = _side_initial_rows(spec, side, x_cols)
-    live = _live_nodes(region, W.shape[1:])
-    all_norms = []
-    for b, e in strips:
-        sweep = _band_map(spec, grid, x_cols, b, e, W[:, b])
-        # every sweep writes the whole band: the next band's bottom-row prefix
-        # sums read its nodes outside the sector too; only the sector counts
-        # towards the stopping test
-        all_norms.append(
-            _picard(
-                sweep, W[:, b : e + 1], live[b : e + 1], ..., spec.f_reads_state,
-                picard, f"band [{b}, {e}]",
-            )
+    all_norms = [
+        _picard(
+            _band_map(spec, grid, x_cols, b, W[:, b : e + 1]),
+            spec.f_reads_state, picard, f"band [{b}, {e}]",
         )
+        for b, e in strips
+    ]
     report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
     return RegionField(
         region=region,
@@ -633,14 +617,13 @@ def picard_step_cauchy(spec: ProblemSpec, iterate: RegionField) -> RegionField:
 
     Every band re-anchors at the input's own bottom row and reads the
     integrand (u, ut, ux) from the input, so a converged field is a fixed
-    point of this map up to the stopping tolerance.
+    point of this map up to the stopping tolerance.  The bands are swept
+    top-down on a copy, so each reads its rows before the band below it
+    overwrites their bottom row.
     """
     grid = iterate.grid
     x_cols = grid.region_xcols(iterate.region.value)
-    W = np.zeros_like(iterate.w)
-    W[:, 0] = iterate.w[:, 0]
-    for b, e in iterate.report.strips:
-        rows = iterate.w[:, b : e + 1]
-        for dst, src in zip(W, _band_map(spec, grid, x_cols, b, e, rows[:, 0])(rows)):
-            dst[b + 1 : e + 1] = src[1:]
+    W = iterate.w.copy()
+    for b, e in reversed(iterate.report.strips):
+        _band_map(spec, grid, x_cols, b, W[:, b : e + 1])(True)
     return replace(iterate, w=W)

@@ -7,11 +7,13 @@ Subcommands::
     charwave verify   problem.json
     charwave converge problem.json --levels 3
 
-Exit codes: 0 success (or all checks passed), 1 configuration or expression
-error (including a wave speed or a Picard ``tol`` that is not a finite
-positive number, an unwritable ``-o`` path and ``converge --levels`` below
-2), 2 interior
-iteration failed to converge, 3 verification failed.
+Exit codes: 0 success (or all checks passed), 1 any other charwave error
+(configuration or expression errors, including a wave speed or a Picard
+``tol`` that is not a finite positive number, an unwritable ``-o`` path,
+``converge --levels`` below 2 and a window too narrow for any probe, and
+geometry errors such as a query outside the window), 2 interior iteration
+failed to converge, 3 verification failed.  Every error prints one
+``error:`` line instead of a traceback.
 
 The problem file is strict JSON with exactly these keys::
 
@@ -44,7 +46,7 @@ import numpy as np
 from . import expr as ex
 from .assembly import diagnose, sample_user_grid, solve
 from .cauchy import GridParams, PicardParams, ProblemSpec
-from .errors import ConfigError, ExpressionError, NonConvergence, NotLinear
+from .errors import CharwaveError, ConfigError, NonConvergence
 from .verify import check_definition1, convergence_study
 
 __all__ = ["main", "load_config", "write_csv"]
@@ -281,12 +283,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ExpressionError, NotLinear) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except NonConvergence as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except CharwaveError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

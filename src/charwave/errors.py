@@ -21,7 +21,6 @@ __all__ = [
     "NegativeTime",
     "OutOfWindow",
     "NonConvergence",
-    "CoverageError",
     "TooCloseToCharacteristic",
     "NotLinear",
 ]
@@ -94,10 +93,6 @@ class NonConvergence(CharwaveError):
     def __init__(self, message: str, last_update: float | None = None):
         super().__init__(message)
         self.last_update = last_update
-
-
-class CoverageError(CharwaveError):
-    """A dependent computation needs nodes outside the stored arrays."""
 
 
 class TooCloseToCharacteristic(CharwaveError):

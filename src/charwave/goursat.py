@@ -56,7 +56,7 @@ from .cauchy import (
     _grid_eval,
     _picard,
 )
-from .errors import ConfigError, CoverageError
+from .errors import ConfigError
 from .geometry import Region
 
 if TYPE_CHECKING:  # assembly imports this module
@@ -99,14 +99,6 @@ def goursat_traces(
     levels = np.arange(m + 1)
     c1 = -levels - grid.j1_min
     c2 = levels
-    if (
-        field1.w.shape[1] <= m
-        or field2.w.shape[1] <= m
-        or c1.min() < 0
-        or c1.max() >= field1.w.shape[2]
-        or c2.max() >= field2.w.shape[2]
-    ):
-        raise CoverageError("side fields do not cover the characteristics up to T")
     u1c, p1c, q1c = field1.w[:, levels, c1]
     u2c, p2c, q2c = field2.w[:, levels, c2]
     arrays = (
@@ -128,19 +120,22 @@ def goursat_traces(
     )
 
 
-def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, R: int):
-    """The parallelogram map on the lattice block [0..R-1]^2.
+def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, b: int, block):
+    """The parallelogram map on band (b, e] of the wedge, in place on
+    ``block``, the (3, R, R) view of the lattice block [0..e]^2 of the
+    stacked (u, u_t, u_x), R = e + 1.
 
-    Returns ``sweep(state)``, the candidate (u, p, q) with the integrand
-    H = F - f(., ., u, u_t, u_x) read from the block arrays ``state`` =
-    (u, u_t, u_x), or the boundary part alone, with the integral dropped, when
-    ``state`` is None.  The candidates are valid wherever their integral
-    prefixes stay inside the block, which for band marching means all nodes
-    with s + r < R.
+    Returns ``sweep(feedback)``: the candidate (u, p, q) are built on the
+    whole block, with the integrand H = F - f(., ., u, u_t, u_x) read from
+    ``block``, or from the boundary part alone (integral dropped) when
+    ``feedback`` is False.  Row s then writes its band nodes, the slice
+    r in [max(b + 1 - s, 0), e - s], where the candidates' integral prefixes
+    stay inside the block.  The sweep returns the largest update over them.
     """
     g = traces.grid
     a = g.a
     hc = 2.0 * a * g.dt
+    R = block.shape[1]
     idx = np.arange(R)
     # t clamped to the window: nodes past the hypotenuse are unused
     t = np.minimum((idx[:, None] + idx[None, :]) * g.dt, g.T)
@@ -151,24 +146,33 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, R: int):
     g2 = traces.gamma2[None, :R]
     dg1 = traces.dgamma1[:R, None]
     dg2 = traces.dgamma2[None, :R]
+    cand = np.empty((3, R, R))
+    upd = np.zeros(R)
 
-    def boundary():
-        return g1 + g2 - traces.apex, 0.5 * (dg1 + dg2), (dg2 - dg1) / (2.0 * a)
-
-    def sweep(state):
-        if state is None:
-            return boundary()
-        u, ut, ux = state
-        H = Fg - _grid_eval(spec.f, shape, t=t, x=x, u=u, ut=ut, ux=ux)
-        jrow = _cumtrapz_row(np.swapaxes(H, 0, 1), hc)
-        jrow = np.swapaxes(jrow, 0, 1)  # int over y in [xi_s, x0] at fixed eta_r
-        jcol = _cumtrapz_row(H, hc)  # int over z in [x0, eta_r] at fixed xi_s
-        p2d = _cumtrapz_row(jrow, hc)  # then over z: the full rectangle integral
-        u_c, p_c, q_c = boundary()
-        u_c += p2d / (4.0 * a * a)
-        p_c += (jrow + jcol) / (4.0 * a)
-        q_c += (jrow - jcol) / (4.0 * a * a)
-        return u_c, p_c, q_c
+    def sweep(feedback: bool) -> float:
+        u_c, p_c, q_c = cand
+        np.add(g1, g2, out=u_c)
+        u_c -= traces.apex
+        np.add(dg1, dg2, out=p_c)
+        p_c *= 0.5
+        np.subtract(dg2, dg1, out=q_c)
+        q_c /= 2.0 * a
+        if feedback:
+            u, ut, ux = block
+            H = Fg - _grid_eval(spec.f, shape, t=t, x=x, u=u, ut=ut, ux=ux)
+            jrow = _cumtrapz_row(np.swapaxes(H, 0, 1), hc)
+            jrow = np.swapaxes(jrow, 0, 1)  # int over y in [xi_s, x0] at fixed eta_r
+            jcol = _cumtrapz_row(H, hc)  # int over z in [x0, eta_r] at fixed xi_s
+            del H  # the rectangle integral's temporaries take its place
+            u_c += _cumtrapz_row(jrow, hc) / (4.0 * a * a)  # the full rectangle
+            p_c += (jrow + jcol) / (4.0 * a)
+            q_c += (jrow - jcol) / (4.0 * a * a)
+        for s in range(R):
+            band = slice(max(b + 1 - s, 0), R - s)
+            new, old = cand[:, s, band], block[:, s, band]
+            upd[s] = abs(new - old).max()
+            old[...] = new
+        return float(upd.max())
 
     return sweep
 
@@ -184,8 +188,6 @@ def solve_goursat_region(
     g = traces.grid
     n = g.n_levels + 1
     W = np.zeros((3, n, n))
-    idx = np.arange(n)
-    K = idx[:, None] + idx[None, :]
     # vertex node: degenerate parallelogram, all integrals empty
     W[:, 0, 0] = (
         traces.gamma1[0],
@@ -195,17 +197,10 @@ def solve_goursat_region(
 
     all_norms = []
     for b, e in strips:
-        R = e + 1
         # sweeps write only the band: the nodes below it are final, with their
         # boundary pinned, and the candidates are not valid above it
-        band = (K[:R, :R] > b) & (K[:R, :R] <= e)
-        sweep = _wedge_map(spec, traces, R)
-        all_norms.append(
-            _picard(
-                sweep, W[:, :R, :R], band, band, spec.f_reads_state, picard,
-                f"wedge band [{b}, {e}]",
-            )
-        )
+        sweep = _wedge_map(spec, traces, b, W[:, : e + 1, : e + 1])
+        all_norms.append(_picard(sweep, spec.f_reads_state, picard, f"wedge band [{b}, {e}]"))
         # the converged candidates reproduce the traces only up to rounding
         # (they add and subtract the apex value); pin the boundary exactly
         ks = np.arange(b + 1, e + 1)
@@ -221,8 +216,10 @@ def picard_step_goursat(
 ) -> RegionField:
     """One global sweep of the parallelogram map reading (u,p,q) from ``iterate``.
 
-    A converged wedge field is a fixed point of this map up to the stopping
-    tolerance.
+    The sweep covers the whole triangle (band (-1, n_levels]); the nodes
+    outside it keep the input's values.  A converged wedge field is a fixed
+    point of this map up to the stopping tolerance.
     """
-    sweep = _wedge_map(spec, traces, traces.grid.n_levels + 1)
-    return replace(iterate, w=np.where(iterate.live, sweep(iterate.w), 0.0))
+    W = iterate.w.copy()
+    _wedge_map(spec, traces, -1, W)(True)
+    return replace(iterate, w=W)

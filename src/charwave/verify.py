@@ -137,9 +137,11 @@ def probe_points(
     t_fracs: tuple[float, ...] = (0.2, 0.45, 0.7, 0.95),
 ) -> tuple[tuple[float, float], ...]:
     """Deterministic probe lattice keeping ``collar`` clear of the
-    characteristics through (0, x0) and of the window edges."""
+    characteristics through (0, x0) and of the window edges; empty when the
+    collar leaves no room in the window."""
     out = []
-    xs = np.linspace(x_lo + collar, x_hi - collar, nx)
+    lo, hi = x_lo + collar, x_hi - collar
+    xs = np.linspace(lo, hi, nx) if lo <= hi else ()
     for frac in t_fracs:
         t = frac * T
         for x in xs:
@@ -212,6 +214,11 @@ def _tolerances(sol: Solution):
     h = g.dt_user
     h_fd = _FD_STEPS * h
     grouped = _residual_probes(sol, h_fd)
+    if not any(grouped.values()):
+        raise ConfigError(
+            f"no residual probe fits in the window [{g.x_lo}, {g.x_hi}] x [0, {g.T}] "
+            f"at nt={g.nt}; widen the window or refine the grid"
+        )
     scale = _field_scale(sol)
     # the residual tolerance scales with the right-hand sides, not the field,
     # so an injected field error cannot inflate its own tolerance
@@ -493,6 +500,11 @@ def convergence_study(
     if probes is None:
         collar = spec.a * grid.T / grid.nt + 1e-9  # one coarse cell
         probes = probe_points(spec.a, spec.x0, grid.T, grid.x_lo, grid.x_hi, collar)
+    if not probes:
+        raise ConfigError(
+            f"no convergence probe fits in the window [{grid.x_lo}, {grid.x_hi}] "
+            f"at nt={grid.nt}; widen the window or refine the grid"
+        )
     if reference == "oracle":
         refs = [linear_oracle(spec, t, x, quad_n=quad_n) for t, x in probes]
     elif isinstance(reference, (ex.Num, ex.Var, ex.Neg, ex.BinOp, ex.Call)):

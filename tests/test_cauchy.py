@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,15 +10,18 @@ from charwave.cauchy import (
     GridParams,
     PicardParams,
     ProblemSpec,
+    _dal_parts,
+    _grid_eval,
     build_grid,
     estimate_lipschitz,
     picard_step_cauchy,
     plan_strips,
     resolve_lipschitz,
+    solve_cauchy_region,
 )
 from charwave.errors import ConfigError, InvalidSpeed, NonConvergence
 
-from conftest import solve_side
+from conftest import load_problem, solve_side, strip_plan
 
 
 def make_spec(**kw):
@@ -351,3 +355,70 @@ class TestMirrorSymmetry:
                 assert f1.u[level, c1] == pytest.approx(f2.u[level, c2], abs=1e-12)
                 assert f1.p[level, c1] == pytest.approx(f2.p[level, c2], abs=1e-12)
                 assert f1.q[level, c1] == pytest.approx(-f2.q[level, c2], abs=1e-12)
+
+
+def _whole_band_step(spec, iterate):
+    """One sweep of the side map in whole-band form: per band, the integrand
+    G on every node, band-size I+, I- and D planes from the recurrences of the
+    cauchy module docstring, then the three planes combined with the
+    d'Alembert parts.  Rows 1.. of each band are written, row 0 is the
+    input's."""
+    g = iterate.grid
+    a, dt = g.a, g.dt
+    dx = a * dt
+    x_cols = g.region_xcols(iterate.region.value)
+    W = np.zeros_like(iterate.w)
+    W[:, 0] = iterate.w[:, 0]
+    for b, e in iterate.report.strips:
+        nb = e - b
+        rows = iterate.w[:, b : e + 1]
+        u_dal, p_dal, q_dal = _dal_parts(a, dt, b, nb, rows[:, 0])
+        shape = (nb + 1, x_cols.shape[0])
+        t2 = (dt * np.arange(b, e + 1))[:, None]
+        x2 = x_cols[None, :]
+        u, ut, ux = rows
+        G = _grid_eval(spec.F, shape, t=t2, x=x2) - _grid_eval(
+            spec.f, shape, t=t2, x=x2, u=u, ut=ut, ux=ux
+        )
+        Ip = np.zeros_like(G)
+        Im = np.zeros_like(G)
+        D = np.zeros_like(G)
+        half = 0.5 * dt
+        for m in range(1, nb + 1):
+            Ip[m, 1:] = Ip[m - 1, :-1] + half * (G[m - 1, :-1] + G[m, 1:])
+            Im[m, :-1] = Im[m - 1, 1:] + half * (G[m - 1, 1:] + G[m, :-1])
+            row = dt * dx * (0.5 * G[m - 1, :-2] + G[m - 1, 1:-1] + 0.5 * G[m - 1, 2:])
+            if m == 1:
+                D[1, 1:-1] = 0.5 * row
+            else:
+                D[m, 1:-1] = D[m - 1, :-2] + D[m - 1, 2:] - D[m - 2, 1:-1] + row
+        W[0, b + 1 : e + 1] = (u_dal + D / (2.0 * a))[1:]
+        W[1, b + 1 : e + 1] = (p_dal + 0.5 * (Ip + Im))[1:]
+        W[2, b + 1 : e + 1] = (q_dal + (Im - Ip) / (2.0 * a))[1:]
+    return W
+
+
+class TestBandKernel:
+    @pytest.mark.parametrize("name, n_strips", [("manufactured", 6), ("mixed_forcing", 1)])
+    def test_streamed_sweep_matches_whole_band_map(self, name, n_strips):
+        spec, params, picard = load_problem(name)
+        for side in (1, 2):
+            field = solve_side(spec, side, params, picard)
+            assert len(field.report.strips) == n_strips
+            np.testing.assert_array_equal(
+                picard_step_cauchy(spec, field).w, _whole_band_step(spec, field)
+            )
+
+    def test_single_strip_side_solve_memory(self):
+        # the band kernel keeps a few rows of temporaries, not band-size planes
+        spec, params, picard = load_problem("mixed_forcing")
+        grid = build_grid(spec, params)
+        strips = strip_plan(spec, grid, picard)
+        assert len(strips) == 1
+        tracemalloc.start()
+        try:
+            field = solve_cauchy_region(spec, 1, grid, strips, picard)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * field.w.nbytes

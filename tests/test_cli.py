@@ -9,7 +9,7 @@ import pytest
 import charwave.cli as cli
 from charwave.assembly import sample_user_grid
 from charwave.cauchy import PicardParams
-from charwave.errors import ConfigError
+from charwave.errors import ConfigError, NegativeTime, OutOfWindow, TooCloseToCharacteristic
 
 from conftest import config_path
 
@@ -262,6 +262,40 @@ class TestConvergeCommand:
 
 
 class TestExitCodes:
+    # T = 1.5 at nt = 2 makes the probe collar wider than half the window
+    NARROW = {"window": {"T": 1.5, "xmin": -0.3, "xmax": 0.3}, "grid": {"nt": 2}}
+
+    @pytest.mark.parametrize(
+        "argv, verdict",
+        [(["converge", "--levels", "2"], "order"), (["verify"], "PASS")],
+        ids=["converge", "verify"],
+    )
+    def test_window_without_probes_is_1(self, tmp_path, capsys, argv, verdict):
+        cfg = write_cfg(tmp_path, **self.NARROW)
+        assert cli.main([argv[0], cfg, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert verdict not in captured.out
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            OutOfWindow("(t=2, x=0) outside the solved window"),
+            TooCloseToCharacteristic("stencil straddles a characteristic"),
+            NegativeTime("t=-1"),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_any_charwave_error_is_1(self, tmp_path, capsys, monkeypatch, error):
+        def fail(spec):
+            raise error
+
+        monkeypatch.setattr(cli, "diagnose", fail)
+        assert cli.main(["classify", write_cfg(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+
     def test_config_error_is_1(self, tmp_path, capsys):
         assert cli.main(["solve", write_cfg(tmp_path, bogus=1), "-o", "x.csv"]) == 1
         assert "error:" in capsys.readouterr().err

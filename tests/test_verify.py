@@ -222,6 +222,9 @@ class TestProbePoints:
             assert -3.0 + 0.2 <= x <= 3.0 - 0.2
             assert abs(x + t) >= 0.2 and abs(x - t) >= 0.2
 
+    def test_collar_wider_than_half_the_window_gives_no_points(self):
+        assert probe_points(1.0, 0.0, 1.0, -0.3, 0.3, collar=0.75) == ()
+
     def test_deterministic(self):
         a = probe_points(1.0, 0.0, 1.0, -3.0, 3.0, collar=0.1)
         b = probe_points(1.0, 0.0, 1.0, -3.0, 3.0, collar=0.1)

@@ -54,9 +54,9 @@ with D[0,.] = 0; both identities reproduce the direct trapezoid sum exactly
 Time stepping is strip-marched: [0, T] is cut into bands short enough that
 the Picard map contracts at the rate STRIP_SAFETY; each band re-anchors the
 representation at its bottom row, whose (u, u_t, u_x) samples play the role
-of (phi, psi, phi').  A sweep reads G over the whole band first and then
-writes the band's rows in place one by one, so it keeps Jacobi order.  With
-L = 0 there is a single band and the first sweep is already exact.
+of (phi, psi, phi').  A sweep forms, and evaluates F and f, only on each
+row's sector, and reads a row's G before writing the row (Jacobi order).
+With L = 0 there is a single band and the first sweep is already exact.
 """
 
 from __future__ import annotations
@@ -284,13 +284,13 @@ class RegionField:
     Side 1 column c holds offset j = c + j1_min (``col_offset``), side 2
     column c holds j = c (see SolverGrid).  The domain of dependence shaves
     one column per level at each end, so only the sector [i, ncols - 1 - i]
-    of level i holds solution values; the entries outside it are left over
-    from the band sweeps and mean nothing.
+    of level i holds solution values.
 
     The wedge region is indexed (s, r), node (s, r) at t = (s + r)*dt,
     x = x0 + (r - s)*dx, and holds the solution where s + r <= n_levels.
 
-    ``live`` marks the nodes that hold the solution.
+    ``live`` marks the nodes that hold the solution; every other node is 0,
+    and neither the solvers nor the readers of a field read it.
     """
 
     region: Region
@@ -468,24 +468,20 @@ def _cumtrapz_row(values: np.ndarray, h: float) -> np.ndarray:
 def _dal_parts(a: float, dt: float, b: int, nb: int, Wb: np.ndarray) -> np.ndarray:
     """Homogeneous-part rows for a band anchored at level b.
 
-    Row m of each plane holds the value at level b+m of the representation
-    built from the band's bottom samples Wb = (u, u_t, u_x) standing in for
-    (phi, psi, phi').  Columns outside the sector stay zero.
+    Row m of each plane holds, on its sector, the value at level b+m of the
+    representation built from the bottom sector's samples Wb = (u, u_t, u_x)
+    standing in for (phi, psi, phi'); the psi prefix starts at column b.
     """
     Ub, Pb, Qb = Wb
     ncols = Ub.shape[0]
-    dx = a * dt
     dal = np.zeros((3, nb + 1, ncols))
     u_dal, p_dal, q_dal = dal
-    CPb = _cumtrapz_row(Pb, dx)
+    CPb = np.zeros(ncols)
+    CPb[b : ncols - b] = _cumtrapz_row(Pb[b : ncols - b], a * dt)
     for m in range(1, nb + 1):
-        s0 = b + m
-        s1 = ncols - 1 - (b + m)
-        if s0 > s1:
-            continue
-        tc = slice(s0, s1 + 1)
-        tl = slice(s0 - m, s1 - m + 1)
-        tr = slice(s0 + m, s1 + m + 1)
+        tc = slice(b + m, ncols - b - m)
+        tl = slice(b, ncols - b - 2 * m)
+        tr = slice(b + 2 * m, ncols - b)
         u_dal[m, tc] = 0.5 * (Ub[tl] + Ub[tr]) + (CPb[tr] - CPb[tl]) / (2.0 * a)
         p_dal[m, tc] = 0.5 * a * (Qb[tr] - Qb[tl]) + 0.5 * (Pb[tl] + Pb[tr])
         q_dal[m, tc] = 0.5 * (Qb[tl] + Qb[tr]) + (Pb[tr] - Pb[tl]) / (2.0 * a)
@@ -498,52 +494,62 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, b
     anchored at its bottom row ``block[:, 0]``.
 
     Returns ``sweep(feedback)``, one application of the map in place on
-    ``block``: the integrand G = F - f(., ., u, ut, ux) is read from the whole
-    band before any row is written (F alone when ``feedback`` is False), then
-    rows 1..nb are formed one by one from the running I+, I- and D and written
-    back whole (the next band's bottom-row prefix sums read the columns
-    outside the sector).  The sweep returns the largest update over the
-    band's sector nodes.
+    ``block``, on each row's sector [b+m, ncols-1-b-m] only: the recurrences
+    for row m read rows m-1 and m-2 on their own sectors.  Row m's integrand
+    G = F - f(., ., u, ut, ux) is read from the block's row m before that row
+    is written (F alone when ``feedback`` is False), then the row is formed
+    from the running I+, I- and D.  The sweep returns the largest update.
     """
     a, dt = grid.a, grid.dt
     nb = block.shape[1] - 1
     ncols = x_cols.shape[0]
     u_dal, p_dal, q_dal = _dal_parts(a, dt, b, nb, block[:, 0])
-    shape = (nb + 1, ncols)
-    t2 = (dt * np.arange(b, b + nb + 1))[:, None]
-    x2 = x_cols[None, :]
-    Fg = _grid_eval(spec.F, shape, t=t2, x=x2)
+    # row m's sector c and its shifts l = c - 1, r = c + 1
+    spans = [(b + m, ncols - b - m) for m in range(nb + 1)]
+    cols = [(slice(lo - 1, hi - 1), slice(lo, hi), slice(lo + 1, hi + 1)) for lo, hi in spans]
+    ts = dt * np.arange(b, b + nb + 1)
+    Fg = np.zeros((nb + 1, ncols))
+    for m, (_, c, _) in enumerate(cols):
+        Fg[m, c] = ex.evaluate(spec.F, {"t": ts[m], "x": x_cols[c]})
     half, area, two_a = 0.5 * dt, dt * (a * dt), 2.0 * a
-    # the running ray integrals keep rows m-1 and m, the triangle integral
-    # rows m-2..m; upd[m] is row m's largest update
+    # G and the running ray integrals keep rows m-1 and m, the triangle
+    # integral rows m-2..m; upd[m] is row m's largest update
+    G = np.zeros((2, ncols))
     Ip = np.zeros((2, ncols))
     Im = np.zeros((2, ncols))
     D = np.zeros((3, ncols))
     new = np.empty((3, ncols))
     upd = np.zeros(nb + 1)
 
+    def integrand(m: int, feedback: bool) -> np.ndarray:
+        if not feedback:
+            return Fg[m]
+        c = cols[m][1]
+        u, ut, ux = block[:, m, c]
+        env = {"t": ts[m], "x": x_cols[c], "u": u, "ut": ut, "ux": ux}
+        g = G[m % 2]
+        np.subtract(Fg[m, c], ex.evaluate(spec.f, env), out=g[c])
+        return g
+
     def sweep(feedback: bool) -> float:
-        G = Fg
-        if feedback:
-            u, ut, ux = block
-            G = Fg - _grid_eval(spec.f, shape, t=t2, x=x2, u=u, ut=ut, ux=ux)
         Ip[0] = Im[0] = D[0] = 0.0
+        g1 = integrand(0, feedback)
         for m in range(1, nb + 1):
-            g0, g1 = G[m - 1], G[m]
+            g0, g1 = g1, integrand(m, feedback)
+            l, c, r = cols[m]
             ip, im, d, d1 = Ip[m % 2], Im[m % 2], D[m % 3], D[(m - 1) % 3]
-            np.add(Ip[(m - 1) % 2, :-1], half * (g0[:-1] + g1[1:]), out=ip[1:])
-            np.add(Im[(m - 1) % 2, 1:], half * (g0[1:] + g1[:-1]), out=im[:-1])
-            row = area * (0.5 * g0[:-2] + g0[1:-1] + 0.5 * g0[2:])
+            np.add(Ip[(m - 1) % 2, l], half * (g0[l] + g1[c]), out=ip[c])
+            np.add(Im[(m - 1) % 2, r], half * (g0[r] + g1[c]), out=im[c])
+            row = area * (0.5 * g0[l] + g0[c] + 0.5 * g0[r])
             if m == 1:
-                np.multiply(0.5, row, out=d[1:-1])
+                np.multiply(0.5, row, out=d[c])
             else:
-                np.add(d1[:-2] + d1[2:] - D[(m - 2) % 3, 1:-1], row, out=d[1:-1])
-            np.add(u_dal[m], d / two_a, out=new[0])
-            np.add(p_dal[m], 0.5 * (ip + im), out=new[1])
-            np.add(q_dal[m], (im - ip) / two_a, out=new[2])
-            sector = slice(b + m, ncols - b - m)
-            upd[m] = abs(new[:, sector] - block[:, m, sector]).max(initial=0.0)
-            block[:, m] = new
+                np.add(d1[l] + d1[r] - D[(m - 2) % 3, c], row, out=d[c])
+            np.add(u_dal[m, c], d[c] / two_a, out=new[0, c])
+            np.add(p_dal[m, c], 0.5 * (ip[c] + im[c]), out=new[1, c])
+            np.add(q_dal[m, c], (im[c] - ip[c]) / two_a, out=new[2, c])
+            upd[m] = abs(new[:, c] - block[:, m, c]).max(initial=0.0)
+            block[:, m, c] = new[:, c]
         return float(upd.max())
 
     return sweep

@@ -228,10 +228,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_converge(args) -> int:
     spec, grid, picard = load_config(args.config)
+    reference = None
     if args.reference is not None:
-        reference: object = ex.parse(args.reference, ("t", "x"))
-    else:
-        reference = "oracle"
+        exact = ex.parse(args.reference, ("t", "x"))
+        reference = lambda t, x: ex.evaluate(exact, {"t": t, "x": x})
     study = convergence_study(
         spec, grid, picard, reference=reference, levels=args.levels
     )

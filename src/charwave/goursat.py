@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import expr as ex
 from .cauchy import (
     PicardParams,
     PicardReport,
@@ -53,7 +54,6 @@ from .cauchy import (
     RegionField,
     SolverGrid,
     _cumtrapz_row,
-    _grid_eval,
     _picard,
 )
 from .errors import ConfigError
@@ -128,20 +128,25 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, b: int, block):
     Returns ``sweep(feedback)``: the candidate (u, p, q) are built on the
     whole block, with the integrand H = F - f(., ., u, u_t, u_x) read from
     ``block``, or from the boundary part alone (integral dropped) when
-    ``feedback`` is False.  Row s then writes its band nodes, the slice
-    r in [max(b + 1 - s, 0), e - s], where the candidates' integral prefixes
-    stay inside the block.  The sweep returns the largest update over them.
+    ``feedback`` is False.  F and f are evaluated only on the block's live
+    triangle s + r <= e; H stays 0 past it, where the prefix sums of live
+    nodes never reach.  Row s then writes its band nodes, the slice
+    r in [max(b + 1 - s, 0), e - s].  The sweep returns the largest update
+    over them.
     """
     g = traces.grid
     a = g.a
     hc = 2.0 * a * g.dt
     R = block.shape[1]
-    idx = np.arange(R)
-    # t clamped to the window: nodes past the hypotenuse are unused
-    t = np.minimum((idx[:, None] + idx[None, :]) * g.dt, g.T)
-    x = g.x0 + (idx[None, :] - idx[:, None]) * g.dx
-    shape = (R, R)
-    Fg = _grid_eval(spec.F, shape, t=t, x=x)
+    k = np.arange(R)
+    live = k[:, None] + k[None, :] < R
+    s, r = np.nonzero(live)
+    env = {"t": (s + r) * g.dt, "x": g.x0 + (r - s) * g.dx}
+    F = ex.evaluate(spec.F, env)
+    # f reads the coordinates and state planes it names, gathered per sweep
+    reads = ex.free_vars(spec.f)
+    env = {v: env[v] for v in ("t", "x") if v in reads}
+    H = np.zeros((R, R))
     g1 = traces.gamma1[:R, None]
     g2 = traces.gamma2[None, :R]
     dg1 = traces.dgamma1[:R, None]
@@ -158,12 +163,11 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, b: int, block):
         np.subtract(dg2, dg1, out=q_c)
         q_c /= 2.0 * a
         if feedback:
-            u, ut, ux = block
-            H = Fg - _grid_eval(spec.f, shape, t=t, x=x, u=u, ut=ut, ux=ux)
+            env.update((v, block[i][live]) for i, v in enumerate(("u", "ut", "ux")) if v in reads)
+            H[live] = F - ex.evaluate(spec.f, env)
             jrow = _cumtrapz_row(np.swapaxes(H, 0, 1), hc)
             jrow = np.swapaxes(jrow, 0, 1)  # int over y in [xi_s, x0] at fixed eta_r
             jcol = _cumtrapz_row(H, hc)  # int over z in [x0, eta_r] at fixed xi_s
-            del H  # the rectangle integral's temporaries take its place
             u_c += _cumtrapz_row(jrow, hc) / (4.0 * a * a)  # the full rectangle
             p_c += (jrow + jcol) / (4.0 * a)
             q_c += (jrow - jcol) / (4.0 * a * a)

@@ -17,6 +17,8 @@ from charwave.errors import ConfigError, OutOfWindow
 from charwave.geometry import Region, classify_point
 from charwave.verify import linear_oracle
 
+from conftest import CORPUS_NAMES
+
 
 def make_spec(**kw):
     base = dict(
@@ -97,6 +99,12 @@ class TestSolveOrchestration:
         assert d.case is CaseKind.GENERAL_JUMP
         assert not d.generalized_dalembert
         assert sol.lipschitz == 0.0
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_dead_nodes_are_zero(self, solved, name):
+        sol = solved[name]
+        for field in (sol.field1, sol.field2, sol.field3):
+            assert not np.any(field.w[:, ~field.live])
 
     def test_solution_carries_inputs(self):
         spec = make_spec()

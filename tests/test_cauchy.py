@@ -405,9 +405,10 @@ class TestBandKernel:
         for side in (1, 2):
             field = solve_side(spec, side, params, picard)
             assert len(field.report.strips) == n_strips
-            np.testing.assert_array_equal(
-                picard_step_cauchy(spec, field).w, _whole_band_step(spec, field)
-            )
+            live = field.live
+            step = picard_step_cauchy(spec, field).w
+            np.testing.assert_array_equal(step[:, live], _whole_band_step(spec, field)[:, live])
+            assert not np.any(step[:, ~live])
 
     def test_single_strip_side_solve_memory(self):
         # the band kernel keeps a few rows of temporaries, not band-size planes
@@ -421,4 +422,4 @@ class TestBandKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * field.w.nbytes
+        assert peak <= 2.5 * field.w.nbytes

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import charwave.cli as cli
-from charwave.assembly import sample_user_grid
+from charwave.assembly import sample_user_grid, solve
 from charwave.cauchy import PicardParams
 from charwave.errors import ConfigError, NegativeTime, OutOfWindow, TooCloseToCharacteristic
 
@@ -217,6 +217,23 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert len(payload["checks"]) == 5
+
+    @pytest.mark.parametrize(
+        "f", ["log(u) - log(2)", "1/u - 0.5", "sqrt(u - 1.5) - sqrt(0.5)"]
+    )
+    def test_f_defined_only_near_the_solution(self, tmp_path, capsys, f):
+        # u = 2 wherever the solution lives; each f is undefined at u = 0, the
+        # value of every other node
+        path = write_cfg(
+            tmp_path, A=2.0, phi1="2", phi2="2", psi2="0", f=f, lipschitz=1.0,
+            window={"T": 1.0, "xmin": -2.0, "xmax": 2.0}, grid={"nt": 16},
+        )
+        sol = solve(*cli.load_config(path))
+        assert len(sol.field1.report.strips) > 1
+        for field in (sol.field1, sol.field2, sol.field3):
+            assert np.all(field.u[field.live] == 2.0)
+        assert cli.main(["verify", path]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
 
     def test_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         from charwave.verify import CheckResult, VerificationReport

@@ -9,6 +9,7 @@ from charwave.assembly import solve
 from charwave.cauchy import GridParams, PicardParams, ProblemSpec
 from charwave.errors import NegativeTime, NotLinear, TooCloseToCharacteristic
 from charwave.verify import (
+    _field_scale,
     check_definition1,
     convergence_study,
     inject_fault,
@@ -138,12 +139,12 @@ class TestAudit:
         assert not target.passed, f"fault in {name} went unnoticed"
 
     def test_scale_reads_live_nodes_only(self, solved):
-        # the side arrays hold leftover values outside their sectors, larger
-        # than the field itself on this problem; they must not set the scale
+        # nodes outside the live sets are 0 and the scale is the live maximum
         sol = solved["mixed_forcing"]
         fields = (sol.field1, sol.field2, sol.field3)
+        assert not any(np.any(f.w[:, ~f.live]) for f in fields)
         live = max(1.0, *(float(np.max(np.abs(f.u[f.live]))) for f in fields))
-        assert live < max(float(np.max(np.abs(f.u))) for f in fields)
+        assert _field_scale(sol) == live
         h = sol.grid.dt_user
         tolerances = {c.name: c.tolerance for c in check_definition1(sol).checks}
         assert tolerances["goursat_traces"] == 20.0 * h * h * live
@@ -180,10 +181,11 @@ class TestConvergence:
             phi1="sin(x)", phi2="sin(x)", psi1="-cos(x)", psi2="-cos(x)",
             F="sin(sin(x-t))", f="sin(u)", lipschitz=1.0,
         )
+        wave = ex.parse("sin(x - t)", ("t", "x"))
         study = convergence_study(
             spec,
             GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8),
-            reference=ex.parse("sin(x - t)", ("t", "x")),
+            reference=lambda t, x: ex.evaluate(wave, {"t": t, "x": x}),
             levels=3,
         )
         assert 1.7 <= study.order <= 2.3

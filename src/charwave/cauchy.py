@@ -68,7 +68,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import ConfigError, NonConvergence
+from .errors import ConfigError, DomainError, NonConvergence
 from .geometry import Region, _check_speed
 
 __all__ = [
@@ -266,8 +266,11 @@ class SolverGrid:
 
 @dataclass(frozen=True)
 class PicardReport:
+    """Per strip, the update of each ``sweep(True)`` run (the warm start is
+    not counted), so ``iterations`` is the number of full sweeps per strip."""
+
     strips: tuple[tuple[int, int], ...]
-    update_norms: tuple[tuple[float, ...], ...]  # one per sweep, per strip
+    update_norms: tuple[tuple[float, ...], ...]
 
     @property
     def iterations(self) -> tuple[int, ...]:
@@ -398,7 +401,8 @@ def estimate_lipschitz(spec: ProblemSpec, grid: SolverGrid) -> float:
     Samples the gradient over a coarse lattice of the window's (t, x) range
     crossed with [-R, R]^3, R = 1 + 2*max initial-data magnitude, and takes
     1.5x the largest l1 gradient norm.  Returns 0 when f reads none of
-    u, ut, ux.
+    u, ut, ux.  Raises ConfigError, asking for a declared ``lipschitz``, when
+    f is undefined somewhere on that sample.
     """
     if not spec.f_reads_state:
         return 0.0
@@ -433,7 +437,13 @@ def estimate_lipschitz(spec: ProblemSpec, grid: SolverGrid) -> float:
         dn = dict(env)
         up[name] = env[name] + h
         dn[name] = env[name] - h
-        g = (np.asarray(ex.evaluate(spec.f, up)) - np.asarray(ex.evaluate(spec.f, dn))) / (2 * h)
+        try:
+            g = (np.asarray(ex.evaluate(spec.f, up)) - np.asarray(ex.evaluate(spec.f, dn))) / (2 * h)
+        except DomainError as err:
+            raise ConfigError(
+                f"cannot estimate the Lipschitz constant of f ({err} for some "
+                f"u, ut, ux in [{-R:.6g}, {R:.6g}]); declare lipschitz in the problem"
+            ) from err
         total = total + np.abs(g)
     return 1.5 * float(total.max())
 
@@ -457,12 +467,31 @@ def _grid_eval(e: ex.Expr, shape: tuple[int, ...], **env) -> np.ndarray:
     return np.broadcast_to(arr, shape)
 
 
-def _cumtrapz_row(values: np.ndarray, h: float) -> np.ndarray:
-    """Running composite trapezoid along the last axis, starting at 0."""
-    pads = list(values.shape)
-    pads[-1] = 1
-    inner = h * 0.5 * (values[..., 1:] + values[..., :-1])
-    return np.concatenate([np.zeros(pads), np.cumsum(inner, axis=-1)], axis=-1)
+def _cumtrapz_row(values: np.ndarray, h: float, start=None, skip=None) -> np.ndarray:
+    """Running composite trapezoid along the last axis: entry k adds the
+    increment h*0.5*(values[..., k] + values[..., k-1]) to entry k-1.
+
+    Entry 0 is ``start``, taken from an earlier result to resume from, or
+    an empty prefix.  ``skip`` marks the entries 1.. that take no increment:
+    each starts an empty prefix (or lies outside the domain) and reads 0.
+    The sums run sequentially (``np.add.accumulate``), so a prefix resumed
+    from a stored entry reproduces the bits of one taken in a single pass.
+    An empty prefix runs as -0.0, the exact additive identity, so the entry
+    after it equals its increment bit for bit, as in a fresh cumsum; a
+    ``start`` must hold -0.0 where its prefix is empty.
+    """
+    out = np.empty_like(values)
+    out[..., 0] = -0.0 if start is None else start
+    np.add(values[..., 1:], values[..., :-1], out=out[..., 1:])
+    out[..., 1:] *= h * 0.5
+    if skip is not None:
+        np.copyto(out[..., 1:], -0.0, where=skip)
+    np.add.accumulate(out, axis=-1, out=out)
+    if start is None:
+        out[..., 0] = 0.0
+    if skip is not None:
+        np.copyto(out[..., 1:], 0.0, where=skip)
+    return out
 
 
 def _dal_parts(a: float, dt: float, b: int, nb: int, Wb: np.ndarray) -> np.ndarray:
@@ -558,19 +587,23 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, b
 def _picard(sweep, feeds_back: bool, picard: PicardParams, where: str):
     """Iterate the in-place ``sweep`` of a band kernel to its fixed point.
 
-    The warm start is ``sweep(False)`` (the f term dropped); ``sweep(True)``
-    then repeats until the update it returns is at most ``picard.tol``.
-    Without (u, ut, ux) feedback one sweep past the warm start is exact
-    whatever its update.  Returns the update norms, or raises NonConvergence
+    Without (u, ut, ux) feedback (``feeds_back`` False) the integrand does
+    not depend on the iterate, so one ``sweep(True)`` is the fixed point
+    whatever its update.  Otherwise the warm start is ``sweep(False)`` (the
+    f term dropped), then ``sweep(True)`` repeats until the update it returns
+    is at most ``picard.tol``.  Returns the updates of the ``sweep(True)``
+    runs, one each (the warm start's is not one), or raises NonConvergence
     naming ``where``.
     """
+    if not feeds_back:
+        return (sweep(True),)
     sweep(False)
     norms: list[float] = []
     for _ in range(picard.max_iter):
         norms.append(sweep(True))
         if norms[-1] <= picard.tol:
             break
-    if feeds_back and norms[-1] > picard.tol:
+    if norms[-1] > picard.tol:
         raise NonConvergence(
             f"Picard iteration stalled on {where} after {len(norms)} sweeps "
             f"(last update {norms[-1]:.3e} > tol {picard.tol:.1e})",

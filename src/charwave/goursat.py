@@ -37,6 +37,13 @@ integral is a separable 2-D composite trapezoid evaluated by running prefix
 sums.  Bands of constant s + r are marched in time exactly like the cauchy
 strips, and every band's boundary nodes reproduce the traces identically
 (their integral prefix is empty).
+
+A sweep of band (b, e] costs O(band nodes): the prefix sums along s and r
+of the nodes below the band are final, so each band resumes them from the
+values on its bottom level b, carried over from the band below once that
+band has converged and its boundary is pinned.  The sums run sequentially,
+so the resumed prefixes have the bits of one-pass sums over the whole
+block [0, e]^2.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import expr as ex
 from .cauchy import (
@@ -120,65 +128,123 @@ def goursat_traces(
     )
 
 
-def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, b: int, block):
-    """The parallelogram map on band (b, e] of the wedge, in place on
-    ``block``, the (3, R, R) view of the lattice block [0..e]^2 of the
-    stacked (u, u_t, u_x), R = e + 1.
+def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, e: int, base):
+    """The parallelogram map on band (b, e] of the wedge, in place on ``W``,
+    the stacked (u, u_t, u_x) of the whole lattice.
 
-    Returns ``sweep(feedback)``: the candidate (u, p, q) are built on the
-    whole block, with the integrand H = F - f(., ., u, u_t, u_x) read from
-    ``block``, or from the boundary part alone (integral dropped) when
-    ``feedback`` is False.  F and f are evaluated only on the block's live
-    triangle s + r <= e; H stays 0 past it, where the prefix sums of live
-    nodes never reach.  Row s then writes its band nodes, the slice
-    r in [max(b + 1 - s, 0), e - s].  The sweep returns the largest update
-    over them.
+    The band's prefix sums run over its levels l = s + r as columns, in two
+    skewed layouts: (s, l), where jcol and the double integral U (sums along
+    r at fixed s) run along each row, and (r, l), where jrow (the sum along s
+    at fixed r) does.  Column 0 is level b, which ``base`` carries in: H,
+    jrow, jcol and U on the nodes (s, b - s) of level b, indexed by s.  Rows
+    at most b resume their sums from it; the rows past b start theirs on the
+    band, on its boundary nodes.
+
+    Returns ``(sweep, carry)``.  ``sweep(feedback)`` builds the candidate
+    (u, p, q) on the band's nodes, with the integrand
+    H = F - f(., ., u, u_t, u_x) read from ``W`` on them, or from the boundary
+    part alone (integral dropped) when ``feedback`` is False, writes them and
+    returns the largest update.  F and f are evaluated on the band's nodes
+    only.  ``carry()`` evaluates H once on the band's final nodes and returns
+    the four columns on level e, the next band's ``base``.
+
+    ``W`` is the solve's contiguous (3, n, n) array, n = n_levels + 1, and
+    the band spans at most n - 1 levels: the (s, l) view of the band is a
+    reshape of W with rows n - 1 long.
     """
     g = traces.grid
     a = g.a
     hc = 2.0 * a * g.dt
-    R = block.shape[1]
-    k = np.arange(R)
-    live = k[:, None] + k[None, :] < R
-    s, r = np.nonzero(live)
+    n, R, nb = W.shape[1], e + 1, e - b
+    idx = np.arange(R)[:, None]
+    lev = np.arange(b, e + 1)
+    band = idx <= lev[1:]  # the band's nodes, columns 1..
+    # no increment where a prefix starts (index == level: s = 0 for jrow,
+    # r = 0 for jcol and U) or past the triangle
+    skip = idx >= lev[1:]
+    # (s, l) <-> (r, l): row c of column l takes row l - c; the rows past
+    # the triangle keep their own
+    flip = np.where(idx <= lev, lev - idx, idx) * (nb + 1) + np.arange(nb + 1)
+    # the band of W in the (s, l) layout, a view as W is contiguous: node
+    # (s, l - s); the entries with s > l lie on other nodes, and are neither
+    # used nor written
+    Wv = W.reshape(3, -1)[:, b + 1 : b + 1 + R * (n - 1)]
+    Wv = Wv.reshape(3, R, n - 1)[:, :, :nb]
+    s, j = np.nonzero(band)
+    r = b + 1 + j - s
     env = {"t": (s + r) * g.dt, "x": g.x0 + (r - s) * g.dx}
     F = ex.evaluate(spec.F, env)
     # f reads the coordinates and state planes it names, gathered per sweep
     reads = ex.free_vars(spec.f)
     env = {v: env[v] for v in ("t", "x") if v in reads}
-    H = np.zeros((R, R))
-    g1 = traces.gamma1[:R, None]
-    g2 = traces.gamma2[None, :R]
-    dg1 = traces.dgamma1[:R, None]
-    dg2 = traces.dgamma2[None, :R]
-    cand = np.empty((3, R, R))
-    upd = np.zeros(R)
+
+    def by_r(trace):  # a trace indexed by r, on the band's (s, l) layout
+        return sliding_window_view(np.concatenate([np.zeros(nb), trace[:R]]), nb + 1)[::-1, 1:]
+
+    g1, dg1 = traces.gamma1[:R, None], traces.dgamma1[:R, None]
+    g2, dg2 = by_r(traces.gamma2), by_r(traces.dgamma2)
+    H = np.zeros((R, nb + 1))
+    H[: b + 1, 0] = base[0]
+    starts = np.full((3, R), -0.0)
+    starts[0, : b + 1] = base[1][::-1]  # jrow, by r
+    starts[1:, : b + 1] = base[2:]
+    if b >= 0:
+        starts[:, b] = -0.0  # the boundary node of level b: empty prefixes
+
+    def integrals():
+        env.update((v, Wv[k][band]) for k, v in enumerate(("u", "ut", "ux")) if v in reads)
+        H[:, 1:][band] = F - ex.evaluate(spec.f, env)
+        # int over y in [xi_s, x0] at fixed eta_r
+        jrow = np.take(_cumtrapz_row(np.take(H, flip), hc, starts[0], skip), flip)
+        jcol = _cumtrapz_row(H, hc, starts[1], skip)  # int over z in [x0, eta_r] at fixed xi_s
+        return jrow, jcol, _cumtrapz_row(jrow, hc, starts[2], skip)  # the full rectangle
 
     def sweep(feedback: bool) -> float:
-        u_c, p_c, q_c = cand
-        np.add(g1, g2, out=u_c)
-        u_c -= traces.apex
-        np.add(dg1, dg2, out=p_c)
-        p_c *= 0.5
-        np.subtract(dg2, dg1, out=q_c)
-        q_c /= 2.0 * a
-        if feedback:
-            env.update((v, block[i][live]) for i, v in enumerate(("u", "ut", "ux")) if v in reads)
-            H[live] = F - ex.evaluate(spec.f, env)
-            jrow = _cumtrapz_row(np.swapaxes(H, 0, 1), hc)
-            jrow = np.swapaxes(jrow, 0, 1)  # int over y in [xi_s, x0] at fixed eta_r
-            jcol = _cumtrapz_row(H, hc)  # int over z in [x0, eta_r] at fixed xi_s
-            u_c += _cumtrapz_row(jrow, hc) / (4.0 * a * a)  # the full rectangle
-            p_c += (jrow + jcol) / (4.0 * a)
-            q_c += (jrow - jcol) / (4.0 * a * a)
-        for s in range(R):
-            band = slice(max(b + 1 - s, 0), R - s)
-            new, old = cand[:, s, band], block[:, s, band]
-            upd[s] = abs(new - old).max()
-            old[...] = new
-        return float(upd.max())
+        # each candidate plane is the boundary part plus the integral part,
+        # written before the next one is formed
+        upd = []
 
-    return sweep
+        def put(k, new):
+            d = new - Wv[k]
+            upd.append(np.max(np.abs(d, out=d), where=band, initial=0.0))
+            np.copyto(Wv[k], new, where=band)
+
+        if feedback:
+            jrow, jcol, U = (v[:, 1:] for v in integrals())
+        new = g1 + g2
+        new -= traces.apex
+        if feedback:
+            U /= 4.0 * a * a
+            new += U
+            del U
+        put(0, new)
+        new = dg1 + dg2
+        new *= 0.5
+        if feedback:
+            jsum = jrow + jcol
+            jsum /= 4.0 * a
+            new += jsum
+            del jsum
+        put(1, new)
+        new = dg2 - dg1
+        new /= 2.0 * a
+        if feedback:
+            jrow -= jcol
+            jrow /= 4.0 * a * a
+            new += jrow
+        put(2, new)
+        return float(np.max(upd))
+
+    def carry():
+        return tuple(v[:, -1].copy() for v in (H, *integrals()))
+
+    return sweep, carry
+
+
+def _vertex_base(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray):
+    """The ``base`` of the first band: level 0 is the vertex, set rather than
+    swept, so the base is the carry of the band (-1, 0]."""
+    return _wedge_map(spec, traces, W, -1, 0, (np.zeros(0),) * 4)[1]()
 
 
 def solve_goursat_region(
@@ -199,11 +265,14 @@ def solve_goursat_region(
         (traces.dgamma2[0] - traces.dgamma1[0]) / (2.0 * g.a),
     )
 
+    base = _vertex_base(spec, traces, W)
     all_norms = []
     for b, e in strips:
-        # sweeps write only the band: the nodes below it are final, with their
-        # boundary pinned, and the candidates are not valid above it
-        sweep = _wedge_map(spec, traces, b, W[:, : e + 1, : e + 1])
+        if b > 0:
+            base = carry()  # of the band below, taken after its boundary was pinned
+        # sweeps write only the band: the nodes below it are final, and the
+        # candidates are not valid above it
+        sweep, carry = _wedge_map(spec, traces, W, b, e, base)
         all_norms.append(_picard(sweep, spec.f_reads_state, picard, f"wedge band [{b}, {e}]"))
         # the converged candidates reproduce the traces only up to rounding
         # (they add and subtract the apex value); pin the boundary exactly
@@ -220,10 +289,12 @@ def picard_step_goursat(
 ) -> RegionField:
     """One global sweep of the parallelogram map reading (u,p,q) from ``iterate``.
 
-    The sweep covers the whole triangle (band (-1, n_levels]); the nodes
-    outside it keep the input's values.  A converged wedge field is a fixed
-    point of this map up to the stopping tolerance.
+    The sweep covers the whole triangle but the vertex (band (0, n_levels]),
+    which keeps the input's value as the solve's does, and so do the nodes
+    outside it.  A converged wedge field is a fixed point of this map up to
+    the stopping tolerance.
     """
     W = iterate.w.copy()
-    _wedge_map(spec, traces, -1, W)(True)
+    base = _vertex_base(spec, traces, W)
+    _wedge_map(spec, traces, W, 0, traces.grid.n_levels, base)[0](True)
     return replace(iterate, w=W)

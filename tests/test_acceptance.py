@@ -30,7 +30,7 @@ import charwave as cw
 import charwave.cli as cli
 from charwave.verify import _EXACT_FLOOR
 
-from conftest import CORPUS_NAMES, LINEAR_NAMES, config_path
+from helpers import CORPUS_NAMES, LINEAR_NAMES, config_path
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

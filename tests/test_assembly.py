@@ -12,12 +12,13 @@ from charwave.assembly import (
     sample_user_grid,
     solve,
 )
-from charwave.cauchy import GridParams, PicardParams, ProblemSpec
+from charwave.cauchy import GridParams, PicardParams, ProblemSpec, picard_step_cauchy
 from charwave.errors import ConfigError, OutOfWindow
 from charwave.geometry import Region, classify_point
+from charwave.goursat import picard_step_goursat
 from charwave.verify import linear_oracle
 
-from conftest import CORPUS_NAMES
+from helpers import CORPUS_NAMES
 
 
 def make_spec(**kw):
@@ -105,6 +106,25 @@ class TestSolveOrchestration:
         sol = solved[name]
         for field in (sol.field1, sol.field2, sol.field3):
             assert not np.any(field.w[:, ~field.live])
+
+    def test_state_free_f_solves_in_one_sweep_per_band(self):
+        # f reads t and x only: each band's first full sweep is the fixed
+        # point, so a further sweep of either map moves no live node
+        spec = make_spec(
+            phi1="sin(x)", phi2="cos(x) - 1", psi1="x", psi2="1",
+            F="t*x", f="sin(t*x)", lipschitz=1.0,
+        )
+        sol = solve(spec, GP)
+        fields = (sol.field1, sol.field2, sol.field3)
+        steps = (
+            picard_step_cauchy(spec, sol.field1),
+            picard_step_cauchy(spec, sol.field2),
+            picard_step_goursat(spec, sol.traces, sol.field3),
+        )
+        for field, step in zip(fields, steps):
+            bands = len(field.report.strips)
+            assert bands > 1 and field.report.iterations == (1,) * bands
+            np.testing.assert_array_equal(step.w[:, field.live], field.w[:, field.live])
 
     def test_solution_carries_inputs(self):
         spec = make_spec()

@@ -21,7 +21,7 @@ from charwave.cauchy import (
 )
 from charwave.errors import ConfigError, InvalidSpeed, NonConvergence
 
-from conftest import load_problem, solve_side, strip_plan
+from helpers import load_problem, solve_side, strip_plan
 
 
 def make_spec(**kw):
@@ -171,6 +171,12 @@ class TestLipschitzEstimate:
         g = build_grid(spec, GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
         L = estimate_lipschitz(spec, g)
         assert 1.0 <= L <= 2.0
+
+    def test_f_undefined_on_the_sample_asks_for_the_constant(self):
+        spec = make_spec(A=2.0, phi1="2", phi2="2", f="log(u) - log(2)")
+        g = build_grid(spec, GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
+        with pytest.raises(ConfigError, match="declare lipschitz"):
+            estimate_lipschitz(spec, g)
 
     def test_declared_constant_wins(self):
         spec = make_spec(f="sin(u)", lipschitz=7.0)

@@ -11,7 +11,7 @@ from charwave.assembly import sample_user_grid, solve
 from charwave.cauchy import PicardParams
 from charwave.errors import ConfigError, NegativeTime, OutOfWindow, TooCloseToCharacteristic
 
-from conftest import config_path
+from helpers import config_path
 
 
 GOOD = {
@@ -312,6 +312,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"error: {error}\n"
         assert captured.out == ""
+
+    def test_undefined_f_without_lipschitz_is_1(self, tmp_path, capsys):
+        # the estimate samples f where the solution (u = 2) does not live
+        cfg = write_cfg(tmp_path, A=2.0, phi1="2", phi2="2", psi2="0", f="log(u) - log(2)")
+        out = tmp_path / "x.csv"
+        assert cli.main(["solve", cfg, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "lipschitz" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_config_error_is_1(self, tmp_path, capsys):
         assert cli.main(["solve", write_cfg(tmp_path, bogus=1), "-o", "x.csv"]) == 1

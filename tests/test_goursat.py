@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from charwave.assembly import diagnose
-from charwave.cauchy import GridParams, PicardParams, ProblemSpec
+import charwave.expr as ex
+from charwave.assembly import diagnose, solve
+from charwave.cauchy import GridParams, PicardParams, ProblemSpec, _picard
 from charwave.errors import ConfigError, NonConvergence
 from charwave.goursat import goursat_traces, picard_step_goursat, solve_goursat_region
 
-from conftest import solve_side, strip_plan
+from helpers import load_problem, solve_side, strip_plan
 
 
 def make_spec(**kw):
@@ -225,3 +228,127 @@ class TestNonlinearWedge:
         xs = g.dx * (idx[None, :] - idx[:, None])
         tri = field.live
         return np.max(np.abs((field.u - np.sin(xs - ts))[tri]))
+
+
+def _cumtrapz_whole(values, h):
+    """Running composite trapezoid along the last axis, starting at 0."""
+    pads = list(values.shape)
+    pads[-1] = 1
+    inner = h * 0.5 * (values[..., 1:] + values[..., :-1])
+    return np.concatenate([np.zeros(pads), np.cumsum(inner, axis=-1)], axis=-1)
+
+
+def _whole_block_map(spec, traces, b, block):
+    """One sweep of the wedge map in whole-block form on band (b, e], in place
+    on ``block``, the (3, R, R) view of the lattice block [0..e]^2: H on the
+    block's live triangle (0 past it), the three prefix sums and the
+    candidates on the whole block, then each row s writes its band nodes
+    r in [max(b + 1 - s, 0), e - s].  Returns ``sweep(feedback)``."""
+    g = traces.grid
+    a = g.a
+    hc = 2.0 * a * g.dt
+    R = block.shape[1]
+    k = np.arange(R)
+    live = k[:, None] + k[None, :] < R
+    s, r = np.nonzero(live)
+    env = {"t": (s + r) * g.dt, "x": g.x0 + (r - s) * g.dx}
+    F = ex.evaluate(spec.F, env)
+    H = np.zeros((R, R))
+    g1 = traces.gamma1[:R, None]
+    g2 = traces.gamma2[None, :R]
+    dg1 = traces.dgamma1[:R, None]
+    dg2 = traces.dgamma2[None, :R]
+
+    def sweep(feedback):
+        u_c = g1 + g2 - traces.apex
+        p_c = (dg1 + dg2) * 0.5
+        q_c = (dg2 - dg1) / (2.0 * a)
+        if feedback:
+            env.update(u=block[0][live], ut=block[1][live], ux=block[2][live])
+            H[live] = F - ex.evaluate(spec.f, env)
+            jrow = np.swapaxes(_cumtrapz_whole(np.swapaxes(H, 0, 1), hc), 0, 1)
+            jcol = _cumtrapz_whole(H, hc)
+            u_c = u_c + _cumtrapz_whole(jrow, hc) / (4.0 * a * a)
+            p_c = p_c + (jrow + jcol) / (4.0 * a)
+            q_c = q_c + (jrow - jcol) / (4.0 * a * a)
+        cand = np.stack([u_c, p_c, q_c])
+        upd = 0.0
+        for s_ in range(R):
+            band = slice(max(b + 1 - s_, 0), R - s_)
+            upd = max(upd, abs(cand[:, s_, band] - block[:, s_, band]).max())
+            block[:, s_, band] = cand[:, s_, band]
+        return upd
+
+    return sweep
+
+
+def _whole_block_solve(spec, traces, strips, picard):
+    """The wedge solve marched with whole-block sweeps: every sweep of band
+    (b, e] rebuilds its prefix sums from the final nodes below the band."""
+    g = traces.grid
+    n = g.n_levels + 1
+    W = np.zeros((3, n, n))
+    W[:, 0, 0] = (
+        traces.gamma1[0],
+        0.5 * (traces.dgamma1[0] + traces.dgamma2[0]),
+        (traces.dgamma2[0] - traces.dgamma1[0]) / (2.0 * g.a),
+    )
+    for b, e in strips:
+        sweep = _whole_block_map(spec, traces, b, W[:, : e + 1, : e + 1])
+        _picard(sweep, spec.f_reads_state, picard, "reference band")
+        ks = np.arange(b + 1, e + 1)
+        W[0, ks, 0] = traces.gamma1[ks]
+        W[0, 0, ks] = traces.gamma2[ks]
+    return W
+
+
+class TestWedgeKernel:
+    @staticmethod
+    def assert_matches_whole_block(sol):
+        def bits(w):  # bit for bit, signed zeros included
+            return w[:, live].view(np.uint64)
+
+        field = sol.field3
+        live = field.live
+        ref = _whole_block_solve(sol.spec, sol.traces, field.report.strips, sol.picard)
+        np.testing.assert_array_equal(bits(field.w), bits(ref))
+        assert not np.any(field.w[:, ~live])
+        # one sweep of the whole triangle but the vertex
+        step = picard_step_goursat(sol.spec, sol.traces, field).w
+        ref = field.w.copy()
+        _whole_block_map(sol.spec, sol.traces, 0, ref)(True)
+        np.testing.assert_array_equal(bits(step), bits(ref))
+        assert not np.any(step[:, ~live])
+
+    @pytest.mark.parametrize("name, n_strips", [("manufactured", 6), ("mixed_forcing", 1)])
+    def test_carried_prefixes_match_whole_block_sweeps(self, solved, name, n_strips):
+        assert len(solved[name].field3.report.strips) == n_strips
+        self.assert_matches_whole_block(solved[name])
+
+    def test_carry_reads_the_pinned_boundary(self):
+        # with A far from 0 the converged candidates miss the traces by
+        # rounding, so a base taken before the pinning would move the bits
+        A = float(np.sin(1.0))
+        spec = make_spec(
+            A=A, phi1="sin(3*x + 1)", phi2="sin(3*x + 1)", psi1="-3*cos(3*x + 1)",
+            psi2="-3*cos(3*x + 1)", F="sin(sin(3*(x - t) + 1))", f="sin(u)", lipschitz=1.0,
+        )
+        sol = solve(spec, GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=24))
+        assert len(sol.field3.report.strips) > 1
+        self.assert_matches_whole_block(sol)
+
+    def test_multi_strip_wedge_solve_memory(self):
+        # sweeps keep band-size temporaries, not ones over the (e+1)^2 block
+        spec, params, picard = load_problem("manufactured")
+        f1 = solve_side(spec, 1, params, picard)
+        f2 = solve_side(spec, 2, params, picard)
+        traces = goursat_traces(spec, f1, f2, diagnose(spec))
+        strips = strip_plan(spec, traces.grid, picard)
+        assert len(strips) > 1
+        tracemalloc.start()
+        try:
+            field = solve_goursat_region(spec, traces, strips, picard)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * field.w.nbytes

@@ -154,6 +154,17 @@ def solve(
 # Point evaluation
 
 
+def _bilinear(cell: np.ndarray, f0: float, f1: float) -> np.ndarray:
+    """Blend of the (3, 2, 2) ``cell`` at fractions f0 along its rows and f1
+    along its columns."""
+    return (
+        cell[:, 0, 0] * (1 - f0) * (1 - f1)
+        + cell[:, 1, 0] * f0 * (1 - f1)
+        + cell[:, 0, 1] * (1 - f0) * f1
+        + cell[:, 1, 1] * f0 * f1
+    )
+
+
 def _interp_wedge(sol: Solution, t: float, x: float) -> np.ndarray:
     g = sol.grid
     hc = 2.0 * g.a * g.dt
@@ -169,15 +180,7 @@ def _interp_wedge(sol: Solution, t: float, x: float) -> np.ndarray:
     w = sol.field3.w
     v00 = w[:, s0, r0]
     if s0 + r0 + 2 <= m:
-        v10 = w[:, s0 + 1, r0]
-        v01 = w[:, s0, r0 + 1]
-        v11 = w[:, s0 + 1, r0 + 1]
-        return (
-            v00 * (1 - fs) * (1 - fr)
-            + v10 * fs * (1 - fr)
-            + v01 * (1 - fs) * fr
-            + v11 * fs * fr
-        )
+        return _bilinear(w[:, s0 : s0 + 2, r0 : r0 + 2], fs, fr)
     if s0 + r0 + 1 <= m:
         # cell straddles the top boundary t = T: linear on three corners
         v10 = w[:, s0 + 1, r0]
@@ -203,13 +206,7 @@ def _interp_side(sol: Solution, side: int, t: float, x: float) -> np.ndarray:
     c_hi = ncols - i0 - 3
     c0 = min(max(int(math.floor(c_real)), c_lo), c_hi)
     fc = c_real - c0
-    cell = field.w[:, i0 : i0 + 2, c0 : c0 + 2]
-    return (
-        cell[:, 0, 0] * (1 - fi) * (1 - fc)
-        + cell[:, 1, 0] * fi * (1 - fc)
-        + cell[:, 0, 1] * (1 - fi) * fc
-        + cell[:, 1, 1] * fi * fc
-    )
+    return _bilinear(field.w[:, i0 : i0 + 2, c0 : c0 + 2], fi, fc)
 
 
 def evaluate(sol: Solution, t: float, x: float) -> tuple[float, float, float, Region]:

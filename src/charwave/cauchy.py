@@ -62,7 +62,7 @@ With L = 0 there is a single band and the first sweep is already exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -83,7 +83,6 @@ __all__ = [
     "estimate_lipschitz",
     "resolve_lipschitz",
     "solve_cauchy_region",
-    "picard_step_cauchy",
 ]
 
 _SLOT_VARS = {
@@ -341,16 +340,24 @@ def build_grid(spec: ProblemSpec, params: GridParams) -> SolverGrid:
         )
     dt_user = params.T / params.nt
     dx_user = spec.a * dt_user
-    # snap the window outward onto columns of the x0-anchored grid
-    n_left = max(1, math.ceil((spec.x0 - params.x_lo) / dx_user - 1e-9))
-    n_right = max(1, math.ceil((params.x_hi - spec.x0) / dx_user - 1e-9))
-    n_levels = 2 * params.nt
     dt = dt_user / 2.0
     dx = spec.a * dt
+    if not all(0.0 < h < math.inf for h in (dx_user, dt, dx)):
+        raise ConfigError(f"grid steps dt={dt_user!r}, dx={dx_user!r} must be finite and > 0")
+    spans = ((spec.x0 - params.x_lo) / dx_user, (params.x_hi - spec.x0) / dx_user)
+    if not all(map(math.isfinite, spans)):
+        raise ConfigError(f"the window holds too many columns of width dx={dx_user!r}")
+    # snap the window outward onto columns of the x0-anchored grid
+    n_left, n_right = (max(1, math.ceil(v - 1e-9)) for v in spans)
+    n_levels = 2 * params.nt
     # dependence margin of the window, and >= 3 columns beyond the
     # characteristic at every level for one-sided extrapolation
     reach = max(2 * n_left + n_levels + 1, 2 * n_levels + 3)
     reach2 = max(2 * n_right + n_levels + 1, 2 * n_levels + 3)
+    # the (3, rows, cols) float arrays of the two sides and the wedge
+    rows = n_levels + 1
+    if 24 * rows * (reach + 1 + reach2 + 1 + rows) > np.iinfo(np.intp).max:
+        raise ConfigError("the grid's region arrays exceed numpy's size limit; coarsen the grid")
     return SolverGrid(
         a=spec.a,
         x0=spec.x0,
@@ -455,7 +462,7 @@ def resolve_lipschitz(spec: ProblemSpec, grid: SolverGrid) -> float:
 
 
 # --------------------------------------------------------------------------
-# The band kernel (shared by the solver and the single-sweep map)
+# The band kernel
 
 
 def _grid_eval(e: ex.Expr, shape: tuple[int, ...], **env) -> np.ndarray:
@@ -649,20 +656,3 @@ def solve_cauchy_region(
         report=report,
         col_offset=grid.j1_min if side == 1 else 0,
     )
-
-
-def picard_step_cauchy(spec: ProblemSpec, iterate: RegionField) -> RegionField:
-    """One sweep of the integral-representation map applied to ``iterate``.
-
-    Every band re-anchors at the input's own bottom row and reads the
-    integrand (u, ut, ux) from the input, so a converged field is a fixed
-    point of this map up to the stopping tolerance.  The bands are swept
-    top-down on a copy, so each reads its rows before the band below it
-    overwrites their bottom row.
-    """
-    grid = iterate.grid
-    x_cols = grid.region_xcols(iterate.region.value)
-    W = iterate.w.copy()
-    for b, e in reversed(iterate.report.strips):
-        _band_map(spec, grid, x_cols, b, W[:, b : e + 1])(True)
-    return replace(iterate, w=W)

@@ -10,9 +10,11 @@ Subcommands::
 Exit codes: 0 success (or all checks passed), 1 any other charwave error
 (configuration or expression errors, including a wave speed or a Picard
 ``tol`` that is not a finite positive number, an unwritable ``-o`` path,
-``converge --levels`` below 2 and a window too narrow for any probe, and
-geometry errors such as a query outside the window), 2 interior iteration
-failed to converge, 3 verification failed.  Every error prints one
+``converge --levels`` below 2, a window too narrow for any probe, a grid
+whose step or column count is not a finite positive number or whose arrays
+exceed numpy's size limit, not enough memory for the grid, and geometry
+errors such as a query outside the window), 2 interior iteration failed to
+converge, 3 verification failed.  Every error prints one
 ``error:`` line instead of a traceback.
 
 The problem file is strict JSON with exactly these keys::
@@ -288,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CharwaveError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -48,7 +48,7 @@ block [0, e]^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -74,7 +74,6 @@ __all__ = [
     "GoursatTraces",
     "goursat_traces",
     "solve_goursat_region",
-    "picard_step_goursat",
 ]
 
 
@@ -103,12 +102,9 @@ def goursat_traces(
     grid = field1.grid
     if field2.grid != grid:
         raise ConfigError("side fields were solved on different grids")
-    m = grid.n_levels
-    levels = np.arange(m + 1)
-    c1 = -levels - grid.j1_min
-    c2 = levels
-    u1c, p1c, q1c = field1.w[:, levels, c1]
-    u2c, p2c, q2c = field2.w[:, levels, c2]
+    levels = np.arange(grid.n_levels + 1)
+    u1c, p1c, q1c = field1.w[:, levels, grid.char_col(1, levels)]
+    u2c, p2c, q2c = field2.w[:, levels, grid.char_col(2, levels)]
     arrays = (
         u1c + diagnostics.left_jump_constant,
         u2c - diagnostics.right_jump_constant,
@@ -188,8 +184,7 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     starts = np.full((3, R), -0.0)
     starts[0, : b + 1] = base[1][::-1]  # jrow, by r
     starts[1:, : b + 1] = base[2:]
-    if b >= 0:
-        starts[:, b] = -0.0  # the boundary node of level b: empty prefixes
+    starts[:, b] = -0.0  # the boundary node of level b: empty prefixes
 
     def integrals():
         env.update((v, Wv[k][band]) for k, v in enumerate(("u", "ut", "ux")) if v in reads)
@@ -241,12 +236,6 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     return sweep, carry
 
 
-def _vertex_base(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray):
-    """The ``base`` of the first band: level 0 is the vertex, set rather than
-    swept, so the base is the carry of the band (-1, 0]."""
-    return _wedge_map(spec, traces, W, -1, 0, (np.zeros(0),) * 4)[1]()
-
-
 def solve_goursat_region(
     spec: ProblemSpec,
     traces: GoursatTraces,
@@ -265,7 +254,10 @@ def solve_goursat_region(
         (traces.dgamma2[0] - traces.dgamma1[0]) / (2.0 * g.a),
     )
 
-    base = _vertex_base(spec, traces, W)
+    # the first band's base: H = F - f at the vertex, with empty prefixes
+    zero = np.zeros(1)
+    env = {"t": zero, "x": g.x0 + zero, "u": W[0, :1, 0], "ut": W[1, :1, 0], "ux": W[2, :1, 0]}
+    base = (ex.evaluate(spec.F, env) - ex.evaluate(spec.f, env), [-0.0], [-0.0], [-0.0])
     all_norms = []
     for b, e in strips:
         if b > 0:
@@ -282,19 +274,3 @@ def solve_goursat_region(
 
     report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
     return RegionField(region=Region.Q3_STAR, grid=g, w=W, report=report)
-
-
-def picard_step_goursat(
-    spec: ProblemSpec, traces: GoursatTraces, iterate: RegionField
-) -> RegionField:
-    """One global sweep of the parallelogram map reading (u,p,q) from ``iterate``.
-
-    The sweep covers the whole triangle but the vertex (band (0, n_levels]),
-    which keeps the input's value as the solve's does, and so do the nodes
-    outside it.  A converged wedge field is a fixed point of this map up to
-    the stopping tolerance.
-    """
-    W = iterate.w.copy()
-    base = _vertex_base(spec, traces, W)
-    _wedge_map(spec, traces, W, 0, traces.grid.n_levels, base)[0](True)
-    return replace(iterate, w=W)

@@ -511,6 +511,7 @@ def convergence_study(
         err = 0.0
         for (t, x), ref in zip(probes, refs):
             err = max(err, abs(evaluate(sol, t, x)[0] - ref))
+        del sol  # free this level before the next, finer solve
         entries.append(ConvergenceEntry(nt=nt_k, h=grid.T / nt_k, err=err))
     if all(e.err <= _EXACT_FLOOR for e in entries):
         return ConvergenceStudy(entries=tuple(entries), order=None, exact=True)

@@ -8,7 +8,7 @@ import pytest
 
 import charwave.cli as cli
 from charwave.assembly import sample_user_grid, solve
-from charwave.cauchy import PicardParams
+from charwave.cauchy import PicardParams, build_grid
 from charwave.errors import ConfigError, NegativeTime, OutOfWindow, TooCloseToCharacteristic
 
 from helpers import config_path
@@ -321,6 +321,42 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "lipschitz" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"a": 5e-324},  # the user step dx underflows to 0
+            {"window": {"T": 1e-320, "xmin": -3.0, "xmax": 3.0}},  # infinitely many columns
+            {"a": 1e-300},  # a finite column count past numpy's array size limit
+            {"grid": {"nt": 10**9}},  # the same at a plain step
+        ],
+        ids=["a-5e-324", "T-1e-320", "a-1e-300", "nt-1e9"],
+    )
+    def test_degenerate_grid_is_1(self, tmp_path, capsys, overrides):
+        cfg = json.loads(config_path("phi_sq").read_text())
+        cfg.update(overrides)
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(cfg))
+        spec, grid, _ = cli.load_config(str(path))
+        # rejected before any array is allocated
+        with pytest.raises(ConfigError):
+            build_grid(spec, grid)
+        out = tmp_path / "x.csv"
+        assert cli.main(["solve", str(path), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    def test_memory_error_is_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise MemoryError("Unable to allocate 2.62 TiB for an array")
+
+        monkeypatch.setattr(cli, "solve", fail)
+        out = tmp_path / "x.csv"
+        assert cli.main(["solve", write_cfg(tmp_path), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory: Unable to allocate 2.62 TiB for an array\n"
         assert captured.out == "" and not out.exists()
 
     def test_config_error_is_1(self, tmp_path, capsys):

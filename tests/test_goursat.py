@@ -7,7 +7,7 @@ import charwave.expr as ex
 from charwave.assembly import diagnose, solve
 from charwave.cauchy import GridParams, PicardParams, ProblemSpec, _picard
 from charwave.errors import ConfigError, NonConvergence
-from charwave.goursat import goursat_traces, picard_step_goursat, solve_goursat_region
+from charwave.goursat import goursat_traces, solve_goursat_region
 
 from helpers import load_problem, solve_side, strip_plan
 
@@ -183,12 +183,12 @@ class TestNonlinearWedge:
         assert err.value.last_update > 0.0
 
     def test_fixed_point_residual_small(self):
-        field, tr = self.wedge(16, PicardParams(tol=1e-11))
-        again = picard_step_goursat(self.spec, tr, field)
-        tri = field.live
-        assert np.max(np.abs((again.u - field.u)[tri])) < 5e-10
-        assert np.max(np.abs((again.p - field.p)[tri])) < 5e-10
-        assert np.max(np.abs((again.q - field.q)[tri])) < 5e-10
+        picard = PicardParams(tol=1e-11)
+        field, _ = self.wedge(16, picard)
+        for norms in field.report.update_norms:
+            # each band stops on a sweep that moved no node by more than tol
+            assert norms[-1] <= picard.tol
+            assert all(cur < prev for prev, cur in zip(norms, norms[1:]))
 
     def test_derivative_companions_consistent(self):
         def errs(nt):
@@ -282,9 +282,13 @@ def _whole_block_map(spec, traces, b, block):
     return sweep
 
 
-def _whole_block_solve(spec, traces, strips, picard):
+def _whole_block_solve(spec, traces, strips, picard, feeds_back=None):
     """The wedge solve marched with whole-block sweeps: every sweep of band
-    (b, e] rebuilds its prefix sums from the final nodes below the band."""
+    (b, e] rebuilds its prefix sums from the final nodes below the band.
+    Returns the stacked (u, u_t, u_x) and the update norms per band;
+    ``feeds_back`` overrides whether the Picard driver iterates."""
+    if feeds_back is None:
+        feeds_back = spec.f_reads_state
     g = traces.grid
     n = g.n_levels + 1
     W = np.zeros((3, n, n))
@@ -293,13 +297,14 @@ def _whole_block_solve(spec, traces, strips, picard):
         0.5 * (traces.dgamma1[0] + traces.dgamma2[0]),
         (traces.dgamma2[0] - traces.dgamma1[0]) / (2.0 * g.a),
     )
+    norms = []
     for b, e in strips:
         sweep = _whole_block_map(spec, traces, b, W[:, : e + 1, : e + 1])
-        _picard(sweep, spec.f_reads_state, picard, "reference band")
+        norms.append(_picard(sweep, feeds_back, picard, "reference band"))
         ks = np.arange(b + 1, e + 1)
         W[0, ks, 0] = traces.gamma1[ks]
         W[0, 0, ks] = traces.gamma2[ks]
-    return W
+    return W, tuple(norms)
 
 
 class TestWedgeKernel:
@@ -310,15 +315,10 @@ class TestWedgeKernel:
 
         field = sol.field3
         live = field.live
-        ref = _whole_block_solve(sol.spec, sol.traces, field.report.strips, sol.picard)
+        ref, norms = _whole_block_solve(sol.spec, sol.traces, field.report.strips, sol.picard)
         np.testing.assert_array_equal(bits(field.w), bits(ref))
         assert not np.any(field.w[:, ~live])
-        # one sweep of the whole triangle but the vertex
-        step = picard_step_goursat(sol.spec, sol.traces, field).w
-        ref = field.w.copy()
-        _whole_block_map(sol.spec, sol.traces, 0, ref)(True)
-        np.testing.assert_array_equal(bits(step), bits(ref))
-        assert not np.any(step[:, ~live])
+        assert field.report.update_norms == norms
 
     @pytest.mark.parametrize("name, n_strips", [("manufactured", 6), ("mixed_forcing", 1)])
     def test_carried_prefixes_match_whole_block_sweeps(self, solved, name, n_strips):
@@ -336,6 +336,23 @@ class TestWedgeKernel:
         sol = solve(spec, GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=24))
         assert len(sol.field3.report.strips) > 1
         self.assert_matches_whole_block(sol)
+
+    def test_state_free_f_single_sweep_is_the_fixed_point(self):
+        # f reads t and x only: iterated as if f fed back, the reference
+        # stops on a sweep that moves nothing and ends on the solve's bits;
+        # H = F - f is 1 at the vertex, so the first band's base counts
+        spec = make_spec(
+            phi1="sin(x)", phi2="cos(x) - 1", psi1="x", psi2="1",
+            F="t*x + 1", f="sin(t*x)", lipschitz=1.0,
+        )
+        sol = solve(spec, GridParams(T=1.5, x_lo=-3.0, x_hi=3.0, nt=16))
+        field = sol.field3
+        assert len(field.report.strips) > 1
+        ref, norms = _whole_block_solve(
+            spec, sol.traces, field.report.strips, sol.picard, feeds_back=True
+        )
+        assert all(band[-1] == 0.0 for band in norms)
+        np.testing.assert_array_equal(ref.view(np.uint64), field.w.view(np.uint64))
 
     def test_multi_strip_wedge_solve_memory(self):
         # sweeps keep band-size temporaries, not ones over the (e+1)^2 block

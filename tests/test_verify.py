@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -205,6 +207,27 @@ class TestConvergence:
             convergence_study(
                 make_spec(f="u"), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8)
             )
+
+    def test_each_level_is_freed_before_the_next_solve(self, monkeypatch):
+        # the finest solve sets the peak memory; no coarser Solution may sit
+        # under it
+        import charwave.assembly as assembly
+
+        solve_level = assembly.solve
+        held = []
+
+        def spy(*args, **kw):
+            gc.collect()
+            assert [ref() for ref in held] == [None] * len(held)
+            sol = solve_level(*args, **kw)
+            held.append(weakref.ref(sol))
+            return sol
+
+        monkeypatch.setattr(assembly, "solve", spy)
+        convergence_study(
+            make_spec(phi1="x^2", phi2="x^2"), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8), levels=3
+        )
+        assert len(held) == 3
 
     def test_explicit_probes(self):
         study = convergence_study(

@@ -600,14 +600,26 @@ def _picard(sweep, feeds_back: bool, picard: PicardParams, where: str):
     f term dropped), then ``sweep(True)`` repeats until the update it returns
     is at most ``picard.tol``.  Returns the updates of the ``sweep(True)``
     runs, one each (the warm start's is not one), or raises NonConvergence
-    naming ``where``.
+    naming ``where``, also at the first sweep (warm start included) whose
+    update is not finite: the field has left the floating-point range.
     """
+
+    def run(feedback: bool) -> float:
+        norm = sweep(feedback)
+        if not math.isfinite(norm):
+            raise NonConvergence(
+                f"Picard iteration on {where} left the floating-point range "
+                f"(update {norm})",
+                last_update=norm,
+            )
+        return norm
+
     if not feeds_back:
-        return (sweep(True),)
-    sweep(False)
+        return (run(True),)
+    run(False)
     norms: list[float] = []
     for _ in range(picard.max_iter):
-        norms.append(sweep(True))
+        norms.append(run(True))
         if norms[-1] <= picard.tol:
             break
     if norms[-1] > picard.tol:
@@ -626,6 +638,9 @@ def _side_initial_rows(spec: ProblemSpec, side: int, x_cols: np.ndarray):
     return [_grid_eval(e, x_cols.shape, x=x_cols) for e in data]
 
 
+# an overflow is silent here: it shows as a non-finite update, which _picard
+# turns into NonConvergence
+@np.errstate(over="ignore", invalid="ignore")
 def solve_cauchy_region(
     spec: ProblemSpec,
     side: int,

@@ -8,14 +8,15 @@ Subcommands::
     charwave converge problem.json --levels 3
 
 Exit codes: 0 success (or all checks passed), 1 any other charwave error
-(configuration or expression errors, including a wave speed or a Picard
-``tol`` that is not a finite positive number, an unwritable ``-o`` path,
-``converge --levels`` below 2, a window too narrow for any probe, a grid
-whose step or column count is not a finite positive number or whose arrays
-exceed numpy's size limit, not enough memory for the grid, and geometry
-errors such as a query outside the window), 2 interior iteration failed to
-converge, 3 verification failed.  Every error prints one
-``error:`` line instead of a traceback.
+(configuration or expression errors, including a problem file that is not
+UTF-8, a wave speed or a Picard ``tol`` that is not a finite positive
+number, an unwritable ``-o`` path, ``converge --levels`` below 2, a window
+too narrow for any probe, a grid whose step or column count is not a finite
+positive number or whose arrays exceed numpy's size limit, not enough memory
+for the grid, and geometry errors such as a query outside the window), 2
+interior iteration failed to converge or its field left the floating-point
+range, 3 verification failed.  Every error prints one ``error:`` line
+instead of a traceback.
 
 The problem file is strict JSON with exactly these keys::
 
@@ -91,12 +92,14 @@ def _check_keys(cfg: dict, allowed: set, required: set, where: str) -> None:
 
 
 def load_config(path: str) -> tuple[ProblemSpec, GridParams, PicardParams]:
-    """Parse and validate a problem file; raises ConfigError on any defect."""
+    """Parse and validate a UTF-8 problem file; raises ConfigError on any defect."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path} is not valid JSON: {e}") from e
     _check_keys(cfg, _TOP_KEYS, _REQUIRED, "problem file")

@@ -17,15 +17,27 @@ Grammar (EBNF, whitespace insignificant)::
 so ``^`` binds tightest (``-x^2`` is ``-(x^2)``), then unary minus, then
 ``*``/``/``, then ``+``/``-``.  There is no implicit multiplication.
 
+Tokens are ASCII, read between whitespace by one regular expression:
+NUMBER is ``([0-9]+([.][0-9]*)?|[.][0-9]+)([eE][+-]?[0-9]+)?`` (so ``1e`` is
+``1`` and then the name ``e``), NAME is ``[A-Za-z_][A-Za-z0-9_]*``, and the
+operators are ``+ - * / ^ ( ) ,``.  Any other character, a non-ASCII digit or
+letter included, is an ``ExprSyntaxError`` at its offset.
+
 Builtins: ``sin cos tan exp log sqrt tanh abs`` (one argument) and
 ``min max`` (two arguments); ``log`` is natural.  ``pi`` and ``e`` parse as
 numeric literals.  Any other identifier must be one of the variable names the
 caller allows for that slot.
 
+A tree more than ``MAX_DEPTH`` = 100 levels high (a sum of 101 terms), or
+input that opens more than 100 levels of parentheses, calls, unary minus and
+``^`` (100 parentheses around a name), is an ``ExprSyntaxError``; the bound
+keeps parsing, evaluation and differentiation inside the recursion limit.
+
 Evaluation is numpy-vectorised: binding scalars gives a float, binding arrays
 gives an array.  Leaving the real domain (``log``/``sqrt`` of a negative
-number, division by zero, a non-finite result) raises ``DomainError`` rather
-than propagating NaN.
+number, division by zero, overflow, any other non-finite result) raises
+``DomainError`` rather than propagating NaN or inf, and numpy emits no
+warning on the way.
 
 ``differentiate`` produces an exact symbolic derivative; it refuses (with
 ``NotDifferentiable``) only when the active variable appears under ``abs``,
@@ -35,6 +47,7 @@ than propagating NaN.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -97,183 +110,156 @@ class Call:
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
-_ARITY = {
-    "sin": 1,
-    "cos": 1,
-    "tan": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "tanh": 1,
-    "abs": 1,
-    "min": 2,
-    "max": 2,
-}
-
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
 # --------------------------------------------------------------------------
 # Tokenizer / parser
 
-_OPS = set("+-*/^(),")
+MAX_DEPTH = 100
+
+# one token or a run of whitespace; ``bad`` is any other character, so every
+# position matches and the matches tile the source
+_TOKEN = re.compile(
+    r"(?P<num>(?:[0-9]+(?:[.][0-9]*)?|[.][0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])|(?P<space>\s+)|(?P<end>\Z)|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, offset) triples; kinds: num, name, op, end."""
     tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            tokens.append(("num", source[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "space":
+            tokens.append((kind, m.group(), m.start()))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], allowed: frozenset[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.allowed = allowed
+def _height(node: Expr) -> int:
+    """Number of levels of the tree ``node``, counted without recursion."""
+    height, level = 0, [node]
+    while level:
+        height += 1
+        level = [c for n in level for c in _children(n)]
+    return height
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str) -> None:
-        kind, val, off = self.peek()
-        if kind != "op" or val != text:
-            raise ExprSyntaxError(f"expected {text!r}", off)
-        self.advance()
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.parse_term())
-            else:
-                return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.parse_unary())
-            else:
-                return node
-
-    def parse_unary(self) -> Expr:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            return BinOp("^", base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> Expr:
-        kind, val, off = self.advance()
-        if kind == "num":
-            return Num(float(val))
-        if kind == "op" and val == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        if kind == "name":
-            if val in _ARITY:
-                k, v, o = self.peek()
-                if not (k == "op" and v == "("):
-                    raise ExprSyntaxError(f"builtin {val!r} must be called", o)
-                self.advance()
-                args = [self.parse_expr()]
-                while True:
-                    k, v, o = self.peek()
-                    if k == "op" and v == ",":
-                        self.advance()
-                        args.append(self.parse_expr())
-                    else:
-                        break
-                self.expect_op(")")
-                if len(args) != _ARITY[val]:
-                    raise ArityError(
-                        f"{val} takes {_ARITY[val]} argument(s), got {len(args)}"
-                    )
-                return Call(val, tuple(args))
-            if val in self.allowed:
-                return Var(val)
-            if val in _CONSTANTS:
-                return Num(_CONSTANTS[val])
-            raise UnknownVariable(val, off)
-        raise ExprSyntaxError("expected a number, name or parenthesis", off)
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
 
 
 def parse(source: str, allowed_vars: Iterable[str]) -> Expr:
     """Compile ``source`` to an AST, permitting only ``allowed_vars`` as free names."""
-    parser = _Parser(_tokenize(source), frozenset(allowed_vars))
-    node = parser.parse_expr()
-    kind, val, off = parser.peek()
+    tokens = _tokenize(source)
+    allowed = frozenset(allowed_vars)
+    pos = depth = 0
+
+    def take(ops: str) -> str | None:
+        """Consume the next token and return it if it is one of ``ops``."""
+        nonlocal pos
+        kind, text, _ = tokens[pos]
+        if kind == "op" and text in ops:
+            pos += 1
+            return text
+        return None
+
+    def expect(op: str) -> None:
+        if take(op) is None:
+            raise ExprSyntaxError(f"expected {op!r}", tokens[pos][2])
+
+    def chain(ops: str, operand) -> Expr:
+        """``operand { ops operand }``, left associative."""
+        node = operand()
+        while op := take(ops):
+            node = BinOp(op, node, operand())
+        return node
+
+    def expr() -> Expr:
+        return chain("+-", lambda: chain("*/", unary))
+
+    def unary() -> Expr:
+        nonlocal depth
+        depth += 1
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels", tokens[pos][2])
+        if take("-"):
+            node = Neg(unary())
+        else:
+            node = atom()
+            if take("^"):
+                node = BinOp("^", node, unary())
+        depth -= 1
+        return node
+
+    def atom() -> Expr:
+        nonlocal pos
+        kind, text, off = tokens[pos]
+        pos += 1
+        if kind == "num":
+            return Num(float(text))
+        if kind == "op" and text == "(":
+            node = expr()
+            expect(")")
+            return node
+        if kind != "name":
+            raise ExprSyntaxError("expected a number, name or parenthesis", off)
+        if text in _CALLS:
+            if take("(") is None:
+                raise ExprSyntaxError(f"builtin {text!r} must be called", tokens[pos][2])
+            args = [expr()]
+            while take(","):
+                args.append(expr())
+            expect(")")
+            arity = _CALLS[text].nin
+            if len(args) != arity:
+                raise ArityError(f"{text} takes {arity} argument(s), got {len(args)}")
+            return Call(text, tuple(args))
+        if text in allowed:
+            return Var(text)
+        if text in _CONSTANTS:
+            return Num(_CONSTANTS[text])
+        raise UnknownVariable(text, off)
+
+    node = expr()
+    kind, text, off = tokens[pos]
     if kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing input {val!r}", off)
+        raise ExprSyntaxError(f"unexpected trailing input {text!r}", off)
+    # each node takes at least one token, so a short input has a low tree
+    if len(tokens) > MAX_DEPTH and _height(node) > MAX_DEPTH:
+        raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels", 0)
     return node
 
 
 # --------------------------------------------------------------------------
 # Evaluation
 
-_SAFE_UNARY = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "tanh": np.tanh,
-    "abs": np.abs,
+_BINARY = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    # a float base: an integer one must not meet a negative integer exponent
+    "^": lambda a, b: np.power(np.asarray(a, dtype=float), b),
+}
+
+# the builtins; a ufunc's ``nin`` is the arity the parser checks
+_CALLS = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
+    "sqrt": np.sqrt, "tanh": np.tanh, "abs": np.abs, "min": np.minimum, "max": np.maximum,
+}
+
+# operands checked before the operation: (which operand, test against 0, message)
+_GUARDS = {
+    "/": (1, np.equal, "division by zero"),
+    "log": (0, np.less_equal, "log of a non-positive value"),
+    "sqrt": (0, np.less, "sqrt of a negative value"),
 }
 
 
@@ -288,53 +274,31 @@ def _eval(node: Expr, env: Mapping[str, object]):
     if isinstance(node, Neg):
         return np.negative(_eval(node.arg, env))
     if isinstance(node, BinOp):
-        left = _eval(node.left, env)
-        right = _eval(node.right, env)
-        op = node.op
-        if op == "+":
-            return np.add(left, right)
-        if op == "-":
-            return np.subtract(left, right)
-        if op == "*":
-            return np.multiply(left, right)
-        if op == "/":
-            if np.any(np.equal(right, 0.0)):
-                raise DomainError("division by zero")
-            return np.divide(left, right)
-        # power: numpy yields NaN for a negative base with fractional
-        # exponent and inf for 0^negative; both are caught below
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            out = np.power(np.asarray(left, dtype=float), right)
-        if np.any(~np.isfinite(out)):
-            raise DomainError("power produced a non-finite value")
-        return out
-    # Call
-    args = [_eval(a, env) for a in node.args]
-    fn = node.fn
-    if fn == "log":
-        if np.any(np.less_equal(args[0], 0.0)):
-            raise DomainError("log of a non-positive value")
-        return np.log(args[0])
-    if fn == "sqrt":
-        if np.any(np.less(args[0], 0.0)):
-            raise DomainError("sqrt of a negative value")
-        return np.sqrt(args[0])
-    if fn == "min":
-        return np.minimum(args[0], args[1])
-    if fn == "max":
-        return np.maximum(args[0], args[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _SAFE_UNARY[fn](args[0])
+        key, fn = node.op, _BINARY[node.op]
+        args = (_eval(node.left, env), _eval(node.right, env))
+    else:
+        key, fn = node.fn, _CALLS[node.fn]
+        args = [_eval(a, env) for a in node.args]
+    if key in _GUARDS:
+        i, bad, message = _GUARDS[key]
+        if np.any(bad(args[i], 0.0)):
+            raise DomainError(message)
+    out = fn(*args)
+    # NaN for a negative base with a fractional exponent, inf for 0^negative
+    if key == "^" and np.any(~np.isfinite(out)):
+        raise DomainError("power produced a non-finite value")
+    return out
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def evaluate(expr: Expr, env: Mapping[str, object]):
     """Evaluate under ``env``; scalar bindings give a float, arrays an ndarray.
 
     Raises ``MissingBinding`` for unbound variables and ``DomainError`` if any
-    entry of the result is NaN or infinite.
+    entry of the result is NaN or infinite, overflow included, without a
+    numpy warning.
     """
-    out = _eval(expr, env)
-    arr = np.asarray(out, dtype=float)
+    arr = np.asarray(_eval(expr, env), dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("expression produced a non-finite value")
     if arr.ndim == 0:

@@ -236,6 +236,7 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     return sweep, carry
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as solve_cauchy_region
 def solve_goursat_region(
     spec: ProblemSpec,
     traces: GoursatTraces,

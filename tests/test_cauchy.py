@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -348,6 +349,38 @@ class TestNonlinear:
                 PicardParams(tol=1e-12, max_iter=3),
             )
         assert err.value.last_update > 0.0
+
+
+class TestNonFiniteField:
+    @pytest.mark.parametrize(
+        "feeds_back, updates",
+        [
+            (False, [math.nan]),  # the one sweep without feedback
+            (True, [math.inf]),  # the warm start
+            (True, [0.5, 0.25]),  # a later sweep: nan <= tol is False forever
+        ],
+        ids=["one-sweep", "warm-start", "loop"],
+    )
+    def test_picard_stops_at_a_non_finite_update(self, feeds_back, updates):
+        it = iter(updates)
+        with pytest.raises(NonConvergence, match=r"on band \[0, 4\] left the floating-point") as err:
+            _picard(lambda feedback: next(it, math.nan), feeds_back, PicardParams(), "band [0, 4]")
+        assert not math.isfinite(err.value.last_update)
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"psi2": "1", "F": "1e308"}, "band [0, 16]"),  # the side's u_t = F t overflows
+            ({"psi2": "1", "F": "1e308", "f": "sin(u)", "lipschitz": 0.01}, "band [0, 16]"),
+            ({"A": 1e308}, "wedge band [0, 16]"),  # the wedge's gamma1 + gamma2 overflows
+        ],
+        ids=["side", "side-with-feedback", "wedge"],
+    )
+    def test_solve_raises_without_warning(self, overrides, where):
+        # warnings fail the suite, so an overflow warning would fail this too
+        spec = make_spec(**overrides)
+        with pytest.raises(NonConvergence, match=f"on {re.escape(where)} left the floating-point"):
+            solve(spec, GridParams(T=10.0, x_lo=-1.0, x_hi=1.0, nt=8))
 
 
 class TestMirrorSymmetry:

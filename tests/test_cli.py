@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,36 @@ class TestExitCodes:
         assert cli.main(["solve", write_cfg(tmp_path), "-o", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: out of memory: Unable to allocate 2.62 TiB for an array\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides, code",
+        [
+            ("classify", {"phi1": "1\u00b2"}, 1),
+            ("solve", {"phi1": "1e308*(x-5)"}, 1),
+            ("classify", {"phi1": "(" * 300 + "x" + ")" * 300}, 1),
+            ("solve", {"phi1": "+".join(["x"] * 3000)}, 1),
+            ("classify", None, 1),
+            ("solve", {"F": "1e308", "window": {"T": 10.0, "xmin": -1.0, "xmax": 1.0}}, 2),
+        ],
+        ids=["non-ascii-digit", "overflow", "300-parentheses", "3000-term-sum", "utf16-file", "F-1e308"],
+    )
+    def test_bad_input_prints_one_error_line(self, tmp_path, capsys, command, overrides, code):
+        if overrides is None:  # a problem file saved as UTF-16
+            cfg = tmp_path / "utf16.json"
+            cfg.write_bytes(b"\xff\xfe" + json.dumps(GOOD).encode("utf-16-le"))
+            cfg = str(cfg)
+        else:
+            cfg = write_cfg(tmp_path, **overrides)
+        out = tmp_path / "x.csv"
+        argv = [command, cfg] + (["-o", str(out)] if command == "solve" else [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
         assert captured.out == "" and not out.exists()
 
     def test_config_error_is_1(self, tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import charwave.expr as ex
@@ -56,6 +56,45 @@ class TestParse:
             ex.parse("2*)", VARS)
         assert err.value.position == 2
 
+    @pytest.mark.parametrize(
+        "src, tree",
+        [
+            ("1.e5", ex.Num(100000.0)),
+            (".5", ex.Num(0.5)),
+            ("3E+1", ex.Num(30.0)),
+            ("2^-1^2", ex.BinOp("^", ex.Num(2.0), ex.Neg(ex.BinOp("^", ex.Num(1.0), ex.Num(2.0))))),
+            ("--x", ex.Neg(ex.Neg(ex.Var("x")))),
+            ("x^-x", ex.BinOp("^", ex.Var("x"), ex.Neg(ex.Var("x")))),
+            ("1 -\t2\n", ex.BinOp("-", ex.Num(1.0), ex.Num(2.0))),
+        ],
+    )
+    def test_exact_tree(self, src, tree):
+        assert ex.parse(src, VARS) == tree
+
+    @pytest.mark.parametrize(
+        "src, message, position",
+        [
+            # an exponent without digits is not part of the number
+            ("1e", "unexpected trailing input 'e'", 1),
+            ("2*)", "expected a number, name or parenthesis", 2),
+            ("sin x", "builtin 'sin' must be called", 4),
+            ("(x", "expected ')'", 2),
+            ("x $", "unexpected character '$'", 2),
+            ("1..2", "unexpected trailing input '.2'", 2),
+        ],
+    )
+    def test_exact_error(self, src, message, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            ex.parse(src, VARS)
+        assert str(err.value) == f"{message} (at offset {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("src, position", [("1\u00b2", 1), ("\u0663", 0), ("\u00e9", 0), ("x\u00b2", 1)])
+    def test_non_ascii_digits_and_letters_are_syntax_errors(self, src, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            ex.parse(src, VARS)
+        assert err.value.position == position
+
     @pytest.mark.parametrize("src", ["", "(1+2", "1 2", "2x", "*3", "sin + 1"])
     def test_rejects(self, src):
         with pytest.raises(ExprSyntaxError):
@@ -79,6 +118,30 @@ class TestParse:
     def test_unknown_variable_is_expression_error(self):
         with pytest.raises(ExpressionError):
             ex.parse("nope", VARS)
+
+
+# each builds input nested n levels deep: the sum as a tree n levels high,
+# the others as n levels open in the parser at the innermost x
+NESTINGS = {
+    "parentheses": lambda n: "(" * (n - 1) + "x" + ")" * (n - 1),
+    "sum": lambda n: "+".join(["x"] * n),
+    "minus": lambda n: "-" * (n - 1) + "x",
+    "calls": lambda n: "sin(" * (n - 1) + "x" + ")" * (n - 1),
+    "powers": lambda n: "^".join(["x"] * n),
+}
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("make", NESTINGS.values(), ids=NESTINGS.keys())
+    def test_bound_is_max_depth(self, make):
+        e = ex.parse(make(ex.MAX_DEPTH), ("x",))
+        xs = np.array([0.5, 0.75])
+        ex.evaluate(e, {"x": xs})
+        assert ex.free_vars(e) == {"x"}
+        ex.evaluate(ex.differentiate(e, "x"), {"x": xs})
+        for n in (ex.MAX_DEPTH + 1, 3000):
+            with pytest.raises(ExprSyntaxError, match=f"nested deeper than {ex.MAX_DEPTH} levels"):
+                ex.parse(make(n), ("x",))
 
 
 class TestEvaluate:
@@ -108,6 +171,7 @@ class TestEvaluate:
             ("x^x", {"x": -0.5}),
             ("exp(x)", {"x": 1000.0}),
             ("0^x", {"x": -1.0}),
+            ("x*x", {"x": 1e200}),  # overflow, without a warning
         ],
     )
     def test_domain_errors(self, src, env):
@@ -200,3 +264,27 @@ def test_derivative_of_product_rule_identity(xv):
         g, {"x": xv}
     ) + ex.evaluate(f, {"x": xv}) * ex.evaluate(ex.differentiate(g, "x"), {"x": xv})
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+TOKENS = [
+    "0", "1", "2.5", ".5", "1.", "1e3", "1e", "3E+1", "1e308", "x", "t", "u", "ut",
+    "ux", "y", "pi", "e", "sin", "exp", "log", "sqrt", "min", "max", "+", "-", "*",
+    "/", "^", "(", ")", ",", " ",
+]
+SMALL = {v: np.array([-1.5, -0.0, 0.5, 2.0, 1e200]) for v in VARS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.lists(st.sampled_from(TOKENS), max_size=24).map("".join)))
+@example("1\u00b2")
+@example("x*x")
+def test_any_input_is_an_expr_or_an_expression_error(source):
+    try:
+        e = ex.parse(source, VARS)
+    except ExpressionError:
+        return
+    assert isinstance(e, (ex.Num, ex.Var, ex.Neg, ex.BinOp, ex.Call))
+    try:
+        ex.evaluate(e, SMALL)
+    except ExpressionError:
+        pass

@@ -57,6 +57,11 @@ representation at its bottom row, whose (u, u_t, u_x) samples play the role
 of (phi, psi, phi').  A sweep forms, and evaluates F and f, only on each
 row's sector, and reads a row's G before writing the row (Jacobi order).
 With L = 0 there is a single band and the first sweep is already exact.
+
+Memory: when f reads no state every band is swept once, and the sweep forms
+each row's d'Alembert part and F as it reaches the row, in row buffers, so a
+side solve holds little more than its array.  A band swept many times forms
+them once, in band-size planes, rather than once per sweep.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import ConfigError, DomainError, NonConvergence
+from .errors import ConfigError, DomainError, ExpressionError, NonConvergence
 from .geometry import Region, _check_speed
 
 __all__ = [
@@ -147,18 +152,16 @@ class ProblemSpec:
         f: str = "0",
         lipschitz: float | None = None,
     ) -> "ProblemSpec":
-        return cls(
-            a=a,
-            x0=x0,
-            A=A,
-            phi1=ex.parse(phi1, _SLOT_VARS["phi1"]),
-            phi2=ex.parse(phi2, _SLOT_VARS["phi2"]),
-            psi1=ex.parse(psi1, _SLOT_VARS["psi1"]),
-            psi2=ex.parse(psi2, _SLOT_VARS["psi2"]),
-            F=ex.parse(F, _SLOT_VARS["F"]),
-            f=ex.parse(f, _SLOT_VARS["f"]),
-            lipschitz=lipschitz,
-        )
+        """Parse the six expression slots; an expression error names its slot."""
+        sources = dict(phi1=phi1, phi2=phi2, psi1=psi1, psi2=psi2, F=F, f=f)
+        exprs = {}
+        for name, src in sources.items():
+            try:
+                exprs[name] = ex.parse(src, _SLOT_VARS[name])
+            except ExpressionError as err:
+                err.args = (f"{name}: {err}",)
+                raise
+        return cls(a=a, x0=x0, A=A, lipschitz=lipschitz, **exprs)
 
     @property
     def f_reads_state(self) -> bool:
@@ -501,27 +504,29 @@ def _cumtrapz_row(values: np.ndarray, h: float, start=None, skip=None) -> np.nda
     return out
 
 
-def _dal_parts(a: float, dt: float, b: int, nb: int, Wb: np.ndarray) -> np.ndarray:
-    """Homogeneous-part rows for a band anchored at level b.
+def _dal_rows(a: float, dt: float, b: int, Wb: np.ndarray):
+    """Homogeneous part of a band anchored at level b, one row at a time.
 
-    Row m of each plane holds, on its sector, the value at level b+m of the
-    representation built from the bottom sector's samples Wb = (u, u_t, u_x)
-    standing in for (phi, psi, phi'); the psi prefix starts at column b.
+    Returns ``row(m, out)``, which writes into ``out`` (3, cols), on row m's
+    sector, the value at level b+m of the representation built from the
+    bottom sector's samples Wb = (u, u_t, u_x) standing in for
+    (phi, psi, phi'), and returns ``out``; the psi prefix starts at column b.
     """
     Ub, Pb, Qb = Wb
     ncols = Ub.shape[0]
-    dal = np.zeros((3, nb + 1, ncols))
-    u_dal, p_dal, q_dal = dal
     CPb = np.zeros(ncols)
     CPb[b : ncols - b] = _cumtrapz_row(Pb[b : ncols - b], a * dt)
-    for m in range(1, nb + 1):
+
+    def row(m: int, out: np.ndarray) -> np.ndarray:
         tc = slice(b + m, ncols - b - m)
         tl = slice(b, ncols - b - 2 * m)
         tr = slice(b + 2 * m, ncols - b)
-        u_dal[m, tc] = 0.5 * (Ub[tl] + Ub[tr]) + (CPb[tr] - CPb[tl]) / (2.0 * a)
-        p_dal[m, tc] = 0.5 * a * (Qb[tr] - Qb[tl]) + 0.5 * (Pb[tl] + Pb[tr])
-        q_dal[m, tc] = 0.5 * (Qb[tl] + Qb[tr]) + (Pb[tr] - Pb[tl]) / (2.0 * a)
-    return dal
+        out[0, tc] = 0.5 * (Ub[tl] + Ub[tr]) + (CPb[tr] - CPb[tl]) / (2.0 * a)
+        out[1, tc] = 0.5 * a * (Qb[tr] - Qb[tl]) + 0.5 * (Pb[tl] + Pb[tr])
+        out[2, tc] = 0.5 * (Qb[tl] + Qb[tr]) + (Pb[tr] - Pb[tl]) / (2.0 * a)
+        return out
+
+    return row
 
 
 def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, block):
@@ -534,19 +539,36 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, b
     for row m read rows m-1 and m-2 on their own sectors.  Row m's integrand
     G = F - f(., ., u, ut, ux) is read from the block's row m before that row
     is written (F alone when ``feedback`` is False), then the row is formed
-    from the running I+, I- and D.  The sweep returns the largest update.
+    from its d'Alembert part and the running I+, I- and D.  The sweep returns
+    the largest update.
+
+    When f reads state the band is swept many times, so its d'Alembert rows
+    and F are formed once, into band-size planes.  Otherwise the band is
+    swept once, and each row's d'Alembert part and F are formed as the sweep
+    reaches the row, into row buffers: the same values, with no band-size
+    temporaries.
     """
     a, dt = grid.a, grid.dt
     nb = block.shape[1] - 1
     ncols = x_cols.shape[0]
-    u_dal, p_dal, q_dal = _dal_parts(a, dt, b, nb, block[:, 0])
+    dal = _dal_rows(a, dt, b, block[:, 0])
     # row m's sector c and its shifts l = c - 1, r = c + 1
     spans = [(b + m, ncols - b - m) for m in range(nb + 1)]
     cols = [(slice(lo - 1, hi - 1), slice(lo, hi), slice(lo + 1, hi + 1)) for lo, hi in spans]
     ts = dt * np.arange(b, b + nb + 1)
-    Fg = np.zeros((nb + 1, ncols))
-    for m, (_, c, _) in enumerate(cols):
-        Fg[m, c] = ex.evaluate(spec.F, {"t": ts[m], "x": x_cols[c]})
+
+    def forcing(m: int):
+        return ex.evaluate(spec.F, {"t": ts[m], "x": x_cols[cols[m][1]]})
+
+    if spec.f_reads_state:
+        # swept many times: form each row's d'Alembert part and F once
+        planes = np.zeros((3, nb + 1, ncols))
+        Fg = np.zeros((nb + 1, ncols))
+        for m, (_, c, _) in enumerate(cols):
+            dal(m, planes[:, m])
+            Fg[m, c] = forcing(m)
+        dal = lambda m, out: planes[:, m]
+        forcing = lambda m: Fg[m, cols[m][1]]
     half, area, two_a = 0.5 * dt, dt * (a * dt), 2.0 * a
     # G and the running ray integrals keep rows m-1 and m, the triangle
     # integral rows m-2..m; upd[m] is row m's largest update
@@ -558,13 +580,14 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, b
     upd = np.zeros(nb + 1)
 
     def integrand(m: int, feedback: bool) -> np.ndarray:
-        if not feedback:
-            return Fg[m]
         c = cols[m][1]
+        g = G[m % 2]
+        if not feedback:
+            g[c] = forcing(m)
+            return g
         u, ut, ux = block[:, m, c]
         env = {"t": ts[m], "x": x_cols[c], "u": u, "ut": ut, "ux": ux}
-        g = G[m % 2]
-        np.subtract(Fg[m, c], ex.evaluate(spec.f, env), out=g[c])
+        np.subtract(forcing(m), ex.evaluate(spec.f, env), out=g[c])
         return g
 
     def sweep(feedback: bool) -> float:
@@ -581,9 +604,10 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, b
                 np.multiply(0.5, row, out=d[c])
             else:
                 np.add(d1[l] + d1[r] - D[(m - 2) % 3, c], row, out=d[c])
-            np.add(u_dal[m, c], d[c] / two_a, out=new[0, c])
-            np.add(p_dal[m, c], 0.5 * (ip[c] + im[c]), out=new[1, c])
-            np.add(q_dal[m, c], (im[c] - ip[c]) / two_a, out=new[2, c])
+            base = dal(m, new)
+            np.add(base[0, c], d[c] / two_a, out=new[0, c])
+            np.add(base[1, c], 0.5 * (ip[c] + im[c]), out=new[1, c])
+            np.add(base[2, c], (im[c] - ip[c]) / two_a, out=new[2, c])
             upd[m] = abs(new[:, c] - block[:, m, c]).max(initial=0.0)
             block[:, m, c] = new[:, c]
         return float(upd.max())

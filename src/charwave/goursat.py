@@ -44,6 +44,12 @@ values on its bottom level b, carried over from the band below once that
 band has converged and its boundary is pinned.  The sums run sequentially,
 so the resumed prefixes have the bits of one-pass sums over the whole
 block [0, e]^2.
+
+When f reads no state one sweep of a band is its fixed point, and nothing
+in it reads the iterate, so the sweep is marched in SUB_BANDS sub-bands,
+each resuming from the prefixes of the one below: the same bits, with
+temporaries that cover one sub-band's levels instead of the band's.  The
+report and the errors name the planned bands.
 """
 
 from __future__ import annotations
@@ -75,6 +81,10 @@ __all__ = [
     "goursat_traces",
     "solve_goursat_region",
 ]
+
+# the number of sub-bands a band's single sweep is marched in when f reads
+# no state
+SUB_BANDS = 8
 
 
 @dataclass(frozen=True)
@@ -141,8 +151,10 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     H = F - f(., ., u, u_t, u_x) read from ``W`` on them, or from the boundary
     part alone (integral dropped) when ``feedback`` is False, writes them and
     returns the largest update.  F and f are evaluated on the band's nodes
-    only.  ``carry()`` evaluates H once on the band's final nodes and returns
-    the four columns on level e, the next band's ``base``.
+    only.  ``carry()`` returns the four columns on level e, the next band's
+    ``base``: when f reads state it evaluates H once on the band's final
+    nodes, otherwise H does not depend on them and it returns the columns
+    the last ``sweep(True)`` built.
 
     ``W`` is the solve's contiguous (3, n, n) array, n = n_levels + 1, and
     the band spans at most n - 1 levels: the (s, l) view of the band is a
@@ -186,6 +198,8 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     starts[1:, : b + 1] = base[2:]
     starts[:, b] = -0.0  # the boundary node of level b: empty prefixes
 
+    last = []  # level e's columns of the last sweep, when f reads no state
+
     def integrals():
         env.update((v, Wv[k][band]) for k, v in enumerate(("u", "ut", "ux")) if v in reads)
         H[:, 1:][band] = F - ex.evaluate(spec.f, env)
@@ -205,7 +219,10 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
             np.copyto(Wv[k], new, where=band)
 
         if feedback:
-            jrow, jcol, U = (v[:, 1:] for v in integrals())
+            sums = integrals()
+            if not spec.f_reads_state:
+                last[:] = (v[:, -1].copy() for v in (H, *sums))
+            jrow, jcol, U = (v[:, 1:] for v in sums)
         new = g1 + g2
         new -= traces.apex
         if feedback:
@@ -231,6 +248,8 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
         return float(np.max(upd))
 
     def carry():
+        if last:
+            return tuple(last)
         return tuple(v[:, -1].copy() for v in (H, *integrals()))
 
     return sweep, carry
@@ -261,17 +280,27 @@ def solve_goursat_region(
     base = (ex.evaluate(spec.F, env) - ex.evaluate(spec.f, env), [-0.0], [-0.0], [-0.0])
     all_norms = []
     for b, e in strips:
-        if b > 0:
-            base = carry()  # of the band below, taken after its boundary was pinned
-        # sweeps write only the band: the nodes below it are final, and the
-        # candidates are not valid above it
-        sweep, carry = _wedge_map(spec, traces, W, b, e, base)
-        all_norms.append(_picard(sweep, spec.f_reads_state, picard, f"wedge band [{b}, {e}]"))
-        # the converged candidates reproduce the traces only up to rounding
-        # (they add and subtract the apex value); pin the boundary exactly
-        ks = np.arange(b + 1, e + 1)
-        W[0, ks, 0] = traces.gamma1[ks]
-        W[0, 0, ks] = traces.gamma2[ks]
+        # without feedback the band's single sweep is marched in sub-bands
+        edges = [b, e]
+        if not spec.f_reads_state:
+            edges = sorted({b + (e - b) * k // SUB_BANDS for k in range(SUB_BANDS + 1)})
+        norms = []
+        for lo, hi in zip(edges, edges[1:]):
+            if lo > 0:
+                base = carry()  # of the band below, taken after its boundary was pinned
+            # sweeps write only the band: the nodes below it are final, and
+            # the candidates are not valid above it
+            sweep, carry = _wedge_map(spec, traces, W, lo, hi, base)
+            norms += _picard(sweep, spec.f_reads_state, picard, f"wedge band [{b}, {e}]")
+            # the converged candidates reproduce the traces only up to
+            # rounding (they add and subtract the apex value); pin the
+            # boundary exactly
+            ks = np.arange(lo + 1, hi + 1)
+            W[0, ks, 0] = traces.gamma1[ks]
+            W[0, 0, ks] = traces.gamma2[ks]
+        # one entry per planned band: a sub-banded sweep's update is the
+        # largest of its parts'
+        all_norms.append(tuple(norms) if spec.f_reads_state else (max(norms),))
 
     report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
     return RegionField(region=Region.Q3_STAR, grid=g, w=W, report=report)

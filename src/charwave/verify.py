@@ -469,6 +469,8 @@ class ConvergenceStudy:
         }
 
 
+# errors at most this fraction of the study's scale, max(1, |reference|,
+# |u|) over the probes and levels, are rounding: the study is exact
 _EXACT_FLOOR = 1e-12
 
 
@@ -485,7 +487,8 @@ def convergence_study(
     ``reference`` is a callable (t, x) -> u, or None for the linear oracle
     (requires f = 0).  The probe set defaults to a lattice keeping
     one coarse cell clear of the characteristics, and is held fixed across
-    levels.  Errors all at rounding level are reported as exact (order None).
+    levels.  Errors all at rounding level, relative to the reference and the
+    field at the probes (``_EXACT_FLOOR``), are reported as exact (order None).
     """
     from .assembly import solve  # local import: assembly imports this module's peers
 
@@ -503,6 +506,7 @@ def convergence_study(
         refs = [linear_oracle(spec, t, x) for t, x in probes]
     else:
         refs = [float(reference(t, x)) for t, x in probes]
+    scale = max([1.0, *map(abs, refs)])
     entries = []
     for k in range(levels):
         nt_k = grid.nt * (2**k)
@@ -510,10 +514,12 @@ def convergence_study(
         sol = solve(spec, gp, picard)
         err = 0.0
         for (t, x), ref in zip(probes, refs):
-            err = max(err, abs(evaluate(sol, t, x)[0] - ref))
+            u = evaluate(sol, t, x)[0]
+            err = max(err, abs(u - ref))
+            scale = max(scale, abs(u))
         del sol  # free this level before the next, finer solve
         entries.append(ConvergenceEntry(nt=nt_k, h=grid.T / nt_k, err=err))
-    if all(e.err <= _EXACT_FLOOR for e in entries):
+    if all(e.err <= _EXACT_FLOOR * scale for e in entries):
         return ConvergenceStudy(entries=tuple(entries), order=None, exact=True)
     hs = np.log([e.h for e in entries])
     es = np.log([max(e.err, 1e-300) for e in entries])

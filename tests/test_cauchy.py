@@ -11,7 +11,7 @@ from charwave.cauchy import (
     GridParams,
     PicardParams,
     ProblemSpec,
-    _dal_parts,
+    _dal_rows,
     _grid_eval,
     _picard,
     _side_initial_rows,
@@ -418,7 +418,10 @@ def _whole_band_map(spec, grid, x_cols, b, block):
     col = np.arange(ncols)[None, :]
     live = (col >= level) & (col < ncols - level)
     live[0] = False  # the anchor row is not written
-    u_dal, p_dal, q_dal = _dal_parts(a, dt, b, nb, block[:, 0])
+    row = _dal_rows(a, dt, b, block[:, 0])
+    u_dal, p_dal, q_dal = dal = np.zeros((3, nb + 1, ncols))
+    for m in range(1, nb + 1):
+        row(m, dal[:, m])
     shape = (nb + 1, ncols)
     t2 = dt * level
     x2 = x_cols[None, :]
@@ -485,8 +488,30 @@ class TestBandKernel:
             np.testing.assert_array_equal(field.w.view(np.uint64), W.view(np.uint64))
             assert field.report.update_norms == norms
 
+    def test_streamed_rows_keep_f_of_t_and_x(self):
+        # f reads t and x but no state: one band, swept once, each row's
+        # d'Alembert part, F and f formed as the sweep reaches the row
+        spec = make_spec(
+            phi1="sin(x)", phi2="cos(x) - 1", psi1="x", psi2="1", F="t*x + 1", f="sin(t*x)",
+        )
+        params = GridParams(T=1.5, x_lo=-3.0, x_hi=3.0, nt=16)
+        picard = PicardParams()
+        for side in (1, 2):
+            field = solve_side(spec, side, params, picard)
+            assert field.report.strips == ((0, 32),)
+            assert field.report.iterations == (1,)
+            W, norms = _whole_band_solve(spec, side, field.grid, field.report.strips, picard)
+            np.testing.assert_array_equal(field.w.view(np.uint64), W.view(np.uint64))
+            assert field.report.update_norms == norms
+            # iterated as if f fed back, the reference moves nothing more
+            W, norms = _whole_band_solve(
+                spec, side, field.grid, field.report.strips, picard, feeds_back=True
+            )
+            np.testing.assert_array_equal(field.w.view(np.uint64), W.view(np.uint64))
+            assert norms[0][-1] == 0.0
+
     def test_single_strip_side_solve_memory(self):
-        # the band kernel keeps a few rows of temporaries, not band-size planes
+        # one sweep forms each row as it goes: row buffers, no band-size planes
         spec, params, picard = load_problem("mixed_forcing")
         grid = build_grid(spec, params)
         strips = strip_plan(spec, grid, picard)
@@ -497,4 +522,4 @@ class TestBandKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * field.w.nbytes
+        assert peak <= 1.1 * field.w.nbytes

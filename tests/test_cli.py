@@ -273,6 +273,15 @@ class TestConvergeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"][0]["err"] < 1e-2
 
+    def test_rounding_at_a_large_scale_is_exact(self, tmp_path, capsys):
+        # linear data at the scale 1e307 are reproduced to rounding, about
+        # 1e-16 of the field; no order can be fitted to such errors
+        cfg = write_cfg(tmp_path, phi1="1e307*x", phi2="1e307", psi2="0", A=1e307)
+        assert cli.main(["converge", cfg, "--levels", "2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(0.0 < e["err"] < 1e-15 * 1e307 for e in payload["entries"])
+        assert payload["exact"] is True and payload["order"] is None
+
     def test_oracle_with_nonlinear_f_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, f="sin(u)", lipschitz=1.0)
         assert cli.main(["converge", cfg, "--levels", "2"]) == 1
@@ -393,6 +402,13 @@ class TestExitCodes:
     def test_config_error_is_1(self, tmp_path, capsys):
         assert cli.main(["solve", write_cfg(tmp_path, bogus=1), "-o", "x.csv"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["phi1", "phi2", "psi1", "psi2", "F", "f"])
+    def test_expression_error_names_its_key(self, tmp_path, capsys, key):
+        assert cli.main(["classify", write_cfg(tmp_path, **{key: "1\u00b2"})]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {key}: unexpected character '\u00b2' (at offset 1)\n"
+        assert captured.out == ""
 
     def test_expression_error_is_1(self, tmp_path, capsys):
         assert cli.main(["classify", write_cfg(tmp_path, phi2="((")]) == 1

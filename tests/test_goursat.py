@@ -354,6 +354,42 @@ class TestWedgeKernel:
         assert all(band[-1] == 0.0 for band in norms)
         np.testing.assert_array_equal(ref.view(np.uint64), field.w.view(np.uint64))
 
+    def test_state_free_single_band_is_sub_banded_with_its_bits(self):
+        # f reads t and x only and L = 0: one planned band, one norm, its
+        # sweep marched in sub-bands that keep the whole block's bits
+        spec = make_spec(
+            phi1="sin(x)", phi2="cos(x) - 1", psi1="x", psi2="1", F="t*x + 1", f="sin(t*x)",
+        )
+        sol = solve(spec, GridParams(T=1.5, x_lo=-3.0, x_hi=3.0, nt=16))
+        report = sol.field3.report
+        assert report.strips == ((0, 32),)
+        assert len(report.update_norms) == 1 and report.iterations == (1,)
+        self.assert_matches_whole_block(sol)
+
+    def test_sub_banded_error_names_the_planned_band(self):
+        # the first sub-band overflows; the error names the band of the plan
+        gp = GridParams(T=10.0, x_lo=-1.0, x_hi=1.0, nt=8)
+        spec = make_spec()
+        traces = goursat_traces(spec, *solve_both_sides(spec, gp), diagnose(spec))
+        with pytest.raises(NonConvergence, match=r"on wedge band \[0, 16\] left the floating-point"):
+            solve_goursat_region(make_spec(F="1e308"), traces, ((0, 16),), PicardParams())
+
+    def test_single_strip_wedge_solve_memory(self):
+        # sub-bands keep temporaries over a few levels, not over the band
+        spec, params, picard = load_problem("mixed_forcing")
+        f1 = solve_side(spec, 1, params, picard)
+        f2 = solve_side(spec, 2, params, picard)
+        traces = goursat_traces(spec, f1, f2, diagnose(spec))
+        strips = strip_plan(spec, traces.grid, picard)
+        assert len(strips) == 1
+        tracemalloc.start()
+        try:
+            field = solve_goursat_region(spec, traces, strips, picard)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * field.w.nbytes
+
     def test_multi_strip_wedge_solve_memory(self):
         # sweeps keep band-size temporaries, not ones over the (e+1)^2 block
         spec, params, picard = load_problem("manufactured")

@@ -28,7 +28,6 @@ extrapolation keeps the measurement strictly one-sided even at shared nodes).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,61 +153,6 @@ def solve(
 # Point evaluation
 
 
-def _bilinear(cell: np.ndarray, f0: float, f1: float) -> np.ndarray:
-    """Blend of the (3, 2, 2) ``cell`` at fractions f0 along its rows and f1
-    along its columns."""
-    return (
-        cell[:, 0, 0] * (1 - f0) * (1 - f1)
-        + cell[:, 1, 0] * f0 * (1 - f1)
-        + cell[:, 0, 1] * (1 - f0) * f1
-        + cell[:, 1, 1] * f0 * f1
-    )
-
-
-def _interp_wedge(sol: Solution, t: float, x: float) -> np.ndarray:
-    g = sol.grid
-    hc = 2.0 * g.a * g.dt
-    d = x - g.x0
-    # the same d -/+ a*t combinations the classifier tested, so s, r >= 0
-    s_real = -(d - g.a * t) / hc
-    r_real = (d + g.a * t) / hc
-    m = g.n_levels
-    s0 = min(int(math.floor(s_real)), m)
-    r0 = min(int(math.floor(r_real)), m)
-    fs = s_real - s0
-    fr = r_real - r0
-    w = sol.field3.w
-    v00 = w[:, s0, r0]
-    if s0 + r0 + 2 <= m:
-        return _bilinear(w[:, s0 : s0 + 2, r0 : r0 + 2], fs, fr)
-    if s0 + r0 + 1 <= m:
-        # cell straddles the top boundary t = T: linear on three corners
-        v10 = w[:, s0 + 1, r0]
-        v01 = w[:, s0, r0 + 1]
-        return v00 + fs * (v10 - v00) + fr * (v01 - v00)
-    # s0 + r0 = n_levels forces fs = fr = 0 (query on the top corner)
-    return v00
-
-
-def _interp_side(sol: Solution, side: int, t: float, x: float) -> np.ndarray:
-    g = sol.grid
-    field = sol.field1 if side == 1 else sol.field2
-    ncols = field.w.shape[2]
-    m = g.n_levels
-    i_real = t / g.dt
-    c_real = (x - g.x0) / g.dx - field.col_offset
-    i0 = min(max(int(math.floor(i_real)), 0), m - 1)
-    fi = i_real - i0
-    # keep the 2x2 cell inside the sector at both rows i0 and i0+1; the
-    # query may then sit one cell outside the clamped block (extrapolating
-    # bilinear, still second order)
-    c_lo = i0 + 1
-    c_hi = ncols - i0 - 3
-    c0 = min(max(int(math.floor(c_real)), c_lo), c_hi)
-    fc = c_real - c0
-    return _bilinear(field.w[:, i0 : i0 + 2, c0 : c0 + 2], fi, fc)
-
-
 def evaluate(sol: Solution, t: float, x: float) -> tuple[float, float, float, Region]:
     """(u, u_t, u_x, region) at an arbitrary window point.
 
@@ -223,10 +167,8 @@ def evaluate(sol: Solution, t: float, x: float) -> tuple[float, float, float, Re
             f"[0, {g.T}] x [{g.x_lo}, {g.x_hi}]"
         )
     region = classify_point(g.a, g.x0, t, x)
-    if region is Region.Q3_STAR:
-        u, p, q = _interp_wedge(sol, t, x)
-    else:
-        u, p, q = _interp_side(sol, 1 if region is Region.Q1_STAR else 2, t, x)
+    field = {Region.Q1_STAR: sol.field1, Region.Q2_STAR: sol.field2, Region.Q3_STAR: sol.field3}
+    u, p, q = field[region].interpolate(t, x)
     return float(u), float(p), float(q), region
 
 
@@ -234,26 +176,19 @@ def evaluate(sol: Solution, t: float, x: float) -> tuple[float, float, float, Re
 # Jumps across the characteristics
 
 
-def _side_limit_at_char(field: RegionField, side: int, levels):
-    """One-sided (u, p, q) limits at the characteristic nodes of internal
-    ``levels``, by quadratic extrapolation from the three nearest interior
-    columns; shape (3,) + shape of ``levels``."""
-    c = field.grid.char_col(side, levels)
-    step = -1 if side == 1 else 1
-    w = field.w
-    return (
-        3.0 * w[:, levels, c + step]
-        - 3.0 * w[:, levels, c + 2 * step]
-        + w[:, levels, c + 3 * step]
-    )
-
-
 def _jump_triple(sol: Solution, levels, side: str) -> np.ndarray:
     """(u, p, q) jumps across a characteristic at internal ``levels``,
-    oriented as larger-x side minus smaller-x side."""
-    if side == "left":
-        return sol.field3.w[:, levels, 0] - _side_limit_at_char(sol.field1, 1, levels)
-    return _side_limit_at_char(sol.field2, 2, levels) - sol.field3.w[:, 0, levels]
+    oriented as larger-x side minus smaller-x side.  The side field's
+    one-sided limit is extrapolated quadratically from its three nearest
+    interior nodes."""
+    field, step = (sol.field1, -1) if side == "left" else (sol.field2, 1)
+    limit = (
+        3.0 * field.at(levels, step * (levels + 1))
+        - 3.0 * field.at(levels, step * (levels + 2))
+        + field.at(levels, step * (levels + 3))
+    )
+    wedge = sol.field3.at(levels, step * levels)
+    return wedge - limit if side == "left" else limit - wedge
 
 
 def characteristic_jump(sol: Solution, t: float, side: str) -> float:
@@ -291,10 +226,8 @@ def sample_user_grid(sol: Solution):
     d = 2 * np.arange(-g.n_left, g.n_right + 1)  # internal column offsets
     region = np.full((n_rows, n_cols), 3, dtype=np.int64)
     w = np.empty((3, n_rows, n_cols))
-    w1, w2, w3 = sol.field1.w, sol.field2.w, sol.field3.w
-    c1 = d[0] - g.j1_min  # side-1 array column of the first user column
     # d is sorted, so a row's side nodes are a prefix and a suffix of the
-    # columns, read as step-2 slices of the field rows; the wedge is between
+    # columns, read as step-2 slices of the side rows; the wedge is between
     for iu in range(n_rows):
         i = 2 * iu  # internal level
         k1 = int(np.searchsorted(d, -i, side="left"))  # d[:k1] < -i
@@ -302,8 +235,7 @@ def sample_user_grid(sol: Solution):
         region[iu, :k1] = 1
         region[iu, k2:] = 2
         row = w[:, iu]
-        row[:, :k1] = w1[:, i, c1 : c1 + 2 * k1 : 2]
-        row[:, k2:] = w2[:, i, d[0] + 2 * k2 : d[-1] + 1 : 2]
-        dm = d[k1:k2]
-        row[:, k1:k2] = w3[:, (i - dm) // 2, (i + dm) // 2]
+        row[:, :k1] = sol.field1.at(i, slice(d[0], d[0] + 2 * k1, 2))
+        row[:, k2:] = sol.field2.at(i, slice(d[0] + 2 * k2, d[-1] + 1, 2))
+        row[:, k1:k2] = sol.field3.at(i, d[k1:k2])
     return times, xs, region, w[0], w[1], w[2]

@@ -168,12 +168,6 @@ class ProblemSpec:
         """Whether f reads u, ut or ux, i.e. the Picard map has feedback."""
         return bool(ex.free_vars(self.f) & {"u", "ut", "ux"})
 
-    def phi(self, side: int) -> ex.Expr:
-        return self.phi1 if side == 1 else self.phi2
-
-    def psi(self, side: int) -> ex.Expr:
-        return self.psi1 if side == 1 else self.psi2
-
 
 @dataclass(frozen=True)
 class GridParams:
@@ -219,11 +213,14 @@ class SolverGrid:
     levels of dt = dt_user/2), which places the wedge lattice and all
     characteristic boundary points on nodes.
 
-    Column convention: internal columns are offsets j from x0, so the node
-    (level i, offset j) sits at (i*dt, x0 + j*dx).  Side 1 spans j in
-    [j1_min, 0], side 2 spans j in [0, j2_max]; both bounds include the
-    dependence margin of the window plus three columns beyond the
-    characteristics for one-sided jump extrapolation.
+    Node convention: the internal node (level, offset) sits at
+    (level*dt, x0 + offset*dx), for integers level in [0, n_levels] and
+    offset from x0.  Side 1 spans the offsets [j1_min, 0], side 2 spans
+    [0, j2_max]; both bounds include the dependence margin of the window
+    plus three columns beyond the characteristics for one-sided jump
+    extrapolation.  The wedge holds the nodes with |offset| <= level and
+    offset = level (mod 2).  ``RegionField`` reads its nodes by these
+    coordinates.
     """
 
     a: float
@@ -242,14 +239,6 @@ class SolverGrid:
     j1_min: int
     j2_max: int
 
-    @property
-    def ncols1(self) -> int:
-        return 1 - self.j1_min
-
-    @property
-    def ncols2(self) -> int:
-        return self.j2_max + 1
-
     def user_times(self) -> np.ndarray:
         return self.dt_user * np.arange(self.nt + 1)
 
@@ -257,13 +246,10 @@ class SolverGrid:
         return self.x0 + self.dx_user * np.arange(-self.n_left, self.n_right + 1)
 
     def region_xcols(self, side: int) -> np.ndarray:
+        """x of a side's offsets, in increasing order."""
         if side == 1:
-            return self.x0 + self.dx * (np.arange(self.ncols1) + self.j1_min)
-        return self.x0 + self.dx * np.arange(self.ncols2)
-
-    def char_col(self, side: int, level: int) -> int:
-        """Array column of the node on the characteristic at internal level."""
-        return -level - self.j1_min if side == 1 else level
+            return self.x0 + self.dx * (np.arange(1 - self.j1_min) + self.j1_min)
+        return self.x0 + self.dx * np.arange(self.j2_max + 1)
 
 
 @dataclass(frozen=True)
@@ -279,20 +265,30 @@ class PicardReport:
         return tuple(len(norms) for norms in self.update_norms)
 
 
+def _bilinear(cell: np.ndarray, f0: float, f1: float) -> np.ndarray:
+    """Blend of the (3, 2, 2) ``cell`` at fractions f0 along its rows and f1
+    along its columns."""
+    return (
+        cell[:, 0, 0] * (1 - f0) * (1 - f1)
+        + cell[:, 1, 0] * f0 * (1 - f1)
+        + cell[:, 0, 1] * (1 - f0) * f1
+        + cell[:, 1, 1] * f0 * f1
+    )
+
+
 @dataclass(frozen=True)
 class RegionField:
     """(u, u_t, u_x) samples over one region's closure, stacked in the
     read-only array ``w`` of shape (3, rows, cols); ``u``, ``p`` and ``q`` are
-    its planes.
+    its planes.  Outside the two region solves, only this class reads ``w``
+    by position: everyone else names nodes (level, offset) as in SolverGrid,
+    through ``at``, ``nodes`` and ``interpolate``.
 
-    Side regions are indexed (level i, column c) with n_levels + 1 rows.
-    Side 1 column c holds offset j = c + j1_min (``col_offset``), side 2
-    column c holds j = c (see SolverGrid).  The domain of dependence shaves
-    one column per level at each end, so only the sector [i, ncols - 1 - i]
-    of level i holds solution values.
-
-    The wedge region is indexed (s, r), node (s, r) at t = (s + r)*dt,
-    x = x0 + (r - s)*dx, and holds the solution where s + r <= n_levels.
+    Storage: a side's row is a level and its columns run over the side's
+    offsets in increasing order.  The domain of dependence shaves one column
+    per level at each end, so only the sector [i, cols - 1 - i] of row i
+    holds solution values.  The wedge stores node (s, r) at level s + r and
+    offset r - s, and holds the solution where s + r <= n_levels.
 
     ``live`` marks the nodes that hold the solution; every other node is 0,
     and neither the solvers nor the readers of a field read it.
@@ -302,7 +298,6 @@ class RegionField:
     grid: SolverGrid
     w: np.ndarray
     report: PicardReport
-    col_offset: int = 0
 
     def __post_init__(self):
         self.w.setflags(write=False)
@@ -320,15 +315,78 @@ class RegionField:
         return self.w[2]
 
     @property
-    def live(self) -> np.ndarray:
+    def _offset0(self) -> int:
+        """The offset of a side's column 0."""
+        return self.grid.j1_min if self.region is Region.Q1_STAR else 0
+
+    def at(self, level, offset) -> np.ndarray:
+        """(u, u_t, u_x) at the nodes (level, offset), shape (3,) plus the
+        broadcast shape of the arguments.  On a side ``offset`` may be a
+        slice with bounds, read as a strided view."""
+        if self.region is Region.Q3_STAR:
+            return self.w[:, (level - offset) // 2, (level + offset) // 2]
+        j0 = self._offset0
+        if isinstance(offset, slice):
+            return self.w[:, level, offset.start - j0 : offset.stop - j0 : offset.step]
+        return self.w[:, level, offset - j0]
+
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(level, offset) of every stored node, as integer arrays that
+        broadcast to the shape of a plane: ``at(*nodes())`` equals ``w``."""
         rows, cols = self.w.shape[1:]
-        live = np.zeros((rows, cols), dtype=bool)
-        for i in range(rows):
-            if self.region is Region.Q3_STAR:
-                live[i, : rows - i] = True
-            else:
-                live[i, i : cols - i] = True
-        return live
+        i = np.arange(rows)[:, None]
+        c = np.arange(cols)[None, :]
+        if self.region is Region.Q3_STAR:
+            return i + c, c - i
+        return i, c + self._offset0
+
+    @property
+    def live(self) -> np.ndarray:
+        level, offset = self.nodes()
+        if self.region is Region.Q3_STAR:
+            return level <= self.grid.n_levels
+        # the domain of dependence shaves one offset per level at each end
+        lo, hi = self._offset0, self._offset0 + self.w.shape[2] - 1
+        return (offset >= lo + level) & (offset <= hi - level)
+
+    def interpolate(self, t: float, x: float) -> np.ndarray:
+        """(u, u_t, u_x) at a point of the region's closure, bilinear on the
+        region's own nodes."""
+        g = self.grid
+        m = g.n_levels
+        w = self.w
+        if self.region is Region.Q3_STAR:
+            hc = 2.0 * g.a * g.dt
+            d = x - g.x0
+            # the same d -/+ a*t combinations the classifier tested, so s, r >= 0
+            s_real = -(d - g.a * t) / hc
+            r_real = (d + g.a * t) / hc
+            s0 = min(int(math.floor(s_real)), m)
+            r0 = min(int(math.floor(r_real)), m)
+            fs = s_real - s0
+            fr = r_real - r0
+            v00 = w[:, s0, r0]
+            if s0 + r0 + 2 <= m:
+                return _bilinear(w[:, s0 : s0 + 2, r0 : r0 + 2], fs, fr)
+            if s0 + r0 + 1 <= m:
+                # cell straddles the top boundary t = T: linear on three corners
+                v10 = w[:, s0 + 1, r0]
+                v01 = w[:, s0, r0 + 1]
+                return v00 + fs * (v10 - v00) + fr * (v01 - v00)
+            # s0 + r0 = n_levels forces fs = fr = 0 (query on the top corner)
+            return v00
+        i_real = t / g.dt
+        c_real = (x - g.x0) / g.dx - self._offset0
+        i0 = min(max(int(math.floor(i_real)), 0), m - 1)
+        fi = i_real - i0
+        # keep the 2x2 cell inside the sector at both rows i0 and i0+1; the
+        # query may then sit one cell outside the clamped block (extrapolating
+        # bilinear, still second order)
+        c_lo = i0 + 1
+        c_hi = w.shape[2] - i0 - 3
+        c0 = min(max(int(math.floor(c_real)), c_lo), c_hi)
+        fc = c_real - c0
+        return _bilinear(w[:, i0 : i0 + 2, c0 : c0 + 2], fi, fc)
 
 
 # --------------------------------------------------------------------------
@@ -405,6 +463,9 @@ def plan_strips(grid: SolverGrid, L: float, picard: PicardParams) -> tuple[tuple
     return tuple((edges[k], edges[k + 1]) for k in range(len(edges) - 1))
 
 
+# an overflow is silent here: it shows as a non-finite sample or estimate,
+# which is raised as ConfigError
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_lipschitz(spec: ProblemSpec, grid: SolverGrid) -> float:
     """Finite-difference bound for the Lipschitz constant of f in (u, ut, ux).
 
@@ -412,7 +473,7 @@ def estimate_lipschitz(spec: ProblemSpec, grid: SolverGrid) -> float:
     crossed with [-R, R]^3, R = 1 + 2*max initial-data magnitude, and takes
     1.5x the largest l1 gradient norm.  Returns 0 when f reads none of
     u, ut, ux.  Raises ConfigError, asking for a declared ``lipschitz``, when
-    f is undefined somewhere on that sample.
+    f is undefined somewhere on that sample or the estimate is not finite.
     """
     if not spec.f_reads_state:
         return 0.0
@@ -455,7 +516,13 @@ def estimate_lipschitz(spec: ProblemSpec, grid: SolverGrid) -> float:
                 f"u, ut, ux in [{-R:.6g}, {R:.6g}]); declare lipschitz in the problem"
             ) from err
         total = total + np.abs(g)
-    return 1.5 * float(total.max())
+    L = 1.5 * float(total.max())
+    if not math.isfinite(L):
+        raise ConfigError(
+            f"cannot estimate the Lipschitz constant of f (the sample gives {L} for "
+            f"u, ut, ux in [{-R:.6g}, {R:.6g}]); declare lipschitz in the problem"
+        )
+    return L
 
 
 def resolve_lipschitz(spec: ProblemSpec, grid: SolverGrid) -> float:
@@ -466,15 +533,6 @@ def resolve_lipschitz(spec: ProblemSpec, grid: SolverGrid) -> float:
 
 # --------------------------------------------------------------------------
 # The band kernel
-
-
-def _grid_eval(e: ex.Expr, shape: tuple[int, ...], **env) -> np.ndarray:
-    """Evaluate on broadcast arrays, always returning a full-shape array."""
-    out = ex.evaluate(e, env)
-    arr = np.asarray(out, dtype=float)
-    if arr.shape == shape:
-        return arr
-    return np.broadcast_to(arr, shape)
 
 
 def _cumtrapz_row(values: np.ndarray, h: float, start=None, skip=None) -> np.ndarray:
@@ -655,13 +713,6 @@ def _picard(sweep, feeds_back: bool, picard: PicardParams, where: str):
     return tuple(norms)
 
 
-def _side_initial_rows(spec: ProblemSpec, side: int, x_cols: np.ndarray):
-    """(phi, psi, phi') of ``side`` on the columns ``x_cols``."""
-    phi = spec.phi(side)
-    data = (phi, spec.psi(side), ex.differentiate(phi, "x"))
-    return [_grid_eval(e, x_cols.shape, x=x_cols) for e in data]
-
-
 # an overflow is silent here: it shows as a non-finite update, which _picard
 # turns into NonConvergence
 @np.errstate(over="ignore", invalid="ignore")
@@ -679,7 +730,9 @@ def solve_cauchy_region(
     region = Region.Q1_STAR if side == 1 else Region.Q2_STAR
     x_cols = grid.region_xcols(side)
     W = np.zeros((3, grid.n_levels + 1, x_cols.shape[0]))
-    W[:, 0] = _side_initial_rows(spec, side, x_cols)
+    phi, psi = (spec.phi1, spec.psi1) if side == 1 else (spec.phi2, spec.psi2)
+    for k, e in enumerate((phi, psi, ex.differentiate(phi, "x"))):
+        W[k, 0] = ex.evaluate(e, {"x": x_cols})
     all_norms = [
         _picard(
             _band_map(spec, grid, x_cols, b, W[:, b : e + 1]),
@@ -688,10 +741,4 @@ def solve_cauchy_region(
         for b, e in strips
     ]
     report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
-    return RegionField(
-        region=region,
-        grid=grid,
-        w=W,
-        report=report,
-        col_offset=grid.j1_min if side == 1 else 0,
-    )
+    return RegionField(region=region, grid=grid, w=W, report=report)

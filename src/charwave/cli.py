@@ -13,7 +13,9 @@ UTF-8, a wave speed or a Picard ``tol`` that is not a finite positive
 number, an unwritable ``-o`` path, ``converge --levels`` below 2, a window
 too narrow for any probe, a grid whose step or column count is not a finite
 positive number or whose arrays exceed numpy's size limit, not enough memory
-for the grid, and geometry errors such as a query outside the window), 2
+for the grid, a Lipschitz estimate, closed-form reference or audit
+measurement that is not finite, and geometry errors such as a query outside
+the window), 2
 interior iteration failed to converge or its field left the floating-point
 range, 3 verification failed.  Every error prints one ``error:`` line
 instead of a traceback.

@@ -113,8 +113,8 @@ def goursat_traces(
     if field2.grid != grid:
         raise ConfigError("side fields were solved on different grids")
     levels = np.arange(grid.n_levels + 1)
-    u1c, p1c, q1c = field1.w[:, levels, grid.char_col(1, levels)]
-    u2c, p2c, q2c = field2.w[:, levels, grid.char_col(2, levels)]
+    u1c, p1c, q1c = field1.at(levels, -levels)
+    u2c, p2c, q2c = field2.at(levels, levels)
     arrays = (
         u1c + diagnostics.left_jump_constant,
         u2c - diagnostics.right_jump_constant,

@@ -18,6 +18,7 @@ not asserted; constancy is only claimed for u itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -26,7 +27,7 @@ import numpy as np
 from . import expr as ex
 from .assembly import Solution, _jump_triple, evaluate
 from .cauchy import GridParams, PicardParams, ProblemSpec, RegionField
-from .errors import ConfigError, NegativeTime, NotLinear, TooCloseToCharacteristic
+from .errors import ConfigError, DomainError, NegativeTime, NotLinear, TooCloseToCharacteristic
 from .geometry import Region, classify_point
 from .goursat import goursat_traces
 
@@ -234,54 +235,67 @@ def _initial_errors(sol: Solution) -> tuple[float, float]:
     j = np.arange(-g.n_left, g.n_right + 1)
     xs = g.user_xs()
     err_u = err_p = 0.0
-    for field, on_side, cols, phi, psi in (
-        (sol.field1, j < 0, 2 * j - g.j1_min, spec.phi1, spec.psi1),
-        (sol.field2, j > 0, 2 * j, spec.phi2, spec.psi2),
+    for field, on_side, phi, psi in (
+        (sol.field1, j < 0, spec.phi1, spec.psi1),
+        (sol.field2, j > 0, spec.phi2, spec.psi2),
     ):
         env = {"x": xs[on_side]}
-        row = cols[on_side]
-        err_u = max(err_u, float(np.max(np.abs(field.u[0, row] - ex.evaluate(phi, env)))))
-        err_p = max(err_p, float(np.max(np.abs(field.p[0, row] - ex.evaluate(psi, env)))))
+        u, p, _ = field.at(0, 2 * j[on_side])
+        err_u = _largest(err_u, np.abs(u - ex.evaluate(phi, env)))
+        err_p = _largest(err_p, np.abs(p - ex.evaluate(psi, env)))
     return err_u, err_p
 
 
+def _largest(*values) -> float:
+    """The largest entry of ``values`` (numbers or arrays), NaN if any is NaN;
+    the builtin ``max`` drops a NaN that is not its first argument."""
+    return float(np.max([np.max(v) for v in values]))
+
+
+# an overflow is silent here: it shows as a measurement that is not finite,
+# which is raised as DomainError below
+@np.errstate(over="ignore", invalid="ignore")
 def check_definition1(sol: Solution) -> VerificationReport:
-    """Audit the five defining conditions of the solved field."""
+    """Audit the five defining conditions of the solved field.  Raises
+    DomainError when a measurement is not finite: a field that close to the
+    floating-point limit cannot be audited."""
     g = sol.grid
     h_fd, grouped, tol = _tolerances(sol)
     checks: list[CheckResult] = []
     info: list[tuple[str, float]] = []
 
+    def finite(name: str, measured: float) -> None:
+        if not math.isfinite(measured):
+            raise DomainError(
+                f"the {name} audit measured {measured}; the field is too large to audit"
+            )
+
     def check(name: str, measured: float, detail: str) -> None:
+        finite(name, measured)
         checks.append(CheckResult(name, measured, tol[name], measured <= tol[name], detail))
 
     # (i) u(0, .) = phi, with the assigned value at x0; (ii) u_t(0, .) = psi
     # away from x0
     err_u0, err_p0 = _initial_errors(sol)
-    err_u0 = max(err_u0, abs(sol.field3.u[0, 0] - sol.spec.A))  # vertex
+    err_u0 = _largest(err_u0, abs(sol.field3.at(0, 0)[0] - sol.spec.A))  # vertex
     check("initial_u", err_u0, "u(0,x) vs phi on user nodes, and u(0,x0) vs A")
     check("initial_ut", err_p0, "u_t(0,x) vs psi on user nodes except x0")
 
     # (iii) equation residual on interior probes
-    res_max = 0.0
-    n_probes = 0
-    for pts in grouped.values():
-        for t, x in pts:
-            res_max = max(res_max, pde_residual(sol, t, x, h_fd))
-            n_probes += 1
+    residuals = [pde_residual(sol, t, x, h_fd) for pts in grouped.values() for t, x in pts]
     check(
         "pde_residual",
-        res_max,
-        f"max |u_tt - a^2 u_xx + f - F| over {n_probes} interior probes",
+        _largest(0.0, *residuals),
+        f"max |u_tt - a^2 u_xx + f - F| over {len(residuals)} interior probes",
     )
 
     # (iv) wedge boundary vs traces, traces rebuilt from the side fields
     fresh = goursat_traces(sol.spec, sol.field1, sol.field2, sol.diagnostics)
     m = g.n_levels
     lv = np.arange(m + 1)
-    err_tr = max(
-        float(np.max(np.abs(sol.field3.u[lv, 0] - fresh.gamma1))),
-        float(np.max(np.abs(sol.field3.u[0, lv] - fresh.gamma2))),
+    err_tr = _largest(
+        np.abs(sol.field3.at(lv, -lv)[0] - fresh.gamma1),
+        np.abs(sol.field3.at(lv, lv)[0] - fresh.gamma2),
     )
     check(
         "goursat_traces",
@@ -295,7 +309,7 @@ def check_definition1(sol: Solution) -> VerificationReport:
     levels = np.arange(1, m + 1)
     ul, pl, ql = _jump_triple(sol, levels, "left")
     ur, pr, qr = _jump_triple(sol, levels, "right")
-    err_jump = max(float(np.max(np.abs(ul - cl))), float(np.max(np.abs(ur - cr))))
+    err_jump = _largest(np.abs(ul - cl), np.abs(ur - cr))
     check(
         "jump_constancy",
         err_jump,
@@ -309,14 +323,16 @@ def check_definition1(sol: Solution) -> VerificationReport:
             ("max_ux_jump_right", float(np.max(np.abs(qr)))),
         ]
     )
-
+    for name, value in info:
+        finite(name, value)
     return VerificationReport(checks=tuple(checks), info=tuple(info))
 
 
-def _bumped(field: RegionField, k: int, bump: np.ndarray | float) -> RegionField:
-    """``field`` with ``bump`` added to plane ``k`` (0 u, 1 u_t, 2 u_x)."""
+def _bumped(field: RegionField, k: int, bump) -> RegionField:
+    """``field`` with ``bump(level, offset)`` of its stored nodes added to
+    plane ``k`` (0 u, 1 u_t, 2 u_x)."""
     w = field.w.copy()
-    w[k] += bump
+    w[k] += bump(*field.nodes())
     return replace(field, w=w)
 
 
@@ -332,36 +348,23 @@ def inject_fault(sol: Solution, check: str) -> Solution:
         raise ValueError(f"unknown check name {check!r}")
     tol = tolerances[check]
     g = sol.grid
-    if check == "initial_u":
-        row = np.zeros_like(sol.field1.u)
-        row[0, :] = 10.0 * tol
-        return replace(sol, field1=_bumped(sol.field1, 0, row))
-    if check == "initial_ut":
-        row = np.zeros_like(sol.field1.p)
-        row[0, :] = 10.0 * tol
-        return replace(sol, field1=_bumped(sol.field1, 1, row))
+    size = 10.0 * tol
+    if check in ("initial_u", "initial_ut"):
+        k = 0 if check == "initial_u" else 1
+        return replace(sol, field1=_bumped(sol.field1, k, lambda level, j: size * (level == 0)))
     if check == "pde_residual":
         # adding c*t^2 shifts u_tt by 2c everywhere, nothing else at order one
         c = 5.0 * tol
-        t_side = (g.dt * np.arange(g.n_levels + 1))[:, None]
-        idx = np.arange(g.n_levels + 1)
-        t_wedge = g.dt * (idx[:, None] + idx[None, :])
-        return replace(
-            sol,
-            field1=_bumped(sol.field1, 0, c * t_side * t_side),
-            field2=_bumped(sol.field2, 0, c * t_side * t_side),
-            field3=_bumped(sol.field3, 0, c * t_wedge * t_wedge),
-        )
+        lift = lambda level, j: c * (g.dt * level) * (g.dt * level)
+        fields = (sol.field1, sol.field2, sol.field3)
+        field1, field2, field3 = (_bumped(field, 0, lift) for field in fields)
+        return replace(sol, field1=field1, field2=field2, field3=field3)
     if check == "goursat_traces":
-        idx = np.arange(g.n_levels + 1)
-        off_apex = (idx[:, None] + idx[None, :]) >= 1
-        return replace(sol, field3=_bumped(sol.field3, 0, 10.0 * tol * off_apex))
-    # jump_constancy
-    # lift side 1 strictly left of the characteristic at every level but 0
-    levels = np.arange(g.n_levels + 1)[:, None]
-    cols = np.arange(sol.field1.w.shape[2])[None, :]
-    left_of_char = (levels >= 1) & (cols < g.char_col(1, levels))
-    return replace(sol, field1=_bumped(sol.field1, 0, 10.0 * tol * left_of_char))
+        return replace(sol, field3=_bumped(sol.field3, 0, lambda level, j: size * (level >= 1)))
+    # jump_constancy: lift side 1 strictly left of the characteristic at
+    # every level but 0
+    left_of_char = lambda level, j: size * ((level >= 1) & (j < -level))
+    return replace(sol, field1=_bumped(sol.field1, 0, left_of_char))
 
 
 # --------------------------------------------------------------------------
@@ -378,6 +381,9 @@ def _trapz_expr(e: ex.Expr, lo: float, hi: float, n: int) -> float:
     return float(np.trapezoid(vals, dx=(hi - lo) / n))
 
 
+# an overflow is silent here: it shows as a non-finite value, which is raised
+# as DomainError below
+@np.errstate(over="ignore", invalid="ignore")
 def linear_oracle(
     spec: ProblemSpec,
     t: float,
@@ -392,6 +398,7 @@ def linear_oracle(
     plus the double integral of F over the dependence triangle with quad_n^2
     trapezoid cells.  ``include_jump_term=False`` evaluates the formula
     without the indicator (the version that is exact when A is the midpoint).
+    Raises DomainError, naming the probe, when the value is not finite.
     """
     if not ex.is_zero(spec.f):
         raise NotLinear("the closed-form reference requires f to be literally 0")
@@ -430,17 +437,18 @@ def linear_oracle(
     if not ex.is_zero(spec.F) and t > 0:
         taus = np.linspace(0.0, t, quad_n + 1)
         widths = 2.0 * a * (t - taus)
-        fracs = np.linspace(0.0, 1.0, quad_n + 1)
-        ys = (x - a * (t - taus))[:, None] + widths[:, None] * fracs[None, :]
-        tt = np.broadcast_to(taus[:, None], ys.shape)
-        vals = np.asarray(ex.evaluate(spec.F, {"t": tt, "x": ys}), dtype=float)
-        if vals.ndim == 0:
-            inner = float(vals) * widths
+        if not ex.free_vars(spec.F):  # a constant: the inner integrals are exact
+            inner = ex.evaluate(spec.F, {}) * widths
         else:
-            vals = np.broadcast_to(vals, ys.shape)
+            fracs = np.linspace(0.0, 1.0, quad_n + 1)
+            ys = (x - a * (t - taus))[:, None] + widths[:, None] * fracs[None, :]
+            tt = np.broadcast_to(taus[:, None], ys.shape)
+            vals = np.broadcast_to(ex.evaluate(spec.F, {"t": tt, "x": ys}), ys.shape)
             inner = np.trapezoid(vals, axis=1) * (widths / quad_n)
         outer = float(np.trapezoid(inner, dx=t / quad_n))
         u += outer / (2.0 * a)
+    if not math.isfinite(u):
+        raise DomainError(f"the closed-form reference at (t={t}, x={x}) is not finite ({u})")
     return float(u)
 
 
@@ -490,7 +498,9 @@ def convergence_study(
     levels.  Errors all at rounding level, relative to the reference and the
     field at the probes (``_EXACT_FLOOR``), are reported as exact (order None).
     """
-    from .assembly import solve  # local import: assembly imports this module's peers
+    # looked up at call time, so that a wrapper installed on assembly.solve
+    # (a tracer, say) sees the study's solves
+    from .assembly import solve
 
     if levels < 2:
         raise ConfigError(f"a convergence study needs levels >= 2, got {levels}")

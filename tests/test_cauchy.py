@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from charwave.cauchy import (
     PicardParams,
     ProblemSpec,
     _dal_rows,
-    _grid_eval,
     _picard,
-    _side_initial_rows,
     build_grid,
     estimate_lipschitz,
     plan_strips,
@@ -82,16 +81,6 @@ class TestGrid:
         assert -g.j1_min >= 2 * g.n_levels + 3
         assert g.j2_max >= 2 * g.n_levels + 3
 
-    def test_char_col_sits_on_characteristic(self):
-        g = build_grid(make_spec(x0=0.5), GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
-        for level in (0, 3, g.n_levels):
-            c1 = g.char_col(1, level)
-            x1 = g.region_xcols(1)[c1]
-            assert x1 == pytest.approx(g.x0 - level * g.dx)
-            c2 = g.char_col(2, level)
-            x2 = g.region_xcols(2)[c2]
-            assert x2 == pytest.approx(g.x0 + level * g.dx)
-
     def test_window_snaps_outward(self):
         g = build_grid(make_spec(), GridParams(T=1.0, x_lo=-1.05, x_hi=1.0, nt=8))
         assert g.x_lo <= -1.05 + 1e-12
@@ -116,6 +105,30 @@ class TestGrid:
 
 
 class TestRegionField:
+    def test_nodes_round_trip(self, solved):
+        for sol in solved.values():
+            g = sol.grid
+            levels = np.arange(g.n_levels + 1)
+            for side, field in ((1, sol.field1), (2, sol.field2), (3, sol.field3)):
+                # every stored node, read back by its (level, offset)
+                level, offset = field.nodes()
+                at = field.at(level, offset)
+                np.testing.assert_array_equal(at.view(np.uint64), field.w.view(np.uint64))
+                # the characteristics through (0, x0) hold live nodes
+                mask = replace(field, w=np.broadcast_to(field.live, field.w.shape).astype(float))
+                signs = {1: (-1,), 2: (1,), 3: (-1, 1)}[side]
+                for sign in signs:
+                    assert mask.at(levels, sign * levels).all()
+                if side == 3:
+                    continue
+                # a side's offsets run along its columns
+                np.testing.assert_array_equal(g.x0 + g.dx * offset[0], g.region_xcols(side))
+                # a slice of offsets reads as a strided view
+                lo = int(offset[0, 0]) + 4
+                view = field.at(2, slice(lo, lo + 9, 2))
+                assert np.shares_memory(view, field.w)
+                np.testing.assert_array_equal(view, field.at(2, np.arange(lo, lo + 9, 2)))
+
     def test_live_nodes_and_views(self):
         sol = solve(make_spec(psi2="1"), GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
         for field in (sol.field1, sol.field2):
@@ -177,6 +190,22 @@ class TestLipschitzEstimate:
     def test_f_undefined_on_the_sample_asks_for_the_constant(self):
         spec = make_spec(A=2.0, phi1="2", phi2="2", f="log(u) - log(2)")
         g = build_grid(spec, GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
+        with pytest.raises(ConfigError, match="declare lipschitz"):
+            estimate_lipschitz(spec, g)
+
+    @pytest.mark.parametrize(
+        "data, f, x_hi",
+        [
+            ({"phi1": "1e308*x"}, "sin(u)", 1.0),  # R = 1 + 2*max|data| overflows
+            ({"phi2": "1e308*x"}, "u^2/50", 1.0),  # R is finite, 2R is not
+            ({}, "1e308*tanh(1e6*u)", 2.0),  # a difference quotient overflows
+        ],
+        ids=["R", "2R", "quotient"],
+    )
+    def test_overflowing_sample_asks_for_the_constant(self, data, f, x_hi):
+        # no numpy warning on the way (the suite turns warnings into errors)
+        spec = make_spec(f=f, **data)
+        g = build_grid(spec, GridParams(T=0.5, x_lo=-1.0, x_hi=x_hi, nt=8))
         with pytest.raises(ConfigError, match="declare lipschitz"):
             estimate_lipschitz(spec, g)
 
@@ -422,17 +451,19 @@ def _whole_band_map(spec, grid, x_cols, b, block):
     u_dal, p_dal, q_dal = dal = np.zeros((3, nb + 1, ncols))
     for m in range(1, nb + 1):
         row(m, dal[:, m])
-    shape = (nb + 1, ncols)
-    t2 = dt * level
-    x2 = x_cols[None, :]
-    F = _grid_eval(spec.F, shape, t=t2, x=x2)
+
+    def on_band(e, **env):  # e on every node of the band
+        env.update(t=dt * level, x=x_cols[None, :])
+        return np.broadcast_to(ex.evaluate(e, env), (nb + 1, ncols))
+
+    F = on_band(spec.F)
     half = 0.5 * dt
 
     def sweep(feedback):
         G = F
         if feedback:
             u, ut, ux = block
-            G = F - _grid_eval(spec.f, shape, t=t2, x=x2, u=u, ut=ut, ux=ux)
+            G = F - on_band(spec.f, u=u, ut=ut, ux=ux)
         Ip = np.zeros_like(G)
         Im = np.zeros_like(G)
         D = np.zeros_like(G)
@@ -465,7 +496,9 @@ def _whole_band_solve(spec, side, grid, strips, picard, feeds_back=None):
         feeds_back = spec.f_reads_state
     x_cols = grid.region_xcols(side)
     W = np.zeros((3, grid.n_levels + 1, x_cols.shape[0]))
-    W[:, 0] = _side_initial_rows(spec, side, x_cols)
+    phi, psi = (spec.phi1, spec.psi1) if side == 1 else (spec.phi2, spec.psi2)
+    for k, e in enumerate((phi, psi, ex.differentiate(phi, "x"))):
+        W[k, 0] = ex.evaluate(e, {"x": x_cols})
     norms = tuple(
         _picard(
             _whole_band_map(spec, grid, x_cols, b, W[:, b : e + 1]),

@@ -1,11 +1,18 @@
+import contextlib
+import copy
 import errno
+import io
 import json
+import math
 import os
 import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import charwave.cli as cli
 from charwave.assembly import sample_user_grid, solve
@@ -21,6 +28,12 @@ GOOD = {
     "F": "0", "f": "0",
     "window": {"T": 1.0, "xmin": -3.0, "xmax": 3.0},
     "grid": {"nt": 8},
+}
+
+# a linear problem whose closed-form reference overflows once F or psi2 is
+# scaled to 1e308
+OVERFLOW_REFERENCE = {
+    "A": 1.0, "phi2": "1", "psi2": "0", "window": {"T": 1.5, "xmin": -3.0, "xmax": 3.0},
 }
 
 
@@ -282,6 +295,22 @@ class TestConvergeCommand:
         assert all(0.0 < e["err"] < 1e-15 * 1e307 for e in payload["entries"])
         assert payload["exact"] is True and payload["order"] is None
 
+    @pytest.mark.parametrize(
+        "overrides", [{"F": "1e308"}, {"psi2": "-1e308*x"}], ids=["F-1e308", "psi2--1e308x"]
+    )
+    def test_overflowing_reference_is_1(self, tmp_path, capsys, overrides):
+        # the closed-form reference leaves the floating-point range at some
+        # probe: one error line naming it, and no numpy warning on the way
+        cfg = write_cfg(tmp_path, **{**OVERFLOW_REFERENCE, **overrides})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["converge", cfg, "--levels", "2"]) == 1
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert captured.err.startswith("error: the closed-form reference at (t=")
+        assert captured.err.count("\n") == 1 and "Warning" not in captured.err
+        assert "order" not in captured.out
+
     def test_oracle_with_nonlinear_f_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, f="sin(u)", lipschitz=1.0)
         assert cli.main(["converge", cfg, "--levels", "2"]) == 1
@@ -477,3 +506,151 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["case"] == "Continuous"
+
+
+# --------------------------------------------------------------------------
+# Problem-file fuzz: valid problems from fixed ranges, then mutated.  Every
+# grid these values make is either rejected by build_grid or under 1 MiB,
+# so no example allocates a large array.
+
+# F is a constant: a forcing that reads t or x costs converge's closed-form
+# reference a 1025^2 quadrature per probe (0.7 s an example), so terms in t
+# and x enter through f
+_POOLS = {
+    "phi1": ("0", "1", "x", "x^2 - 1", "sin(3*x)", "abs(x)", "1e308*x"),
+    "phi2": ("0", "1", "x", "cos(x)", "exp(x)", "2 - x"),
+    "psi1": ("0", "1", "x", "sin(x)"),
+    "psi2": ("0", "1", "-x", "-1e308*x"),
+    "F": ("0", "1", "1e308"),
+    "f": ("0", "sin(u)", "u^2/50", "log(u)", "0.5*ut - ux", "t*x"),
+}
+_EXTREMES = (5e-324, 1e-300, 1e300)
+_BAD_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -1.0, *_EXTREMES)
+_WRONG_TYPES = (None, True, "1", [1.0], {"v": 1})
+# characters of the expression grammar: digits, names, operators
+_ALPHABET = "0123456789.eE+-*/^(), tuxsincoplgqrahbm_"
+_DROP = object()
+_NARROW = {"T": 0.5, "xmin": -1.0, "xmax": 1.0}
+
+
+def _value(kind):
+    """A mutation's new value for a key of ``kind``, or _DROP to delete it."""
+    if kind == "number":
+        values = st.sampled_from(_BAD_NUMBERS + _WRONG_TYPES)
+    elif kind == "window":  # a window edge: huge, or next to x0 = 0
+        values = st.sampled_from((-1e300, 1e300, -1e-300, 1e-300, math.nan) + _WRONG_TYPES)
+    elif kind == "integer":
+        values = st.sampled_from((0, 1, -3, 2.5, math.inf) + _WRONG_TYPES)
+    else:
+        values = st.one_of(st.text(_ALPHABET, max_size=16), st.sampled_from(_WRONG_TYPES))
+    return st.one_of(st.just(_DROP), values)
+
+
+_PATHS = {
+    **{(key,): "number" for key in ("a", "x0", "A", "lipschitz")},
+    **{(key,): "expression" for key in _POOLS},
+    ("window", "T"): "number",
+    ("window", "xmin"): "window",
+    ("window", "xmax"): "window",
+    ("grid", "nt"): "integer",
+    ("picard", "tol"): "number",
+    ("picard", "max_iter"): "integer",
+    ("window",): "expression",
+    ("grid",): "number",
+    ("picard",): "number",
+}
+_MUTATION = st.sampled_from(sorted(_PATHS)).flatmap(
+    lambda path: st.tuples(st.just(path), _value(_PATHS[path]))
+)
+
+
+@st.composite
+def problem_files(draw):
+    """The bytes of a problem file: a valid problem, then up to two
+    mutations (a dropped key, a wrong type, a bad or extreme number, a string
+    of the grammar's characters), then possibly a byte that is not UTF-8."""
+    x0 = draw(st.sampled_from((0.0, -0.5, 0.75)))
+    cfg = {
+        "a": draw(st.floats(0.25, 2.0)),
+        "x0": x0,
+        "A": draw(st.floats(-2.0, 2.0)),
+        **{key: draw(st.sampled_from(pool)) for key, pool in _POOLS.items()},
+        "window": {
+            "T": draw(st.floats(0.25, 1.0)),
+            "xmin": x0 - draw(st.floats(0.5, 4.0)),
+            "xmax": x0 + draw(st.floats(0.5, 4.0)),
+        },
+        # verify's residual stencils need nt >= 7
+        "grid": {"nt": draw(st.sampled_from((8, 7, 4, 2)))},
+    }
+    if draw(st.booleans()):
+        cfg["lipschitz"] = draw(st.floats(0.0, 2.0))
+    if draw(st.booleans()):
+        cfg["picard"] = {"tol": 1e-10, "max_iter": draw(st.integers(1, 64))}
+    for path, value in draw(st.lists(_MUTATION, max_size=2)):
+        node = cfg
+        for key in path[:-1]:
+            node = node.get(key)
+        if not isinstance(node, dict):
+            continue
+        if value is _DROP:
+            node.pop(path[-1], None)
+        else:  # a copy: a later mutation may write into it
+            node[path[-1]] = copy.deepcopy(value)
+    data = json.dumps(cfg).encode()
+    if draw(st.sampled_from((False,) * 7 + (True,))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\xff", b"\xc3", b"\xe2\x82"))) + data[at:]
+    return data
+
+
+def _file(*bases, **overrides):
+    cfg = dict(GOOD)
+    for base in (*bases, overrides):
+        cfg.update(base)
+    return json.dumps(cfg).encode()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=problem_files(), command=st.sampled_from(("classify", "solve", "verify", "converge")))
+@example(data=_file(OVERFLOW_REFERENCE, F="1e308"), command="converge")
+@example(data=_file(OVERFLOW_REFERENCE, psi2="-1e308*x"), command="converge")
+# the Lipschitz estimate's sample of u, or its difference quotient, overflows
+@example(data=_file(phi1="1e308*x", f="sin(u)", window=_NARROW), command="solve")
+@example(data=_file(phi2="1e308*x", f="u^2/50", window=_NARROW), command="solve")
+@example(data=_file(f="1e308*tanh(1e6*u)"), command="solve")
+# the audit's extrapolation at a side near 1e308 overflows
+@example(
+    data=_file(
+        a=0.25, x0=-0.5, psi2="-1e308*x", F="1", window={"T": 0.72, "xmin": -3.67, "xmax": 0.144}
+    ),
+    command="verify",
+)
+def test_no_problem_file_breaks_the_cli(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out = os.path.join(tmp, "out.csv")
+        argv = {
+            "solve": ["solve", path, "-o", out],
+            "converge": ["converge", path, "--levels", "2"],
+        }.get(command, [command, path])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+        err = stderr.getvalue()
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err and "Warning" not in err
+        if code == 0:
+            assert err == ""
+            if command == "solve":
+                values = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+                assert values.size and np.isfinite(values).all()
+        elif code == 3:  # a verdict, not an error
+            assert err == "" and "overall: FAIL" in stdout.getvalue()
+        else:
+            assert err.startswith("error:") and err.count("\n") == 1

@@ -9,7 +9,7 @@ import pytest
 import charwave.expr as ex
 from charwave.assembly import solve
 from charwave.cauchy import GridParams, PicardParams, ProblemSpec
-from charwave.errors import NegativeTime, NotLinear, TooCloseToCharacteristic
+from charwave.errors import DomainError, NegativeTime, NotLinear, TooCloseToCharacteristic
 from charwave.verify import (
     _field_scale,
     check_definition1,
@@ -110,6 +110,14 @@ class TestAudit:
         for name, sol in solved.items():
             report = check_definition1(sol)
             assert report.passed, f"{name}: {report.to_dict()}"
+
+    def test_overflowing_audit_is_an_error(self):
+        # side 2 reaches about 1e308, so the extrapolated one-sided limits
+        # at its characteristic overflow: no verdict, and no numpy warning
+        spec = make_spec(a=0.25, x0=-0.5, psi2="-1e308*x", F="1")
+        sol = solve(spec, GridParams(T=0.72, x_lo=-3.67, x_hi=0.144, nt=8))
+        with pytest.raises(DomainError, match="too large to audit"):
+            check_definition1(sol)
 
     def test_report_shape(self, solved):
         report = check_definition1(solved["psi_step"])

@@ -223,7 +223,7 @@ def sample_user_grid(sol: Solution):
     xs = g.user_xs()
     n_rows = g.nt + 1
     n_cols = xs.shape[0]
-    d = 2 * np.arange(-g.n_left, g.n_right + 1)  # internal column offsets
+    d = g.user_offsets()
     region = np.full((n_rows, n_cols), 3, dtype=np.int64)
     w = np.empty((3, n_rows, n_cols))
     # d is sorted, so a row's side nodes are a prefix and a suffix of the

@@ -67,7 +67,9 @@ them once, in band-size planes, rather than once per sweep.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Sequence
 
 import numpy as np
@@ -245,6 +247,10 @@ class SolverGrid:
     def user_xs(self) -> np.ndarray:
         return self.x0 + self.dx_user * np.arange(-self.n_left, self.n_right + 1)
 
+    def user_offsets(self) -> np.ndarray:
+        """The internal offset of each user column: column j is offset 2j."""
+        return 2 * np.arange(-self.n_left, self.n_right + 1)
+
     def region_xcols(self, side: int) -> np.ndarray:
         """x of a side's offsets, in increasing order."""
         if side == 1:
@@ -415,10 +421,16 @@ def build_grid(spec: ProblemSpec, params: GridParams) -> SolverGrid:
     # characteristic at every level for one-sided extrapolation
     reach = max(2 * n_left + n_levels + 1, 2 * n_levels + 3)
     reach2 = max(2 * n_right + n_levels + 1, 2 * n_levels + 3)
-    # the (3, rows, cols) float arrays of the two sides and the wedge
+    # bytes of the (3, rows, cols) float arrays of the two sides and the
+    # wedge, an exact integer that may pass any float (hence Decimal below)
     rows = n_levels + 1
-    if 24 * rows * (reach + 1 + reach2 + 1 + rows) > np.iinfo(np.intp).max:
-        raise ConfigError("the grid's region arrays exceed numpy's size limit; coarsen the grid")
+    need = 24 * rows * (reach + 1 + reach2 + 1 + rows)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigError(
+            f"the grid's region arrays need {Decimal(need) / 2**30:.3g} GiB, more than "
+            f"the {memory / 2**30:.3g} GiB of physical memory; coarsen the grid"
+        )
     return SolverGrid(
         a=spec.a,
         x0=spec.x0,

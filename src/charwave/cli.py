@@ -11,11 +11,11 @@ Exit codes: 0 success (or all checks passed), 1 any other charwave error
 (configuration or expression errors, including a problem file that is not
 UTF-8, a wave speed or a Picard ``tol`` that is not a finite positive
 number, an unwritable ``-o`` path, ``converge --levels`` below 2, a window
-too narrow for any probe, a grid whose step or column count is not a finite
-positive number or whose arrays exceed numpy's size limit, not enough memory
-for the grid, a Lipschitz estimate, closed-form reference or audit
-measurement that is not finite, and geometry errors such as a query outside
-the window), 2
+too narrow for any ``converge`` probe, ``verify`` at nt below 4, a grid whose
+step or column count is not a finite positive number or whose arrays exceed
+physical memory, not enough free memory for the grid, a Lipschitz estimate,
+closed-form reference, audit measurement or audit tolerance that is not
+finite, and geometry errors such as a query outside the window), 2
 interior iteration failed to converge or its field left the floating-point
 range, 3 verification failed.  Every error prints one ``error:`` line
 instead of a traceback.

@@ -21,7 +21,6 @@ __all__ = [
     "NegativeTime",
     "OutOfWindow",
     "NonConvergence",
-    "TooCloseToCharacteristic",
     "NotLinear",
 ]
 
@@ -93,10 +92,6 @@ class NonConvergence(CharwaveError):
     def __init__(self, message: str, last_update: float | None = None):
         super().__init__(message)
         self.last_update = last_update
-
-
-class TooCloseToCharacteristic(CharwaveError):
-    """A finite-difference stencil would straddle a line of reduced smoothness."""
 
 
 class NotLinear(CharwaveError):

@@ -2,13 +2,14 @@
 
 Nothing here feeds back into the solver: the linear oracle evaluates the
 assembled closed-form representation by direct quadrature (valid when the
-lower-order term f is absent), the residual check differentiates the solved
-field numerically and substitutes it into the equation, and the audit walks
+lower-order term f is absent), the residual check takes second differences of
+the solved nodes and substitutes them into the equation, and the audit walks
 the defining conditions of the piecewise-classical solution:
 
   (i)   u(0, x) = phi(x) at the initial nodes, including u(0, x0) = A;
   (ii)  u_t(0, x) = psi(x) at the initial nodes except x0;
-  (iii) the equation holds at interior probes of each region;
+  (iii) the equation holds at interior user nodes of each region, by central
+        differences whose stencils lie on that region's own nodes;
   (iv)  the wedge boundary values reproduce the characteristic traces;
   (v)   the jumps across both characteristics are the prescribed constants.
 
@@ -27,14 +28,13 @@ import numpy as np
 from . import expr as ex
 from .assembly import Solution, _jump_triple, evaluate
 from .cauchy import GridParams, PicardParams, ProblemSpec, RegionField
-from .errors import ConfigError, DomainError, NegativeTime, NotLinear, TooCloseToCharacteristic
-from .geometry import Region, classify_point
+from .errors import ConfigError, DomainError, NegativeTime, NotLinear
+from .geometry import classify_point  # not called here: benchmarks/spans.py wraps it
 from .goursat import goursat_traces
 
 __all__ = [
     "CheckResult",
     "VerificationReport",
-    "pde_residual",
     "check_definition1",
     "inject_fault",
     "linear_oracle",
@@ -51,12 +51,14 @@ __all__ = [
 
 # Audit tolerances: the initial-data one is absolute, the others are these
 # coefficients times h^2 (h = dt_user) times the field or right-hand-side
-# magnitude.  The residual's finite-difference step is _FD_STEPS * dt_user.
+# magnitude.  The residual's finite-difference step is _FD_STEPS * dt_user,
+# taken at the user nodes on the user levels nearest _RESIDUAL_FRACS * T.
 _INITIAL_TOL = 1e-9
 _GOURSAT_COEFF = 20.0
 _JUMP_COEFF = 20.0
 _RESIDUAL_COEFF = 50.0
 _FD_STEPS = 2.0
+_RESIDUAL_FRACS = (0.3, 0.5, 0.7, 0.85)
 
 
 @dataclass(frozen=True)
@@ -95,56 +97,19 @@ class VerificationReport:
 
 
 # --------------------------------------------------------------------------
-# PDE residual
-
-
-def pde_residual(sol: Solution, t: float, x: float, h_fd: float | None = None) -> float:
-    """|u_tt - a^2 u_xx + f - F| at (t, x) by central differences of the field.
-
-    The five-point stencil must stay inside one region (and the window);
-    otherwise TooCloseToCharacteristic is raised.
-    """
-    g = sol.grid
-    h = h_fd if h_fd is not None else _FD_STEPS * g.dt_user
-    pts = ((t, x), (t + h, x), (t - h, x), (t, x + h), (t, x - h))
-    regions = [classify_point(g.a, g.x0, *pt) for pt in pts]
-    if len(set(regions)) != 1:
-        raise TooCloseToCharacteristic(
-            f"residual stencil at (t={t}, x={x}) with step {h} straddles a characteristic"
-        )
-    u0, p0, q0, _ = evaluate(sol, t, x)
-    utp = evaluate(sol, t + h, x)[0]
-    utm = evaluate(sol, t - h, x)[0]
-    uxp = evaluate(sol, t, x + h)[0]
-    uxm = evaluate(sol, t, x - h)[0]
-    utt = (utp - 2.0 * u0 + utm) / (h * h)
-    uxx = (uxp - 2.0 * u0 + uxm) / (h * h)
-    f_val = ex.evaluate(sol.spec.f, {"t": t, "x": x, "u": u0, "ut": p0, "ux": q0})
-    F_val = ex.evaluate(sol.spec.F, {"t": t, "x": x})
-    return abs(utt - g.a * g.a * uxx + f_val - F_val)
-
-
-# --------------------------------------------------------------------------
 # Probe sets
 
 
 def probe_points(
-    a: float,
-    x0: float,
-    T: float,
-    x_lo: float,
-    x_hi: float,
-    collar: float,
-    nx: int = 13,
-    t_fracs: tuple[float, ...] = (0.2, 0.45, 0.7, 0.95),
+    a: float, x0: float, T: float, x_lo: float, x_hi: float, collar: float
 ) -> tuple[tuple[float, float], ...]:
-    """Deterministic probe lattice keeping ``collar`` clear of the
-    characteristics through (0, x0) and of the window edges; empty when the
-    collar leaves no room in the window."""
+    """Deterministic probe lattice, 13 abscissae at 4 times, keeping
+    ``collar`` clear of the characteristics through (0, x0) and of the window
+    edges; empty when the collar leaves no room in the window."""
     out = []
     lo, hi = x_lo + collar, x_hi - collar
-    xs = np.linspace(lo, hi, nx) if lo <= hi else ()
-    for frac in t_fracs:
+    xs = np.linspace(lo, hi, 13) if lo <= hi else ()
+    for frac in (0.2, 0.45, 0.7, 0.95):
         t = frac * T
         for x in xs:
             d = x - x0
@@ -152,33 +117,6 @@ def probe_points(
                 continue
             out.append((float(t), float(x)))
     return tuple(out)
-
-
-def _residual_probes(sol: Solution, h: float):
-    """Interior probes per region whose residual stencils stay in it."""
-    g = sol.grid
-    collar = 2.0 * h * (1.0 + g.a) + 0.5 * g.dx_user
-    pts = probe_points(
-        g.a,
-        g.x0,
-        g.T,
-        g.x_lo,
-        g.x_hi,
-        collar,
-        nx=15,
-        t_fracs=(0.3, 0.5, 0.7, 0.85),
-    )
-    # the collar exceeds the stencil's reach h*max(1, a); only t can leave the window
-    grouped: dict[Region, list[tuple[float, float]]] = {r: [] for r in Region}
-    for t, x in pts:
-        if t - h >= 0.0 and t + h <= g.T:
-            grouped[classify_point(g.a, g.x0, t, x)].append((t, x))
-    # cap per region, spread across the candidate list
-    for r, lst in grouped.items():
-        if len(lst) > 12:
-            step = len(lst) / 12.0
-            grouped[r] = [lst[int(k * step)] for k in range(12)]
-    return grouped
 
 
 # --------------------------------------------------------------------------
@@ -191,29 +129,64 @@ def _field_scale(sol: Solution) -> float:
     return max(float(np.max(np.abs(f.u), where=f.live, initial=1.0)) for f in fields)
 
 
-def _rhs_scale(sol: Solution, grouped) -> float:
-    s = 1.0
-    for pts in grouped.values():
-        for t, x in pts:
-            u0, p0, q0, _ = evaluate(sol, t, x)
-            s = max(
-                s,
-                abs(ex.evaluate(sol.spec.F, {"t": t, "x": x})),
-                abs(ex.evaluate(sol.spec.f, {"t": t, "x": x, "u": u0, "ut": p0, "ux": q0})),
-            )
-    return s
+def _second_difference(minus, mid, plus, step: float):
+    """(plus - 2 mid + minus) / step^2, dividing twice so that a tiny step
+    does not square to a zero divisor."""
+    return (plus - 2.0 * mid + minus) / step / step
+
+
+# an overflow is silent here: it shows as a residual that is not finite, which
+# check_definition1 raises as DomainError
+@np.errstate(over="ignore", invalid="ignore")
+def _residuals(sol: Solution) -> tuple[float, int, float]:
+    """The largest |u_tt - a^2 u_xx + f - F| over the residual nodes, their
+    number, and max(1, |f|, |F|) over them.
+
+    The residual nodes are the user nodes, on the user levels nearest
+    _RESIDUAL_FRACS * T, whose five-point stencil of k = 2 * _FD_STEPS
+    internal steps in level and in offset lies on their region's live nodes.
+    The steps are h_fd in t and a * h_fd in x, so a d'Alembert part of the
+    field cancels exactly in the differences.
+    """
+    g, spec = sol.grid, sol.spec
+    k = int(2 * _FD_STEPS)
+    levels = 2 * np.unique(np.rint(np.multiply(_RESIDUAL_FRACS, g.nt)).astype(int))
+    levels = levels[(levels >= k) & (levels <= g.n_levels - k)]
+    offsets = g.user_offsets()
+    level, offset = levels[:, None], offsets[None, :]
+    residuals, rhs, count = [0.0], [1.0], 0
+    for field, inside in (
+        (sol.field1, offset <= -level - k),
+        (sol.field2, offset >= level + k),
+        (sol.field3, np.abs(offset) <= level - k),
+    ):
+        rows, cols = np.nonzero(inside)
+        if not rows.size:
+            continue
+        lv, off = levels[rows], offsets[cols]
+        u, p, q = field.at(lv, off)
+        u_tt = _second_difference(field.at(lv - k, off)[0], u, field.at(lv + k, off)[0], k * g.dt)
+        u_xx = _second_difference(field.at(lv, off - k)[0], u, field.at(lv, off + k)[0], k * g.dx)
+        t, x = lv * g.dt, g.x0 + off * g.dx
+        f = ex.evaluate(spec.f, {"t": t, "x": x, "u": u, "ut": p, "ux": q})
+        F = ex.evaluate(spec.F, {"t": t, "x": x})
+        residuals.append(np.abs(u_tt - g.a * g.a * u_xx + f - F))
+        rhs += [np.abs(f), np.abs(F)]
+        count += lv.size
+    return _largest(*residuals), count, _largest(*rhs)
 
 
 def _tolerances(sol: Solution):
-    """The residual step, the residual probes, and each check's tolerance."""
+    """The largest residual, the number of residual nodes, and each check's
+    tolerance.  Raises ConfigError when no residual node fits (nt < 4) and
+    DomainError when a tolerance is not finite."""
     g = sol.grid
     h = g.dt_user
     h_fd = _FD_STEPS * h
-    grouped = _residual_probes(sol, h_fd)
-    if not any(grouped.values()):
+    residual, count, rhs = _residuals(sol)
+    if not count:
         raise ConfigError(
-            f"no residual probe fits in the window [{g.x_lo}, {g.x_hi}] x [0, {g.T}] "
-            f"at nt={g.nt}; widen the window or refine the grid"
+            f"the residual audit needs nt >= {2 * _FD_STEPS:g}, got nt={g.nt}; refine the grid"
         )
     scale = _field_scale(sol)
     # the residual tolerance scales with the right-hand sides, not the field,
@@ -221,26 +194,29 @@ def _tolerances(sol: Solution):
     tolerances = {
         "initial_u": _INITIAL_TOL,
         "initial_ut": _INITIAL_TOL,
-        "pde_residual": _RESIDUAL_COEFF * (h * h + h_fd * h_fd) * _rhs_scale(sol, grouped),
+        "pde_residual": _RESIDUAL_COEFF * (h * h + h_fd * h_fd) * rhs,
         "goursat_traces": _GOURSAT_COEFF * h * h * scale,
         "jump_constancy": _JUMP_COEFF * h * h * scale,
     }
-    return h_fd, grouped, tolerances
+    for name, tol in tolerances.items():
+        if not math.isfinite(tol):
+            raise DomainError(f"the {name} tolerance is {tol}; the field is too large to audit")
+    return residual, count, tolerances
 
 
 def _initial_errors(sol: Solution) -> tuple[float, float]:
     """Largest |u(0,x) - phi(x)| and |u_t(0,x) - psi(x)| over the user nodes
     except x0, each data expression evaluated once on its side's nodes."""
     g, spec = sol.grid, sol.spec
-    j = np.arange(-g.n_left, g.n_right + 1)
+    d = g.user_offsets()
     xs = g.user_xs()
     err_u = err_p = 0.0
     for field, on_side, phi, psi in (
-        (sol.field1, j < 0, spec.phi1, spec.psi1),
-        (sol.field2, j > 0, spec.phi2, spec.psi2),
+        (sol.field1, d < 0, spec.phi1, spec.psi1),
+        (sol.field2, d > 0, spec.phi2, spec.psi2),
     ):
         env = {"x": xs[on_side]}
-        u, p, _ = field.at(0, 2 * j[on_side])
+        u, p, _ = field.at(0, d[on_side])
         err_u = _largest(err_u, np.abs(u - ex.evaluate(phi, env)))
         err_p = _largest(err_p, np.abs(p - ex.evaluate(psi, env)))
     return err_u, err_p
@@ -260,7 +236,7 @@ def check_definition1(sol: Solution) -> VerificationReport:
     DomainError when a measurement is not finite: a field that close to the
     floating-point limit cannot be audited."""
     g = sol.grid
-    h_fd, grouped, tol = _tolerances(sol)
+    residual, count, tol = _tolerances(sol)
     checks: list[CheckResult] = []
     info: list[tuple[str, float]] = []
 
@@ -281,12 +257,11 @@ def check_definition1(sol: Solution) -> VerificationReport:
     check("initial_u", err_u0, "u(0,x) vs phi on user nodes, and u(0,x0) vs A")
     check("initial_ut", err_p0, "u_t(0,x) vs psi on user nodes except x0")
 
-    # (iii) equation residual on interior probes
-    residuals = [pde_residual(sol, t, x, h_fd) for pts in grouped.values() for t, x in pts]
+    # (iii) equation residual at interior nodes of each region
     check(
         "pde_residual",
-        _largest(0.0, *residuals),
-        f"max |u_tt - a^2 u_xx + f - F| over {len(residuals)} interior probes",
+        residual,
+        f"max |u_tt - a^2 u_xx + f - F| over {count} interior nodes",
     )
 
     # (iv) wedge boundary vs traces, traces rebuilt from the side fields
@@ -343,7 +318,7 @@ def inject_fault(sol: Solution, check: str) -> Solution:
     must fail ``check`` (and may legitimately trip related checks that read
     the same arrays).
     """
-    tolerances = _tolerances(sol)[2]
+    tolerances = _tolerances(sol)[-1]
     if check not in tolerances:
         raise ValueError(f"unknown check name {check!r}")
     tol = tolerances[check]

@@ -88,6 +88,20 @@ class TestGrid:
         assert g.user_xs()[0] == pytest.approx(g.x_lo)
         assert g.user_xs()[-1] == pytest.approx(g.x_hi)
 
+    def test_user_offsets(self):
+        g = build_grid(make_spec(), GridParams(T=1.0, x_lo=-1.05, x_hi=1.0, nt=8))
+        d = g.user_offsets()
+        np.testing.assert_array_equal(d, 2 * np.arange(-g.n_left, g.n_right + 1))
+        np.testing.assert_allclose(g.x0 + g.dx * d, g.user_xs(), rtol=0, atol=1e-12)
+
+    def test_grid_past_physical_memory_is_rejected(self):
+        # 6.4 EiB of region arrays, below numpy's size limit: rejected before
+        # any array is allocated, naming both sizes
+        spec = make_spec(a=5e-324)
+        params = GridParams(T=1.7976931348623157e308, x_lo=-0.5, x_hi=0.5, nt=8)
+        with pytest.raises(ConfigError, match=r"need 6\.\d+e\+9 GiB, more than the [\d.]+ GiB"):
+            build_grid(spec, params)
+
     def test_x0_must_be_inside_window(self):
         with pytest.raises(ConfigError):
             build_grid(make_spec(x0=5.0), GridParams(T=1.0, x_lo=-1.0, x_hi=1.0, nt=8))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import charwave.cli as cli
 from charwave.assembly import sample_user_grid, solve
 from charwave.cauchy import PicardParams, build_grid
-from charwave.errors import ConfigError, NegativeTime, OutOfWindow, TooCloseToCharacteristic
+from charwave.errors import ConfigError, NegativeTime, NotLinear, OutOfWindow
 
 from helpers import config_path
 
@@ -34,6 +34,13 @@ GOOD = {
 # scaled to 1e308
 OVERFLOW_REFERENCE = {
     "A": 1.0, "phi2": "1", "psi2": "0", "window": {"T": 1.5, "xmin": -3.0, "xmax": 3.0},
+}
+
+# u = 1e307 at h = 1: the audit's trace and jump tolerances, 20 h^2 |u|,
+# overflow
+OVERFLOW_TOLERANCE = {
+    "A": 1e307, "phi1": "1e307", "phi2": "1e307", "psi2": "0",
+    "window": {"T": 8.0, "xmin": -40.0, "xmax": 40.0},
 }
 
 
@@ -249,6 +256,14 @@ class TestVerifyCommand:
         assert cli.main(["verify", path]) == 0
         assert "overall: PASS" in capsys.readouterr().out
 
+    def test_overflowing_tolerance_is_1(self, tmp_path, capsys):
+        # no verdict against an infinite tolerance
+        assert cli.main(["verify", write_cfg(tmp_path, **OVERFLOW_TOLERANCE)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the goursat_traces tolerance is inf")
+        assert captured.err.count("\n") == 1
+        assert "PASS" not in captured.out
+
     def test_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         from charwave.verify import CheckResult, VerificationReport
 
@@ -318,7 +333,8 @@ class TestConvergeCommand:
 
 
 class TestExitCodes:
-    # T = 1.5 at nt = 2 makes the probe collar wider than half the window
+    # T = 1.5 at nt = 2 makes converge's probe collar wider than half the
+    # window, and verify's residual stencils need nt >= 4
     NARROW = {"window": {"T": 1.5, "xmin": -0.3, "xmax": 0.3}, "grid": {"nt": 2}}
 
     @pytest.mark.parametrize(
@@ -337,7 +353,7 @@ class TestExitCodes:
         "error",
         [
             OutOfWindow("(t=2, x=0) outside the solved window"),
-            TooCloseToCharacteristic("stencil straddles a characteristic"),
+            NotLinear("the closed-form reference requires f to be literally 0"),
             NegativeTime("t=-1"),
         ],
         ids=lambda e: type(e).__name__,
@@ -367,7 +383,7 @@ class TestExitCodes:
         [
             {"a": 5e-324},  # the user step dx underflows to 0
             {"window": {"T": 1e-320, "xmin": -3.0, "xmax": 3.0}},  # infinitely many columns
-            {"a": 1e-300},  # a finite column count past numpy's array size limit
+            {"a": 1e-300},  # a finite column count past physical memory
             {"grid": {"nt": 10**9}},  # the same at a plain step
         ],
         ids=["a-5e-324", "T-1e-320", "a-1e-300", "nt-1e9"],
@@ -580,7 +596,7 @@ def problem_files(draw):
             "xmin": x0 - draw(st.floats(0.5, 4.0)),
             "xmax": x0 + draw(st.floats(0.5, 4.0)),
         },
-        # verify's residual stencils need nt >= 7
+        # verify's residual stencils need nt >= 4
         "grid": {"nt": draw(st.sampled_from((8, 7, 4, 2)))},
     }
     if draw(st.booleans()):
@@ -624,6 +640,13 @@ def _file(*bases, **overrides):
     data=_file(
         a=0.25, x0=-0.5, psi2="-1e308*x", F="1", window={"T": 0.72, "xmin": -3.67, "xmax": 0.144}
     ),
+    command="verify",
+)
+# the audit's tolerances overflow
+@example(data=_file(OVERFLOW_TOLERANCE), command="verify")
+# dt^2 underflows to 0 (T = 1e-300) while u_tt = 2 a^2 overflows (a = 1e300)
+@example(
+    data=_file(a=1e300, phi1="x^2", phi2="x^2", window={"T": 1e-300, "xmin": -1.0, "xmax": 1.0}),
     command="verify",
 )
 def test_no_problem_file_breaks_the_cli(data, command):

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Sequence
@@ -184,6 +185,9 @@ class GridParams:
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
             raise ConfigError(f"T must be positive, got {self.T!r}")
+        if isinstance(self.nt, int) and abs(self.nt) > sys.float_info.max:
+            # T / nt would overflow, and such an integer may be too long to print
+            raise ConfigError("nt is outside the float range")
         if not (isinstance(self.nt, int) and self.nt >= 2):
             raise ConfigError(f"nt must be an integer >= 2, got {self.nt!r}")
         if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi) and self.x_lo < self.x_hi):

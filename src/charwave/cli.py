@@ -8,17 +8,19 @@ Subcommands::
     charwave converge problem.json --levels 3
 
 Exit codes: 0 success (or all checks passed), 1 any other charwave error
-(configuration or expression errors, including a problem file that is not
-UTF-8, a wave speed or a Picard ``tol`` that is not a finite positive
-number, an unwritable ``-o`` path, ``converge --levels`` below 2, a window
-too narrow for any ``converge`` probe, ``verify`` at nt below 4, a grid whose
-step or column count is not a finite positive number or whose arrays exceed
-physical memory, not enough free memory for the grid, a Lipschitz estimate,
-closed-form reference, audit measurement or audit tolerance that is not
-finite, and geometry errors such as a query outside the window), 2
-interior iteration failed to converge or its field left the floating-point
-range, 3 verification failed.  Every error prints one ``error:`` line
-instead of a traceback.
+(usage errors such as an unknown subcommand or flag, a missing ``-o`` or a
+``--levels`` that is not an integer; configuration or expression errors,
+including a problem file that is not UTF-8, a number outside the float
+range, JSON that Python's decoder cannot hold, a wave speed or a Picard
+``tol`` that is not a finite positive number, an unwritable ``-o`` path,
+``converge --levels`` below 2, a window too narrow for any ``converge``
+probe, ``verify`` at nt below 4, a grid whose step or column count is not a
+finite positive number or whose arrays exceed physical memory, not enough
+free memory for the grid, a Lipschitz estimate, closed-form reference, audit
+measurement or audit tolerance that is not finite, and geometry errors such
+as a query outside the window), 2 interior iteration failed to converge or
+its field left the floating-point range, 3 verification failed.  Every error
+prints one ``error:`` line instead of a traceback.
 
 The problem file is strict JSON with exactly these keys::
 
@@ -33,11 +35,11 @@ The problem file is strict JSON with exactly these keys::
       "picard": {"tol": 1e-10, "max_iter": 64}   # optional
     }
 
-Unknown keys anywhere are rejected.  CSV output has the header
-``t,x,region,u,ut,ux`` with rows ordered by time then by x, every float
-printed with 17 significant digits so repeated runs are byte-identical.  It
-is written one time level at a time; a failed write exits 1 and may leave a
-partial file.
+Unknown keys anywhere are rejected, and numbers must fit a float.  CSV
+output has the header ``t,x,region,u,ut,ux`` with rows ordered by time then
+by x, every float printed with 17 significant digits so repeated runs are
+byte-identical.  It is written one time level at a time; a failed write
+exits 1 and may leave a partial file.
 """
 
 from __future__ import annotations
@@ -50,96 +52,71 @@ import numpy as np
 
 from . import expr as ex
 from .assembly import diagnose, sample_user_grid, solve
-from .cauchy import GridParams, PicardParams, ProblemSpec
+from .cauchy import _SLOT_VARS, GridParams, PicardParams, ProblemSpec
 from .errors import CharwaveError, ConfigError, NonConvergence
 from .verify import check_definition1, convergence_study
 
 __all__ = ["main", "load_config", "write_csv"]
 
 
-_TOP_KEYS = {
-    "a", "x0", "A", "phi1", "phi2", "psi1", "psi2", "F", "f",
-    "lipschitz", "window", "grid", "picard",
+# each key's type, or the schema of its object; _OPTIONAL keys may be left out
+_SCHEMA = {
+    "a": float, "x0": float, "A": float,
+    **dict.fromkeys(_SLOT_VARS, str),
+    "lipschitz": float,
+    "window": {"T": float, "xmin": float, "xmax": float},
+    "grid": {"nt": int},
+    "picard": {"tol": float, "max_iter": int},
 }
-_REQUIRED = _TOP_KEYS - {"lipschitz", "picard"}
-_WINDOW_KEYS = {"T", "xmin", "xmax"}
-_GRID_KEYS = {"nt"}
-_PICARD_KEYS = {"tol", "max_iter"}
-_EXPR_KEYS = ("phi1", "phi2", "psi1", "psi2", "F", "f")
+_OPTIONAL = {"lipschitz", "picard", "tol", "max_iter"}
+_NOUNS = {float: "a number", int: "an integer", str: "an expression string"}
 
 
-def _num(cfg: dict, key: str, where: str = "") -> float:
-    val = cfg[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"key {where}{key!r} must be a number, got {type(val).__name__}")
-    return float(val)
-
-
-def _int(cfg: dict, key: str, where: str = "") -> int:
-    val = cfg[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"key {where}{key!r} must be an integer, got {type(val).__name__}")
-    return val
-
-
-def _check_keys(cfg: dict, allowed: set, required: set, where: str) -> None:
+def _checked(cfg, schema: dict, prefix: str = "") -> dict:
+    """``cfg`` with its keys and types checked against ``schema`` and every
+    number converted to float; ``prefix`` is the dotted path of nested keys."""
+    where = repr(prefix[:-1]) if prefix else "problem file"
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(cfg) - allowed
+    unknown = set(cfg) - set(schema)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-    missing = required - set(cfg)
+    missing = set(schema) - _OPTIONAL - set(cfg)
     if missing:
         raise ConfigError(f"missing key(s) in {where}: {', '.join(sorted(missing))}")
+    out = {}
+    for key, val in cfg.items():
+        kind = schema[key]
+        if isinstance(kind, dict):
+            out[key] = _checked(val, kind, f"{prefix}{key}.")
+            continue
+        if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
+            got = "" if kind is str else f", got {type(val).__name__}"
+            raise ConfigError(f"key {prefix}{key!r} must be {_NOUNS[kind]}{got}")
+        try:
+            out[key] = float(val) if kind is float else val
+        except OverflowError:  # an integer past the float range
+            raise ConfigError(f"key {prefix}{key!r} is outside the float range") from None
+    return out
 
 
 def load_config(path: str) -> tuple[ProblemSpec, GridParams, PicardParams]:
     """Parse and validate a UTF-8 problem file; raises ConfigError on any defect."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            raw = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path} is not UTF-8: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # a JSONDecodeError, an integer of more than 4300 digits, or nesting too deep
         raise ConfigError(f"{path} is not valid JSON: {e}") from e
-    _check_keys(cfg, _TOP_KEYS, _REQUIRED, "problem file")
-    for key in _EXPR_KEYS:
-        if not isinstance(cfg[key], str):
-            raise ConfigError(f"key {key!r} must be an expression string")
-    _check_keys(cfg["window"], _WINDOW_KEYS, _WINDOW_KEYS, "'window'")
-    _check_keys(cfg["grid"], _GRID_KEYS, _GRID_KEYS, "'grid'")
-    pic_cfg = cfg.get("picard", {})
-    _check_keys(pic_cfg, _PICARD_KEYS, set(), "'picard'")
-
-    lip = None
-    if "lipschitz" in cfg:
-        lip = _num(cfg, "lipschitz")
-    spec = ProblemSpec.from_strings(
-        a=_num(cfg, "a"),
-        x0=_num(cfg, "x0"),
-        A=_num(cfg, "A"),
-        phi1=cfg["phi1"],
-        phi2=cfg["phi2"],
-        psi1=cfg["psi1"],
-        psi2=cfg["psi2"],
-        F=cfg["F"],
-        f=cfg["f"],
-        lipschitz=lip,
-    )
-    grid = GridParams(
-        T=_num(cfg["window"], "T", "window."),
-        x_lo=_num(cfg["window"], "xmin", "window."),
-        x_hi=_num(cfg["window"], "xmax", "window."),
-        nt=_int(cfg["grid"], "nt", "grid."),
-    )
-    defaults = PicardParams()
-    picard = PicardParams(
-        tol=_num(pic_cfg, "tol", "picard.") if "tol" in pic_cfg else defaults.tol,
-        max_iter=_int(pic_cfg, "max_iter", "picard.") if "max_iter" in pic_cfg else defaults.max_iter,
-    )
-    return spec, grid, picard
+    cfg = _checked(raw, _SCHEMA)
+    window, grid, picard = cfg.pop("window"), cfg.pop("grid"), cfg.pop("picard", {})
+    spec = ProblemSpec.from_strings(**cfg)
+    grid = GridParams(T=window["T"], x_lo=window["xmin"], x_hi=window["xmax"], **grid)
+    return spec, grid, PicardParams(**picard)
 
 
 def write_csv(sol, path: str) -> None:
@@ -251,44 +228,46 @@ def _cmd_converge(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ConfigErrors: one ``error:`` line and exit 1, where
+    argparse would print its usage block and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+_COMMANDS = (
+    ("solve", _cmd_solve, "solve and write the sampled field as CSV"),
+    ("classify", _cmd_classify, "report the discontinuity case without solving"),
+    ("verify", _cmd_verify, "solve and audit the defining conditions"),
+    ("converge", _cmd_converge, "grid refinement study against a reference"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="charwave",
         description="piecewise-classical solver for the 1-D quasilinear wave "
         "equation with initial data jumping at one point",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve and write the sampled field as CSV")
-    p_solve.add_argument("config")
-    p_solve.add_argument("-o", "--output", required=True, help="output CSV path")
-    p_solve.add_argument("--json", action="store_true", help="machine-readable summary")
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_cls = sub.add_parser("classify", help="report the discontinuity case without solving")
-    p_cls.add_argument("config")
-    p_cls.add_argument("--json", action="store_true")
-    p_cls.set_defaults(func=_cmd_classify)
-
-    p_ver = sub.add_parser("verify", help="solve and audit the defining conditions")
-    p_ver.add_argument("config")
-    p_ver.add_argument("--json", action="store_true")
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_con = sub.add_parser("converge", help="grid refinement study against a reference")
-    p_con.add_argument("config")
-    p_con.add_argument("--levels", type=int, default=3)
-    p_con.add_argument(
+    commands = {}
+    for name, func, text in _COMMANDS:
+        cmd = commands[name] = sub.add_parser(name, help=text)
+        cmd.add_argument("config")
+        cmd.add_argument("--json", action="store_true", help="machine-readable output")
+        cmd.set_defaults(func=func)
+    commands["solve"].add_argument("-o", "--output", required=True, help="output CSV path")
+    commands["converge"].add_argument("--levels", type=int, default=3)
+    commands["converge"].add_argument(
         "--reference",
         default=None,
         help="expression in t,x used as the reference; defaults to the "
         "closed-form quadrature (requires f = 0)",
     )
-    p_con.add_argument("--json", action="store_true")
-    p_con.set_defaults(func=_cmd_converge)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except NonConvergence as e:
         print(f"error: {e}", file=sys.stderr)

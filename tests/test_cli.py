@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import charwave.cli as cli
 from charwave.assembly import sample_user_grid, solve
-from charwave.cauchy import PicardParams, build_grid
+from charwave.cauchy import GridParams, PicardParams, build_grid
 from charwave.errors import ConfigError, NegativeTime, NotLinear, OutOfWindow
 
 from helpers import config_path
@@ -110,6 +110,49 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             cli.load_config(str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"a": 10**400}, "'a'"),
+            ({"x0": -(10**400)}, "'x0'"),
+            ({"A": 10**400}, "'A'"),
+            ({"lipschitz": 10**400}, "'lipschitz'"),
+            ({"window": {"T": 10**400, "xmin": -3.0, "xmax": 3.0}}, "window.'T'"),
+            ({"picard": {"tol": 10**400}}, "picard.'tol'"),
+        ],
+    )
+    def test_number_outside_the_float_range(self, tmp_path, overrides, key):
+        # JSON integers have no size limit; the value itself is not printed
+        with pytest.raises(ConfigError) as err:
+            cli.load_config(write_cfg(tmp_path, **overrides))
+        assert str(err.value) == f"key {key} is outside the float range"
+
+    @pytest.mark.parametrize(
+        "nt, message",
+        [
+            (10**400, "nt is outside the float range"),  # T / nt would overflow
+            (-(10**400), "nt is outside the float range"),
+            (1, "nt must be an integer >= 2, got 1"),
+        ],
+        ids=["1e400", "-1e400", "1"],
+    )
+    def test_grid_rejects_nt(self, nt, message):
+        with pytest.raises(ConfigError) as err:
+            GridParams(T=1.0, x_lo=-1.0, x_hi=1.0, nt=nt)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(b'"nt": 8', b'"nt": ' + b"9" * 5001), (b'"F": "0"', b'"F": ' + b"[" * 10**5 + b"]" * 10**5)],
+        ids=["5001-digit-integer", "array-nested-100000-deep"],
+    )
+    def test_json_the_decoder_cannot_hold(self, tmp_path, old, new):
+        # json.load raises ValueError and RecursionError, not JSONDecodeError
+        path = pathlib.Path(write_cfg(tmp_path))
+        path.write_bytes(path.read_bytes().replace(old, new))
+        with pytest.raises(ConfigError, match=" is not valid JSON: "):
+            cli.load_config(str(path))
 
 
 class TestSolveCommand:
@@ -444,6 +487,31 @@ class TestExitCodes:
         assert "Traceback" not in captured.err and "Warning" not in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["converge", "CFG", "--levels", "abc"], "argument --levels: invalid int value: 'abc'"),
+            (["solve", "CFG"], "the following arguments are required: -o/--output"),
+            (["bogus", "CFG"], "argument command: invalid choice: 'bogus'"),
+            (["classify", "CFG", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+        ids=["levels-abc", "solve-without-o", "unknown-subcommand", "unknown-flag"],
+    )
+    def test_usage_error_is_1(self, tmp_path, capsys, argv, message):
+        # exit 2 means non-convergence, not argparse's usage error
+        cfg = write_cfg(tmp_path)
+        assert cli.main([cfg if a == "CFG" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_is_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as done:
+            cli.main(argv)
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: charwave")
+
     def test_config_error_is_1(self, tmp_path, capsys):
         assert cli.main(["solve", write_cfg(tmp_path, bogus=1), "-o", "x.csv"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -541,7 +609,8 @@ _POOLS = {
     "f": ("0", "sin(u)", "u^2/50", "log(u)", "0.5*ut - ux", "t*x"),
 }
 _EXTREMES = (5e-324, 1e-300, 1e300)
-_BAD_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -1.0, *_EXTREMES)
+# 10**400 is a valid JSON integer outside the float range
+_BAD_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -1.0, *_EXTREMES, 10**400)
 _WRONG_TYPES = (None, True, "1", [1.0], {"v": 1})
 # characters of the expression grammar: digits, names, operators
 _ALPHABET = "0123456789.eE+-*/^(), tuxsincoplgqrahbm_"
@@ -556,7 +625,7 @@ def _value(kind):
     elif kind == "window":  # a window edge: huge, or next to x0 = 0
         values = st.sampled_from((-1e300, 1e300, -1e-300, 1e-300, math.nan) + _WRONG_TYPES)
     elif kind == "integer":
-        values = st.sampled_from((0, 1, -3, 2.5, math.inf) + _WRONG_TYPES)
+        values = st.sampled_from((0, 1, -3, 2.5, math.inf, 10**400) + _WRONG_TYPES)
     else:
         values = st.one_of(st.text(_ALPHABET, max_size=16), st.sampled_from(_WRONG_TYPES))
     return st.one_of(st.just(_DROP), values)
@@ -649,6 +718,12 @@ def _file(*bases, **overrides):
     data=_file(a=1e300, phi1="x^2", phi2="x^2", window={"T": 1e-300, "xmin": -1.0, "xmax": 1.0}),
     command="verify",
 )
+# integers outside the float range, in the reader and in build_grid's T / nt
+@example(data=_file(a=10**400), command="classify")
+@example(data=_file(grid={"nt": 10**400}), command="solve")
+# JSON that json.load cannot hold, which json.dumps cannot write either
+@example(data=_file().replace(b'"nt": 8', b'"nt": ' + b"9" * 5001), command="classify")
+@example(data=_file(F="@").replace(b'"@"', b"[" * 10**5 + b"]" * 10**5), command="classify")
 def test_no_problem_file_breaks_the_cli(data, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.json")

@@ -1,0 +1,99 @@
+"""Fingerprint of charwave's outputs, to show that a change moved no bit.
+
+usage: python3 tools/fingerprint.py ROOT > fingerprint.json
+
+ROOT is a charwave checkout.  The script imports charwave from ROOT/src and
+the benchmark's problem generator from ROOT/benchmarks/problems.py, and
+writes nothing under ROOT: problem files and CSVs go to a temporary
+directory, and no bytecode is cached.  The problems are each
+ROOT/configs/*.json and seed 501 of each benchmark workload.  For each one
+it prints, as sorted JSON:
+
+* the sha256 of ``field1.w``, ``field2.w`` and ``field3.w`` and every
+  ``report.update_norms`` of the solve;
+* the sha256 of the CSV that ``charwave solve -o`` writes;
+* the exit code and stdout of ``classify --json`` and ``verify --json``,
+  and for refine_study of ``converge --levels 3 --json``.
+
+Run it on two checkouts and compare the outputs byte for byte, e.g.
+``cmp <(python3 tools/fingerprint.py old) <(python3 tools/fingerprint.py .)``.
+A full run takes about 15 s on a 2-vCPU machine.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import glob
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+SEED = 501
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(cli, argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+def fingerprint(charwave, path: str, tmp: str, converge: bool) -> dict:
+    cli = charwave.cli
+    sol = charwave.solve(*cli.load_config(path))
+    fields = (sol.field1, sol.field2, sol.field3)
+    csv = os.path.join(tmp, "out.csv")
+    _run(cli, ["solve", path, "-o", csv])
+    with open(csv, "rb") as fh:
+        csv_sha = _sha256(fh.read())
+    os.remove(csv)
+    result = {
+        "w_sha256": [_sha256(f.w.tobytes()) for f in fields],
+        "update_norms": [f.report.update_norms for f in fields],
+        "csv_sha256": csv_sha,
+        "classify": _run(cli, ["classify", path, "--json"]),
+        "verify": _run(cli, ["verify", path, "--json"]),
+    }
+    if converge:
+        result["converge"] = _run(cli, ["converge", path, "--levels", "3", "--json"])
+    return result
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    root = os.path.abspath(argv[0])
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "benchmarks")]
+    import charwave.cli
+    import problems
+
+    want = os.path.join(root, "src", "charwave")
+    if os.path.realpath(os.path.dirname(charwave.__file__)) != os.path.realpath(want):
+        print(f"error: charwave was imported from {charwave.__file__}, not {want}", file=sys.stderr)
+        return 1
+    report = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in sorted(glob.glob(os.path.join(root, "configs", "*.json"))):
+            name = "configs/" + os.path.basename(path)
+            report[name] = fingerprint(charwave, path, tmp, converge=False)
+        for workload in problems.WORKLOADS:
+            path = os.path.join(tmp, f"{workload}-seed{SEED}.json")
+            with open(path, "w") as fh:
+                json.dump(problems.GENERATORS[workload](SEED)[0], fh, indent=1)
+            name = f"{workload}:{SEED}"
+            report[name] = fingerprint(charwave, path, tmp, converge=workload == "refine_study")
+    print(json.dumps(report, sort_keys=True, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -77,7 +77,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ConfigError, DomainError, ExpressionError, NonConvergence
-from .geometry import Region, _check_speed
+from .geometry import Region, _as_float, _check_speed
 
 __all__ = [
     "ProblemSpec",
@@ -128,10 +128,11 @@ class ProblemSpec:
         _check_speed(self.a)
         for name in ("x0", "A"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not math.isfinite(_as_float(name, v)):
                 raise ConfigError(f"{name} must be a finite real number, got {v!r}")
         if self.lipschitz is not None:
-            if not (math.isfinite(self.lipschitz) and self.lipschitz >= 0):
+            L = _as_float("lipschitz", self.lipschitz)
+            if not (math.isfinite(L) and L >= 0):
                 raise ConfigError(f"lipschitz must be >= 0, got {self.lipschitz!r}")
         for name, allowed in _SLOT_VARS.items():
             extra = ex.free_vars(getattr(self, name)) - allowed
@@ -159,6 +160,9 @@ class ProblemSpec:
         sources = dict(phi1=phi1, phi2=phi2, psi1=psi1, psi2=psi2, F=F, f=f)
         exprs = {}
         for name, src in sources.items():
+            if not isinstance(src, str):
+                kind = type(src).__name__
+                raise ConfigError(f"{name} must be an expression string, got {kind}")
             try:
                 exprs[name] = ex.parse(src, _SLOT_VARS[name])
             except ExpressionError as err:
@@ -183,14 +187,15 @@ class GridParams:
     nt: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0):
+        if not (math.isfinite(_as_float("T", self.T)) and self.T > 0):
             raise ConfigError(f"T must be positive, got {self.T!r}")
         if isinstance(self.nt, int) and abs(self.nt) > sys.float_info.max:
             # T / nt would overflow, and such an integer may be too long to print
             raise ConfigError("nt is outside the float range")
         if not (isinstance(self.nt, int) and self.nt >= 2):
             raise ConfigError(f"nt must be an integer >= 2, got {self.nt!r}")
-        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi) and self.x_lo < self.x_hi):
+        x_lo, x_hi = _as_float("x_lo", self.x_lo), _as_float("x_hi", self.x_hi)
+        if not (math.isfinite(x_lo) and math.isfinite(x_hi) and self.x_lo < self.x_hi):
             raise ConfigError(f"window must satisfy x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
 
 
@@ -204,9 +209,11 @@ class PicardParams:
     max_iter: int = 64
 
     def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):
+        tol = _as_float("tol", self.tol)
+        if not (tol > 0 and math.isfinite(tol)):
             raise ConfigError(f"tol must be a finite number > 0, got {self.tol!r}")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
+        n = self.max_iter
+        if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
             raise ConfigError("max_iter must be an integer >= 1")
 
 

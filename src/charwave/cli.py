@@ -54,6 +54,7 @@ from . import expr as ex
 from .assembly import diagnose, sample_user_grid, solve
 from .cauchy import _SLOT_VARS, GridParams, PicardParams, ProblemSpec
 from .errors import CharwaveError, ConfigError, NonConvergence
+from .geometry import _as_float
 from .verify import check_definition1, convergence_study
 
 __all__ = ["main", "load_config", "write_csv"]
@@ -69,7 +70,7 @@ _SCHEMA = {
     "picard": {"tol": float, "max_iter": int},
 }
 _OPTIONAL = {"lipschitz", "picard", "tol", "max_iter"}
-_NOUNS = {float: "a number", int: "an integer", str: "an expression string"}
+_NOUNS = {int: "an integer", str: "an expression string"}
 
 
 def _checked(cfg, schema: dict, prefix: str = "") -> dict:
@@ -89,14 +90,13 @@ def _checked(cfg, schema: dict, prefix: str = "") -> dict:
         kind = schema[key]
         if isinstance(kind, dict):
             out[key] = _checked(val, kind, f"{prefix}{key}.")
-            continue
-        if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
+        elif kind is float:
+            out[key] = _as_float(f"key {prefix}{key!r}", val)
+        elif isinstance(val, bool) or not isinstance(val, kind):
             got = "" if kind is str else f", got {type(val).__name__}"
             raise ConfigError(f"key {prefix}{key!r} must be {_NOUNS[kind]}{got}")
-        try:
-            out[key] = float(val) if kind is float else val
-        except OverflowError:  # an integer past the float range
-            raise ConfigError(f"key {prefix}{key!r} is outside the float range") from None
+        else:
+            out[key] = val
     return out
 
 

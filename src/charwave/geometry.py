@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import InvalidSpeed, NegativeTime
+from .errors import ConfigError, InvalidSpeed, NegativeTime
 
 __all__ = ["Region", "classify_point"]
 
@@ -34,8 +34,20 @@ class Region(enum.Enum):
     Q3_STAR = 3
 
 
+def _as_float(name: str, value, error: type[ConfigError] = ConfigError) -> float:
+    """``value`` as a float; raises ``error``, naming ``name``, unless it is an
+    int or a float (a bool is not) inside the float range.  The value is not
+    printed: the repr of an int of more than 4300 digits raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} is outside the float range") from None
+
+
 def _check_speed(a: float) -> None:
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
+    if not (math.isfinite(_as_float("wave speed", a, InvalidSpeed)) and a > 0):
         raise InvalidSpeed(f"wave speed must be a finite positive number, got {a!r}")
 
 

@@ -20,7 +20,7 @@ not asserted; constancy is only claimed for u itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -80,20 +80,8 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "checks": [
-                {
-                    "name": c.name,
-                    "measured": float(c.measured),
-                    "tolerance": float(c.tolerance),
-                    "passed": bool(c.passed),
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-            "info": {k: float(v) for k, v in self.info},
-        }
+        """``passed``, then the fields in their order, ``info`` as an object."""
+        return {"passed": self.passed, **asdict(self), "info": dict(self.info)}
 
 
 # --------------------------------------------------------------------------
@@ -235,72 +223,60 @@ def check_definition1(sol: Solution) -> VerificationReport:
     """Audit the five defining conditions of the solved field.  Raises
     DomainError when a measurement is not finite: a field that close to the
     floating-point limit cannot be audited."""
-    g = sol.grid
     residual, count, tol = _tolerances(sol)
-    checks: list[CheckResult] = []
-    info: list[tuple[str, float]] = []
-
-    def finite(name: str, measured: float) -> None:
-        if not math.isfinite(measured):
-            raise DomainError(
-                f"the {name} audit measured {measured}; the field is too large to audit"
-            )
-
-    def check(name: str, measured: float, detail: str) -> None:
-        finite(name, measured)
-        checks.append(CheckResult(name, measured, tol[name], measured <= tol[name], detail))
-
     # (i) u(0, .) = phi, with the assigned value at x0; (ii) u_t(0, .) = psi
     # away from x0
     err_u0, err_p0 = _initial_errors(sol)
     err_u0 = _largest(err_u0, abs(sol.field3.at(0, 0)[0] - sol.spec.A))  # vertex
-    check("initial_u", err_u0, "u(0,x) vs phi on user nodes, and u(0,x0) vs A")
-    check("initial_ut", err_p0, "u_t(0,x) vs psi on user nodes except x0")
-
-    # (iii) equation residual at interior nodes of each region
-    check(
-        "pde_residual",
-        residual,
-        f"max |u_tt - a^2 u_xx + f - F| over {count} interior nodes",
-    )
-
     # (iv) wedge boundary vs traces, traces rebuilt from the side fields
     fresh = goursat_traces(sol.spec, sol.field1, sol.field2, sol.diagnostics)
-    m = g.n_levels
-    lv = np.arange(m + 1)
+    lv = np.arange(sol.grid.n_levels + 1)
     err_tr = _largest(
         np.abs(sol.field3.at(lv, -lv)[0] - fresh.gamma1),
         np.abs(sol.field3.at(lv, lv)[0] - fresh.gamma2),
     )
-    check(
-        "goursat_traces",
-        err_tr,
-        "wedge boundary values vs traces recomputed from the side fields",
+    # (v) jump constancy across both characteristics, above level 0
+    ul, pl, ql = _jump_triple(sol, lv[1:], "left")
+    ur, pr, qr = _jump_triple(sol, lv[1:], "right")
+    err_jump = _largest(
+        np.abs(ul - sol.diagnostics.left_jump_constant),
+        np.abs(ur - sol.diagnostics.right_jump_constant),
     )
 
-    # (v) jump constancy across both characteristics
-    cl = sol.diagnostics.left_jump_constant
-    cr = sol.diagnostics.right_jump_constant
-    levels = np.arange(1, m + 1)
-    ul, pl, ql = _jump_triple(sol, levels, "left")
-    ur, pr, qr = _jump_triple(sol, levels, "right")
-    err_jump = _largest(np.abs(ul - cl), np.abs(ur - cr))
-    check(
-        "jump_constancy",
-        err_jump,
-        "u-jumps across both characteristics vs A - phi1(x0), phi2(x0) - A",
+    # each check's measured value and detail, (iii) being the equation
+    # residual at interior nodes of each region
+    measured = {
+        "initial_u": (err_u0, "u(0,x) vs phi on user nodes, and u(0,x0) vs A"),
+        "initial_ut": (err_p0, "u_t(0,x) vs psi on user nodes except x0"),
+        "pde_residual": (
+            residual,
+            f"max |u_tt - a^2 u_xx + f - F| over {count} interior nodes",
+        ),
+        "goursat_traces": (
+            err_tr,
+            "wedge boundary values vs traces recomputed from the side fields",
+        ),
+        "jump_constancy": (
+            err_jump,
+            "u-jumps across both characteristics vs A - phi1(x0), phi2(x0) - A",
+        ),
+    }
+    info = {
+        "max_ut_jump_left": _largest(np.abs(pl)),
+        "max_ut_jump_right": _largest(np.abs(pr)),
+        "max_ux_jump_left": _largest(np.abs(ql)),
+        "max_ux_jump_right": _largest(np.abs(qr)),
+    }
+    values = {name: value for name, (value, _) in measured.items()} | info
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"the {name} audit measured {value}; the field is too large to audit")
+    # plain float and bool, also when a numpy T makes the tolerances numpy scalars
+    checks = tuple(
+        CheckResult(name, value, float(tol[name]), bool(value <= tol[name]), detail)
+        for name, (value, detail) in measured.items()
     )
-    info.extend(
-        [
-            ("max_ut_jump_left", float(np.max(np.abs(pl)))),
-            ("max_ut_jump_right", float(np.max(np.abs(pr)))),
-            ("max_ux_jump_left", float(np.max(np.abs(ql)))),
-            ("max_ux_jump_right", float(np.max(np.abs(qr)))),
-        ]
-    )
-    for name, value in info:
-        finite(name, value)
-    return VerificationReport(checks=tuple(checks), info=tuple(info))
+    return VerificationReport(checks=checks, info=tuple(info.items()))
 
 
 def _bumped(field: RegionField, k: int, bump) -> RegionField:
@@ -322,24 +298,23 @@ def inject_fault(sol: Solution, check: str) -> Solution:
     if check not in tolerances:
         raise ValueError(f"unknown check name {check!r}")
     tol = tolerances[check]
-    g = sol.grid
     size = 10.0 * tol
-    if check in ("initial_u", "initial_ut"):
-        k = 0 if check == "initial_u" else 1
-        return replace(sol, field1=_bumped(sol.field1, k, lambda level, j: size * (level == 0)))
-    if check == "pde_residual":
+    c = 5.0 * tol
+    dt = sol.grid.dt
+    # each check's fault: the regions whose fields it bumps, the plane (0 u,
+    # 1 u_t, 2 u_x) and the bump of (level, offset)
+    faults = {
+        "initial_u": ((1,), 0, lambda level, j: size * (level == 0)),
+        "initial_ut": ((1,), 1, lambda level, j: size * (level == 0)),
         # adding c*t^2 shifts u_tt by 2c everywhere, nothing else at order one
-        c = 5.0 * tol
-        lift = lambda level, j: c * (g.dt * level) * (g.dt * level)
-        fields = (sol.field1, sol.field2, sol.field3)
-        field1, field2, field3 = (_bumped(field, 0, lift) for field in fields)
-        return replace(sol, field1=field1, field2=field2, field3=field3)
-    if check == "goursat_traces":
-        return replace(sol, field3=_bumped(sol.field3, 0, lambda level, j: size * (level >= 1)))
-    # jump_constancy: lift side 1 strictly left of the characteristic at
-    # every level but 0
-    left_of_char = lambda level, j: size * ((level >= 1) & (j < -level))
-    return replace(sol, field1=_bumped(sol.field1, 0, left_of_char))
+        "pde_residual": ((1, 2, 3), 0, lambda level, j: c * (dt * level) * (dt * level)),
+        "goursat_traces": ((3,), 0, lambda level, j: size * (level >= 1)),
+        # lift side 1 strictly left of the characteristic at every level but 0
+        "jump_constancy": ((1,), 0, lambda level, j: size * ((level >= 1) & (j < -level))),
+    }
+    regions, k, bump = faults[check]
+    bumped = {f"field{r}": _bumped(getattr(sol, f"field{r}"), k, bump) for r in regions}
+    return replace(sol, **bumped)
 
 
 # --------------------------------------------------------------------------
@@ -445,11 +420,7 @@ class ConvergenceStudy:
     exact: bool
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [{"nt": e.nt, "h": e.h, "err": e.err} for e in self.entries],
-            "order": self.order,
-            "exact": self.exact,
-        }
+        return asdict(self)
 
 
 # errors at most this fraction of the study's scale, max(1, |reference|,

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charwave.expr as ex
 from charwave.assembly import solve
@@ -32,6 +34,10 @@ def make_spec(**kw):
     )
     base.update(kw)
     return ProblemSpec.from_strings(**base)
+
+
+def make_grid(**kw):
+    return GridParams(**{**dict(T=1.0, x_lo=-1.0, x_hi=1.0, nt=8), **kw})
 
 
 class TestSpecValidation:
@@ -65,6 +71,90 @@ class TestSpecValidation:
     def test_rejects_negative_lipschitz(self):
         with pytest.raises(ConfigError):
             make_spec(lipschitz=-1.0)
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: make_grid(T=10**400), ConfigError, "T is outside the float range"),
+            (
+                lambda: make_spec(a=10**400),
+                InvalidSpeed,
+                "wave speed is outside the float range",
+            ),
+            (lambda: make_spec(x0=10**400), ConfigError, "x0 is outside the float range"),
+            (
+                lambda: make_spec(lipschitz=10**400),
+                ConfigError,
+                "lipschitz is outside the float range",
+            ),
+            (lambda: PicardParams(tol=10**400), ConfigError, "tol is outside the float range"),
+            (lambda: make_grid(T="1"), ConfigError, "T must be a number, got str"),
+            (lambda: make_grid(x_lo=None), ConfigError, "x_lo must be a number, got NoneType"),
+            (lambda: make_spec(lipschitz="1"), ConfigError, "lipschitz must be a number, got str"),
+            (lambda: PicardParams(tol="x"), ConfigError, "tol must be a number, got str"),
+            (lambda: make_grid(T=True), ConfigError, "T must be a number, got bool"),
+            (lambda: make_spec(a=True), InvalidSpeed, "wave speed must be a number, got bool"),
+            (lambda: make_spec(A=True), ConfigError, "A must be a number, got bool"),
+            (
+                lambda: make_spec(lipschitz=True),
+                ConfigError,
+                "lipschitz must be a number, got bool",
+            ),
+            (lambda: PicardParams(max_iter=True), ConfigError, "max_iter must be an integer >= 1"),
+            (lambda: make_spec(phi1=5), ConfigError, "phi1 must be an expression string, got int"),
+        ],
+        ids=[
+            "T-1e400", "a-1e400", "x0-1e400", "lipschitz-1e400", "tol-1e400",
+            "T-str", "x_lo-None", "lipschitz-str", "tol-str",
+            "T-bool", "a-bool", "A-bool", "lipschitz-bool", "max_iter-bool", "phi1-int",
+        ],
+    )
+    def test_constructors_reject_what_the_cli_rejects(self, build, error, message):
+        # each of these used to end in OverflowError or TypeError, or to be
+        # accepted although the problem-file reader rejects it
+        with pytest.raises(error) as err:
+            build()
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+
+# values a library caller might pass for any parameter; 10**5000 is an int
+# whose repr raises ValueError
+_ANY_VALUE = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.integers(-3, 100),
+    st.builds(np.float64, st.floats(-10.0, 10.0)),
+    st.builds(np.int64, st.integers(-3, 100)),
+    st.sampled_from(
+        (True, False, None, "1", "x", [], [1.0], math.nan, math.inf, -math.inf)
+        + (10**400, -(10**400), 10**5000)
+    ),
+)
+_VALID = {
+    GridParams: dict(T=1.0, x_lo=-1.0, x_hi=1.0, nt=8),
+    PicardParams: dict(tol=1e-10, max_iter=64),
+    ProblemSpec.from_strings: dict(
+        a=1.0, x0=0.0, A=0.0,
+        phi1="0", phi2="0", psi1="0", psi2="0", F="0", f="0", lipschitz=None,
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(build=st.sampled_from(list(_VALID)), data=st.data())
+def test_no_value_breaks_the_constructors(build, data):
+    # each argument keeps its valid value or takes any of _ANY_VALUE; the
+    # call constructs, or raises a ConfigError of one short line
+    kwargs = {
+        key: data.draw(st.one_of(st.just(valid), _ANY_VALUE), key)
+        for key, valid in _VALID[build].items()
+    }
+    try:
+        build(**kwargs)
+    except ConfigError as err:
+        message = str(err)
+        # an integer past the float range would print hundreds of digits
+        assert message and "\n" not in message and len(message) < 200, message
 
 
 class TestGrid:

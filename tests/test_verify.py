@@ -12,6 +12,8 @@ from charwave.assembly import solve
 from charwave.cauchy import GridParams, PicardParams, ProblemSpec
 from charwave.errors import ConfigError, DomainError, NegativeTime, NotLinear
 from charwave.verify import (
+    ConvergenceEntry,
+    ConvergenceStudy,
     _field_scale,
     check_definition1,
     convergence_study,
@@ -153,10 +155,25 @@ class TestAudit:
         d = report.to_dict()
         json.dumps(d)  # serializable as-is
         assert d["passed"] is True
-        assert set(d["info"]) == {
+        # the JSON keys follow the dataclasses' field order
+        assert list(d) == ["passed", "checks", "info"]
+        for check in d["checks"]:
+            assert list(check) == ["name", "measured", "tolerance", "passed", "detail"]
+        assert list(d["info"]) == [
             "max_ut_jump_left", "max_ut_jump_right",
             "max_ux_jump_left", "max_ux_jump_right",
-        }
+        ]
+        entry = ConvergenceEntry(nt=8, h=0.125, err=0.5)
+        d = ConvergenceStudy(entries=(entry,), order=2.0, exact=False).to_dict()
+        assert list(d) == ["entries", "order", "exact"]
+        assert [list(e) for e in d["entries"]] == [["nt", "h", "err"]]
+        assert json.dumps(d) == (
+            '{"entries": [{"nt": 8, "h": 0.125, "err": 0.5}], "order": 2.0, "exact": false}'
+        )
+        # a numpy T makes the tolerances numpy scalars; the report holds plain ones
+        sol = solve(make_spec(), GridParams(T=np.float64(1.0), x_lo=-2.0, x_hi=2.0, nt=8))
+        for check in check_definition1(sol).checks:
+            assert type(check.tolerance) is float and type(check.passed) is bool
 
     def test_derivative_jumps_reported_not_asserted(self, solved):
         # psi-step: u_t and u_x genuinely jump by 1/2 across the fan, yet

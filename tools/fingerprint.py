@@ -13,11 +13,13 @@ it prints, as sorted JSON:
   ``report.update_norms`` of the solve;
 * the sha256 of the CSV that ``charwave solve -o`` writes;
 * the exit code and stdout of ``classify --json`` and ``verify --json``,
-  and for refine_study of ``converge --levels 3 --json``.
+  and for refine_study of ``converge --levels 3 --json``;
+* for each audit check, the sha256 of the three ``w`` arrays of
+  ``inject_fault(sol, check)`` and the JSON of ``check_definition1`` on it.
 
 Run it on two checkouts and compare the outputs byte for byte, e.g.
 ``cmp <(python3 tools/fingerprint.py old) <(python3 tools/fingerprint.py .)``.
-A full run takes about 15 s on a 2-vCPU machine.
+A full run takes about 20 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import sys
 import tempfile
 
 SEED = 501
+CHECKS = ("initial_u", "initial_ut", "pde_residual", "goursat_traces", "jump_constancy")
 
 
 def _sha256(data: bytes) -> str:
@@ -45,6 +48,10 @@ def _run(cli, argv: list[str]) -> dict:
     return {"exit": code, "stdout": out.getvalue()}
 
 
+def _w_sha256(sol) -> list[str]:
+    return [_sha256(f.w.tobytes()) for f in (sol.field1, sol.field2, sol.field3)]
+
+
 def fingerprint(charwave, path: str, tmp: str, converge: bool) -> dict:
     cli = charwave.cli
     sol = charwave.solve(*cli.load_config(path))
@@ -55,12 +62,19 @@ def fingerprint(charwave, path: str, tmp: str, converge: bool) -> dict:
         csv_sha = _sha256(fh.read())
     os.remove(csv)
     result = {
-        "w_sha256": [_sha256(f.w.tobytes()) for f in fields],
+        "w_sha256": _w_sha256(sol),
         "update_norms": [f.report.update_norms for f in fields],
         "csv_sha256": csv_sha,
         "classify": _run(cli, ["classify", path, "--json"]),
         "verify": _run(cli, ["verify", path, "--json"]),
+        "faults": {},
     }
+    for check in CHECKS:
+        bad = charwave.inject_fault(sol, check)
+        result["faults"][check] = {
+            "w_sha256": _w_sha256(bad),
+            "report": json.dumps(charwave.check_definition1(bad).to_dict()),
+        }
     if converge:
         result["converge"] = _run(cli, ["converge", path, "--levels", "3", "--json"])
     return result

@@ -135,7 +135,13 @@ class ProblemSpec:
             if not (math.isfinite(L) and L >= 0):
                 raise ConfigError(f"lipschitz must be >= 0, got {self.lipschitz!r}")
         for name, allowed in _SLOT_VARS.items():
-            extra = ex.free_vars(getattr(self, name)) - allowed
+            value = getattr(self, name)
+            if not isinstance(value, ex.Expr):
+                kind = type(value).__name__
+                raise ConfigError(
+                    f"{name} must be a parsed expression (from_strings parses strings), got {kind}"
+                )
+            extra = ex.free_vars(value) - allowed
             if extra:
                 raise ConfigError(
                     f"expression for {name} may only use {sorted(allowed)}, "

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -331,6 +332,39 @@ def _trapz_expr(e: ex.Expr, lo: float, hi: float, n: int) -> float:
     return float(np.trapezoid(vals, dx=(hi - lo) / n))
 
 
+# tau-rows of the F lattice per tile: each tile is a long numpy pass (a worker
+# thread running the oracle releases the GIL through it) whose buffers stay
+# small beside the solves it overlaps
+_TILE_ROWS = 64
+
+
+def _row_trapezoids(F: ex.Expr, taus, lo, widths):
+    """Row i: the trapezoid sum, with unit spacing, of F(taus[i], .) at
+    taus.size equally spaced points from lo[i] to lo[i] + widths[i].
+
+    The lattice is visited _TILE_ROWS rows at a time through two reused
+    buffers.  Every element takes the operations of ``np.trapezoid`` on the
+    whole lattice, and every row keeps its pairwise sum, so the values equal
+    the whole-lattice rule bit for bit.
+    """
+    n = taus.size
+    fracs = np.linspace(0.0, 1.0, n)
+    out = np.empty(n)
+    ys = np.empty((min(_TILE_ROWS, n), n))
+    pairs = np.empty((ys.shape[0], n - 1))
+    for s in range(0, n, _TILE_ROWS):
+        e = min(s + _TILE_ROWS, n)
+        y, pair = ys[: e - s], pairs[: e - s]
+        np.multiply(widths[s:e, None], fracs, out=y)
+        y += lo[s:e, None]
+        v = np.broadcast_to(ex.evaluate(F, {"t": taus[s:e, None], "x": y}), y.shape)
+        # np.trapezoid's steps; its factor 1.0 is exact
+        np.add(v[:, 1:], v[:, :-1], out=pair)
+        pair /= 2.0
+        out[s:e] = np.add.reduce(pair, axis=1)
+    return out
+
+
 # an overflow is silent here: it shows as a non-finite value, which is raised
 # as DomainError below
 @np.errstate(over="ignore", invalid="ignore")
@@ -346,8 +380,12 @@ def linear_oracle(
     Average of the piecewise phi at (x -/+ a t), plus the psi integral split
     at x0, plus (in the wedge) the indicator term A - (phi1(x0)+phi2(x0))/2,
     plus the double integral of F over the dependence triangle with quad_n^2
-    trapezoid cells.  ``include_jump_term=False`` evaluates the formula
-    without the indicator (the version that is exact when A is the midpoint).
+    trapezoid cells.  The lattice is integrated in tiles of _TILE_ROWS
+    tau-rows: at quad_n = 1024, on a quadratic F, a call allocates about
+    3 MiB at its peak instead of the whole lattice's 32 MiB, and returns the
+    whole-lattice rule's bits.  ``include_jump_term=False`` evaluates the
+    formula without the indicator (the version that is exact when A is the
+    midpoint).
     Raises DomainError, naming the probe, when the value is not finite.
     """
     if not ex.is_zero(spec.f):
@@ -390,11 +428,7 @@ def linear_oracle(
         if not ex.free_vars(spec.F):  # a constant: the inner integrals are exact
             inner = ex.evaluate(spec.F, {}) * widths
         else:
-            fracs = np.linspace(0.0, 1.0, quad_n + 1)
-            ys = (x - a * (t - taus))[:, None] + widths[:, None] * fracs[None, :]
-            tt = np.broadcast_to(taus[:, None], ys.shape)
-            vals = np.broadcast_to(ex.evaluate(spec.F, {"t": tt, "x": ys}), ys.shape)
-            inner = np.trapezoid(vals, axis=1) * (widths / quad_n)
+            inner = _row_trapezoids(spec.F, taus, x - a * (t - taus), widths) * (widths / quad_n)
         outer = float(np.trapezoid(inner, dx=t / quad_n))
         u += outer / (2.0 * a)
     if not math.isfinite(u):
@@ -443,9 +477,18 @@ def convergence_study(
     one coarse cell clear of the characteristics, and is held fixed across
     levels.  Errors all at rounding level, relative to the reference and the
     field at the probes (``_EXACT_FLOOR``), are reported as exact (order None).
+
+    The reference is evaluated at the probes on one worker thread while the
+    levels solve on the calling thread, which keeps only each level's values
+    at the probes; the worker is joined before the call returns or raises.
+    When the reference raises, its error takes precedence over any error of
+    the solves, as if it had been evaluated first.
     """
-    # looked up at call time, so that a wrapper installed on assembly.solve
-    # (a tracer, say) sees the study's solves
+    # imported here: at module level concurrent.futures would add to every
+    # command's start-up.  solve is looked up at call time, so that a wrapper
+    # installed on assembly.solve (a tracer, say) sees the study's solves
+    from concurrent.futures import ThreadPoolExecutor
+
     from .assembly import solve
 
     if levels < 2:
@@ -459,21 +502,35 @@ def convergence_study(
             f"at nt={grid.nt}; widen the window or refine the grid"
         )
     if reference is None:
-        refs = [linear_oracle(spec, t, x) for t, x in probes]
-    else:
-        refs = [float(reference(t, x)) for t, x in probes]
+        reference = partial(linear_oracle, spec)
+    # the reference runs on one worker thread while this one solves the
+    # levels: the oracle's tiles are long numpy passes that release the GIL
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(lambda: [float(reference(t, x)) for t, x in probes])
+        try:
+            solved = []  # (nt, u at each probe) of each level
+            for k in range(levels):
+                if pending.done() and pending.exception() is not None:
+                    break  # result() below raises it
+                nt_k = grid.nt * 2**k
+                gp = GridParams(T=grid.T, x_lo=grid.x_lo, x_hi=grid.x_hi, nt=nt_k)
+                sol = solve(spec, gp, picard)
+                solved.append((nt_k, [evaluate(sol, t, x)[0] for t, x in probes]))
+                del sol  # free this level before the next, finer solve
+        except Exception:
+            # the reference's error comes first, as if it had run first
+            failed = pending.exception()  # waits for the reference
+            if failed is None:
+                raise
+            raise failed from None
+        refs = pending.result()
     scale = max([1.0, *map(abs, refs)])
     entries = []
-    for k in range(levels):
-        nt_k = grid.nt * (2**k)
-        gp = GridParams(T=grid.T, x_lo=grid.x_lo, x_hi=grid.x_hi, nt=nt_k)
-        sol = solve(spec, gp, picard)
+    for nt_k, us in solved:
         err = 0.0
-        for (t, x), ref in zip(probes, refs):
-            u = evaluate(sol, t, x)[0]
+        for u, ref in zip(us, refs):
             err = max(err, abs(u - ref))
             scale = max(scale, abs(u))
-        del sol  # free this level before the next, finer solve
         entries.append(ConvergenceEntry(nt=nt_k, h=grid.T / nt_k, err=err))
     if all(e.err <= _EXACT_FLOOR * scale for e in entries):
         return ConvergenceStudy(entries=tuple(entries), order=None, exact=True)

@@ -102,11 +102,17 @@ class TestSpecValidation:
             ),
             (lambda: PicardParams(max_iter=True), ConfigError, "max_iter must be an integer >= 1"),
             (lambda: make_spec(phi1=5), ConfigError, "phi1 must be an expression string, got int"),
+            (
+                lambda: ProblemSpec(**{**vars(make_spec()), "F": "0"}),
+                ConfigError,
+                "F must be a parsed expression (from_strings parses strings), got str",
+            ),
         ],
         ids=[
             "T-1e400", "a-1e400", "x0-1e400", "lipschitz-1e400", "tol-1e400",
             "T-str", "x_lo-None", "lipschitz-str", "tol-str",
             "T-bool", "a-bool", "A-bool", "lipschitz-bool", "max_iter-bool", "phi1-int",
+            "F-str-unparsed",
         ],
     )
     def test_constructors_reject_what_the_cli_rejects(self, build, error, message):

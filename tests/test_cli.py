@@ -597,15 +597,14 @@ def test_module_entry_point(tmp_path):
 # grid these values make is either rejected by build_grid or under 1 MiB,
 # so no example allocates a large array.
 
-# F is a constant: a forcing that reads t or x costs converge's closed-form
-# reference a 1025^2 quadrature per probe (0.7 s an example), so terms in t
-# and x enter through f
+# t*x is the forcing in t and x: converge's closed-form reference integrates
+# it over a 1025^2 lattice at each probe, the study's costliest reference
 _POOLS = {
     "phi1": ("0", "1", "x", "x^2 - 1", "sin(3*x)", "abs(x)", "1e308*x"),
     "phi2": ("0", "1", "x", "cos(x)", "exp(x)", "2 - x"),
     "psi1": ("0", "1", "x", "sin(x)"),
     "psi2": ("0", "1", "-x", "-1e308*x"),
-    "F": ("0", "1", "1e308"),
+    "F": ("0", "1", "1e308", "t*x"),
     "f": ("0", "sin(u)", "u^2/50", "log(u)", "0.5*ut - ux", "t*x"),
 }
 _EXTREMES = (5e-324, 1e-300, 1e300)

@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -10,7 +12,7 @@ import pytest
 import charwave.expr as ex
 from charwave.assembly import solve
 from charwave.cauchy import GridParams, PicardParams, ProblemSpec
-from charwave.errors import ConfigError, DomainError, NegativeTime, NotLinear
+from charwave.errors import ConfigError, DomainError, NegativeTime, NonConvergence, NotLinear
 from charwave.verify import (
     ConvergenceEntry,
     ConvergenceStudy,
@@ -21,6 +23,8 @@ from charwave.verify import (
     linear_oracle,
     probe_points,
 )
+
+from helpers import load_problem
 
 CHECK_NAMES = ("initial_u", "initial_ut", "pde_residual", "goursat_traces", "jump_constancy")
 
@@ -81,6 +85,47 @@ class TestLinearOracle:
         # a = 2, psi = 1 both sides: u = (1/2a) * 2at = t
         spec = make_spec(a=2.0, psi1="1", psi2="1")
         assert linear_oracle(spec, 0.7, 0.3) == pytest.approx(0.7, abs=1e-12)
+
+
+def whole_lattice_forcing(F, a, t, x, quad_n):
+    """The F term of linear_oracle as one (quad_n + 1)^2 lattice: the rule
+    the tiled integration must reproduce bit for bit."""
+    taus = np.linspace(0.0, t, quad_n + 1)
+    widths = 2.0 * a * (t - taus)
+    fracs = np.linspace(0.0, 1.0, quad_n + 1)
+    ys = (x - a * (t - taus))[:, None] + widths[:, None] * fracs[None, :]
+    tt = np.broadcast_to(taus[:, None], ys.shape)
+    vals = np.broadcast_to(ex.evaluate(F, {"t": tt, "x": ys}), ys.shape)
+    inner = np.trapezoid(vals, axis=1) * (widths / quad_n)
+    return float(np.trapezoid(inner, dx=t / quad_n)) / (2.0 * a)
+
+
+class TestTiledForcing:
+    # zero data, so that the oracle is its F term alone
+    SPECS = {
+        "t-and-x": make_spec(a=1.3, F="sin(3*x)*exp(-t) + t*x^2"),
+        "t-only": make_spec(a=0.7, F="cos(2*t) + t^2"),
+        "mixed_forcing": load_problem("mixed_forcing")[0],
+    }
+
+    @pytest.mark.parametrize("quad_n", [64, 100, 1024])  # 1024: a last tile of one row
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_bits_equal_the_whole_lattice(self, name, quad_n):
+        spec = self.SPECS[name]
+        for t, x in ((0.8, 1.7), (1.35, -0.4), (0.3, 0.05)):
+            want = whole_lattice_forcing(spec.F, spec.a, t, x, quad_n)
+            assert linear_oracle(spec, t, x, quad_n=quad_n) == want
+
+    def test_one_call_allocates_at_most_8_mib(self):
+        # the whole 1025^2 lattice at once takes 32 MiB
+        spec = self.SPECS["t-and-x"]
+        tracemalloc.start()
+        try:
+            linear_oracle(spec, 0.8, 1.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 def residual_check(sol):
@@ -281,6 +326,65 @@ class TestConvergence:
             make_spec(phi1="x^2", phi2="x^2"), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8), levels=3
         )
         assert len(held) == 3
+
+    def test_reference_error_takes_precedence(self, monkeypatch):
+        # the reference's error wins, as if the reference had run before the
+        # solves, even when a solve fails first
+        import charwave.assembly as assembly
+
+        solve_level, solve_failed = assembly.solve, threading.Event()
+
+        def failing_solve(*args, **kw):
+            try:
+                return solve_level(*args, **kw)
+            except NonConvergence:
+                solve_failed.set()
+                raise
+
+        class ReferenceFailed(Exception):
+            pass
+
+        probes = ((0.5, 1.8), (0.75, -2.0))
+
+        def reference(t, x):
+            if (t, x) == probes[-1]:
+                assert solve_failed.wait(timeout=10)
+                raise ReferenceFailed
+            return 0.0
+
+        monkeypatch.setattr(assembly, "solve", failing_solve)
+        before = threading.active_count()
+        with pytest.raises(ReferenceFailed):
+            convergence_study(
+                make_spec(phi1="x", phi2="x", f="sin(u)", lipschitz=1.0),
+                GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8),
+                PicardParams(max_iter=1),
+                reference=reference,
+                probes=probes,
+                levels=2,
+            )
+        assert solve_failed.is_set()
+        assert threading.active_count() == before
+
+    def test_solve_error_when_the_reference_holds(self):
+        before = threading.active_count()
+        with pytest.raises(NonConvergence):
+            convergence_study(
+                make_spec(phi1="x", phi2="x", f="sin(u)", lipschitz=1.0),
+                GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8),
+                PicardParams(max_iter=1),
+                reference=lambda t, x: 0.0,
+                levels=2,
+            )
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_study(self):
+        before = threading.active_count()
+        study = convergence_study(
+            make_spec(F="t*x"), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8), levels=2
+        )
+        assert not study.exact
+        assert threading.active_count() == before
 
     def test_explicit_probes(self):
         study = convergence_study(

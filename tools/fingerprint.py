@@ -13,13 +13,14 @@ it prints, as sorted JSON:
   ``report.update_norms`` of the solve;
 * the sha256 of the CSV that ``charwave solve -o`` writes;
 * the exit code and stdout of ``classify --json`` and ``verify --json``,
-  and for refine_study of ``converge --levels 3 --json``;
+  and, for refine_study and every config whose f is 0, of
+  ``converge --levels 3 --json``;
 * for each audit check, the sha256 of the three ``w`` arrays of
   ``inject_fault(sol, check)`` and the JSON of ``check_definition1`` on it.
 
 Run it on two checkouts and compare the outputs byte for byte, e.g.
 ``cmp <(python3 tools/fingerprint.py old) <(python3 tools/fingerprint.py .)``.
-A full run takes about 20 s on a 2-vCPU machine.
+A full run takes about 25 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for path in sorted(glob.glob(os.path.join(root, "configs", "*.json"))):
             name = "configs/" + os.path.basename(path)
-            report[name] = fingerprint(charwave, path, tmp, converge=False)
+            linear = charwave.expr.is_zero(charwave.cli.load_config(path)[0].f)
+            report[name] = fingerprint(charwave, path, tmp, converge=linear)
         for workload in problems.WORKLOADS:
             path = os.path.join(tmp, f"{workload}-seed{SEED}.json")
             with open(path, "w") as fh:

@@ -45,7 +45,7 @@ from .cauchy import (
     solve_cauchy_region,
 )
 from .errors import ConfigError, OutOfWindow
-from .geometry import Region, classify_point
+from .geometry import Region, classify_nodes, classify_point
 from .goursat import GoursatTraces, goursat_traces, solve_goursat_region
 
 __all__ = [
@@ -214,28 +214,16 @@ def characteristic_jump(sol: Solution, t: float, side: str) -> float:
 def sample_user_grid(sol: Solution):
     """Arrays (times, xs, region, u, p, q) over the user grid.
 
-    ``region`` is int {1,2,3} per node with grid nodes on the characteristics
-    assigned to the wedge, consistently with classify_point; the value arrays
-    are read straight from the region fields (no interpolation).
+    ``region`` is the int64 code {1,2,3} of each node, from
+    ``classify_nodes`` (nodes on the characteristics belong to the wedge);
+    the value arrays are read straight from the region fields at their own
+    nodes (no interpolation).
     """
     g = sol.grid
-    times = g.user_times()
-    xs = g.user_xs()
-    n_rows = g.nt + 1
-    n_cols = xs.shape[0]
-    d = g.user_offsets()
-    region = np.full((n_rows, n_cols), 3, dtype=np.int64)
-    w = np.empty((3, n_rows, n_cols))
-    # d is sorted, so a row's side nodes are a prefix and a suffix of the
-    # columns, read as step-2 slices of the side rows; the wedge is between
-    for iu in range(n_rows):
-        i = 2 * iu  # internal level
-        k1 = int(np.searchsorted(d, -i, side="left"))  # d[:k1] < -i
-        k2 = int(np.searchsorted(d, i, side="right"))  # d[k2:] > i
-        region[iu, :k1] = 1
-        region[iu, k2:] = 2
-        row = w[:, iu]
-        row[:, :k1] = sol.field1.at(i, slice(d[0], d[0] + 2 * k1, 2))
-        row[:, k2:] = sol.field2.at(i, slice(d[0] + 2 * k2, d[-1] + 1, 2))
-        row[:, k1:k2] = sol.field3.at(i, d[k1:k2])
-    return times, xs, region, w[0], w[1], w[2]
+    level, offset = np.broadcast_arrays(2 * np.arange(g.nt + 1)[:, None], g.user_offsets())
+    region = classify_nodes(level, offset)
+    w = np.empty((3, *region.shape))
+    for field in (sol.field1, sol.field2, sol.field3):
+        on = region == field.region.value
+        w[:, on] = field.at(level[on], offset[on])
+    return g.user_times(), g.user_xs(), region, w[0], w[1], w[2]

@@ -343,15 +343,11 @@ class RegionField:
         return self.grid.j1_min if self.region is Region.Q1_STAR else 0
 
     def at(self, level, offset) -> np.ndarray:
-        """(u, u_t, u_x) at the nodes (level, offset), shape (3,) plus the
-        broadcast shape of the arguments.  On a side ``offset`` may be a
-        slice with bounds, read as a strided view."""
+        """(u, u_t, u_x) at the integer nodes (level, offset), shape (3,)
+        plus the broadcast shape of the arguments."""
         if self.region is Region.Q3_STAR:
             return self.w[:, (level - offset) // 2, (level + offset) // 2]
-        j0 = self._offset0
-        if isinstance(offset, slice):
-            return self.w[:, level, offset.start - j0 : offset.stop - j0 : offset.step]
-        return self.w[:, level, offset - j0]
+        return self.w[:, level, offset - self._offset0]
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(level, offset) of every stored node, as integer arrays that
@@ -485,8 +481,6 @@ def plan_strips(grid: SolverGrid, L: float, picard: PicardParams) -> tuple[tuple
             f"internal step dt={grid.dt:.3e} exceeds the contraction band "
             f"height {h_s:.3e} for Lipschitz constant {L}; refine the grid"
         )
-    if per >= n:
-        return ((0, n),)
     edges = list(range(0, n, per))
     edges.append(n)
     return tuple((edges[k], edges[k + 1]) for k in range(len(edges) - 1))

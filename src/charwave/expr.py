@@ -310,16 +310,7 @@ def free_vars(expr: Expr) -> frozenset[str]:
     """Names of all variables occurring in ``expr``."""
     if isinstance(expr, Var):
         return frozenset((expr.name,))
-    if isinstance(expr, Neg):
-        return free_vars(expr.arg)
-    if isinstance(expr, BinOp):
-        return free_vars(expr.left) | free_vars(expr.right)
-    if isinstance(expr, Call):
-        out: frozenset[str] = frozenset()
-        for a in expr.args:
-            out |= free_vars(a)
-        return out
-    return frozenset()
+    return frozenset().union(*map(free_vars, _children(expr)))
 
 
 def is_zero(expr: Expr) -> bool:

@@ -1,16 +1,18 @@
 """Characteristic geometry of the half-plane split by two lines through (0, x0).
 
-For wave speed a > 0 the characteristics x - a t = x0 and x + a t = x0 divide
-the open upper half-plane into three sectors:
+For wave speed a > 0 the characteristics x + a t = x0 and x - a t = x0 divide
+the upper half-plane t >= 0 into three regions:
 
 * region 1, left of both lines (x + a t < x0),
 * region 2, right of both lines (x - a t > x0),
-* region 3, the wedge between them (x0 - a t <= x - x0 <= a t... i.e.
-  x + a t >= x0 and x - a t <= x0).
+* region 3, the wedge x - a t <= x0 <= x + a t.
 
-``classify_point`` assigns every point with t >= 0 to exactly one of the three
-closed-up regions; both characteristic rays and the apex (0, x0) belong to
-region 3, the initial axis otherwise to regions 1/2.
+This module is the one place that decides which region owns a point or a
+node, under one closure convention: both characteristic rays and the apex
+(0, x0) belong to region 3, the rest of the initial axis to regions 1 and 2.
+``classify_point`` applies it to a point (t, x), ``classify_nodes`` to grid
+nodes named by their integer (level, offset), on which the characteristics
+are offset = -level and offset = level.
 
 Characteristic coordinates are xi = x - a t, eta = x + a t, in which region 3
 is the quadrant xi <= x0 <= eta.
@@ -21,9 +23,11 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
+
 from .errors import ConfigError, InvalidSpeed, NegativeTime
 
-__all__ = ["Region", "classify_point"]
+__all__ = ["Region", "classify_nodes", "classify_point"]
 
 
 class Region(enum.Enum):
@@ -54,9 +58,10 @@ def _check_speed(a: float) -> None:
 def classify_point(a: float, x0: float, t: float, x: float) -> Region:
     """Region of the point (t, x); characteristics and apex count as region 3.
 
-    Comparisons are exact in floating point: the dividing lines are
-    d + a t = 0 and d - a t = 0 with d = x - x0, evaluated in exactly that
-    form so grid code using the same arithmetic classifies consistently.
+    The dividing lines are tested as d + a t < 0 and d - a t > 0 with
+    d = x - x0, in exactly that form, so that point code using the same
+    arithmetic (``RegionField.interpolate``) stays inside the region it was
+    given.  Grid nodes are classified by ``classify_nodes``.
     """
     _check_speed(a)
     if t < 0:
@@ -68,3 +73,15 @@ def classify_point(a: float, x0: float, t: float, x: float) -> Region:
         return Region.Q2_STAR
     return Region.Q3_STAR
 
+
+def classify_nodes(level, offset) -> np.ndarray:
+    """Region value (int64, the CSV ``region`` code) of each grid node
+    (level, offset), in the broadcast shape of the integer arguments.
+
+    The node twin of ``classify_point``, with the same convention: the nodes
+    offset = -level and offset = level lie on the characteristics and belong
+    to region 3.  The test is exact on the integers; a float test on the
+    node's (t, x) could misplace a node on a characteristic, since neither
+    x0 + offset*dx - x0 nor a*(level*dt) is exact.
+    """
+    return np.where(offset < -level, 1, np.where(offset > level, 2, 3))

@@ -29,8 +29,8 @@ import numpy as np
 from . import expr as ex
 from .assembly import Solution, _jump_triple, evaluate
 from .cauchy import GridParams, PicardParams, ProblemSpec, RegionField
-from .errors import ConfigError, DomainError, NegativeTime, NotLinear
-from .geometry import classify_point  # not called here: benchmarks/spans.py wraps it
+from .errors import ConfigError, DomainError, NotLinear
+from .geometry import Region, classify_nodes, classify_point
 from .goursat import goursat_traces
 
 __all__ = [
@@ -199,11 +199,13 @@ def _initial_errors(sol: Solution) -> tuple[float, float]:
     g, spec = sol.grid, sol.spec
     d = g.user_offsets()
     xs = g.user_xs()
+    region = classify_nodes(0, d)
     err_u = err_p = 0.0
-    for field, on_side, phi, psi in (
-        (sol.field1, d < 0, spec.phi1, spec.psi1),
-        (sol.field2, d > 0, spec.phi2, spec.psi2),
+    for field, phi, psi in (
+        (sol.field1, spec.phi1, spec.psi1),
+        (sol.field2, spec.phi2, spec.psi2),
     ):
+        on_side = region == field.region.value
         env = {"x": xs[on_side]}
         u, p, _ = field.at(0, d[on_side])
         err_u = _largest(err_u, np.abs(u - ex.evaluate(phi, env)))
@@ -310,8 +312,8 @@ def inject_fault(sol: Solution, check: str) -> Solution:
         # adding c*t^2 shifts u_tt by 2c everywhere, nothing else at order one
         "pde_residual": ((1, 2, 3), 0, lambda level, j: c * (dt * level) * (dt * level)),
         "goursat_traces": ((3,), 0, lambda level, j: size * (level >= 1)),
-        # lift side 1 strictly left of the characteristic at every level but 0
-        "jump_constancy": ((1,), 0, lambda level, j: size * ((level >= 1) & (j < -level))),
+        # lift side 1 on its region-1 nodes at every level but 0
+        "jump_constancy": ((1,), 0, lambda lv, j: size * ((lv >= 1) & (classify_nodes(lv, j) == 1))),
     }
     regions, k, bump = faults[check]
     bumped = {f"field{r}": _bumped(getattr(sol, f"field{r}"), k, bump) for r in regions}
@@ -377,30 +379,29 @@ def linear_oracle(
 ) -> float:
     """Direct quadrature of the assembled closed form, valid only for f = 0.
 
-    Average of the piecewise phi at (x -/+ a t), plus the psi integral split
-    at x0, plus (in the wedge) the indicator term A - (phi1(x0)+phi2(x0))/2,
-    plus the double integral of F over the dependence triangle with quad_n^2
-    trapezoid cells.  The lattice is integrated in tiles of _TILE_ROWS
-    tau-rows: at quad_n = 1024, on a quadratic F, a call allocates about
-    3 MiB at its peak instead of the whole lattice's 32 MiB, and returns the
+    The region of (t, x) is ``classify_point``'s.  On a side: the average of
+    that side's phi at x -/+ a t, plus its psi integral.  In the wedge: the
+    average of phi1(x - a t) and phi2(x + a t), plus the psi integral split at
+    x0, plus the indicator term A - (phi1(x0)+phi2(x0))/2.  Then the double
+    integral of F over the dependence triangle with quad_n^2 trapezoid
+    cells.  The lattice is integrated in tiles of _TILE_ROWS tau-rows: at
+    quad_n = 1024, on a quadratic F, a call allocates about 3 MiB at its
+    peak instead of the whole lattice's 32 MiB, and returns the
     whole-lattice rule's bits.  ``include_jump_term=False`` evaluates the
     formula without the indicator (the version that is exact when A is the
     midpoint).
-    Raises DomainError, naming the probe, when the value is not finite.
+    Raises NegativeTime when t < 0, and DomainError, naming the probe, when
+    the value is not finite.
     """
     if not ex.is_zero(spec.f):
         raise NotLinear("the closed-form reference requires f to be literally 0")
-    if t < 0:
-        raise NegativeTime(f"oracle evaluation requires t >= 0, got t={t}")
+    region = classify_point(spec.a, spec.x0, t, x)
     a, x0, A = spec.a, spec.x0, spec.A
     xm = x - a * t
     xp = x + a * t
-    d = x - x0
-    in_wedge = (d + a * t >= 0.0) and (d - a * t <= 0.0)
-    if in_wedge:
-        # xm <= x0 <= xp: read the one-sided branches, so that on the wedge
-        # boundary (xm or xp equal to x0) the formula still reproduces the
-        # characteristic traces
+    if region is Region.Q3_STAR:
+        # read the one-sided branches, so that on the wedge boundary the
+        # formula still reproduces the characteristic traces
         u = 0.5 * (
             ex.evaluate(spec.phi1, {"x": xm}) + ex.evaluate(spec.phi2, {"x": xp})
         )
@@ -408,19 +409,11 @@ def linear_oracle(
             p1 = ex.evaluate(spec.phi1, {"x": x0})
             p2 = ex.evaluate(spec.phi2, {"x": x0})
             u += A - 0.5 * (p1 + p2)
-    else:
-        # both arguments fall strictly on one side
-        phi = spec.phi1 if xp < x0 else spec.phi2
-        u = 0.5 * (
-            ex.evaluate(phi, {"x": xm}) + ex.evaluate(phi, {"x": xp})
-        )
-    # psi integral, split at x0 so each piece uses its own branch
-    if xp <= x0:
-        s = _trapz_expr(spec.psi1, xm, xp, quad_n)
-    elif xm >= x0:
-        s = _trapz_expr(spec.psi2, xm, xp, quad_n)
-    else:
         s = _trapz_expr(spec.psi1, xm, x0, quad_n) + _trapz_expr(spec.psi2, x0, xp, quad_n)
+    else:
+        phi, psi = (spec.phi1, spec.psi1) if region is Region.Q1_STAR else (spec.phi2, spec.psi2)
+        u = 0.5 * (ex.evaluate(phi, {"x": xm}) + ex.evaluate(phi, {"x": xp}))
+        s = _trapz_expr(psi, xm, xp, quad_n)
     u += s / (2.0 * a)
     if not ex.is_zero(spec.F) and t > 0:
         taus = np.linspace(0.0, t, quad_n + 1)

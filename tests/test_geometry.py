@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charwave.errors import NegativeTime
-from charwave.geometry import Region, classify_point
+from charwave.geometry import Region, classify_nodes, classify_point
 
 
 class TestClassify:
@@ -36,6 +37,23 @@ class TestClassify:
         assert Region.Q1_STAR.value == 1
         assert Region.Q2_STAR.value == 2
         assert Region.Q3_STAR.value == 3
+
+
+class TestClassifyNodes:
+    def test_agrees_with_classify_point_on_exact_nodes(self):
+        # a = 1, x0 = 0 and dt = dx = 2^-4: every node's (t, x) is exact, the
+        # characteristics offset = -level and offset = level included
+        dt = 2.0**-4
+        level, offset = np.meshgrid(np.arange(17), np.arange(-20, 21), indexing="ij")
+        region = classify_nodes(level, offset)
+        assert region.dtype == np.int64 and region.shape == level.shape
+        for i, j in zip(level.flat, offset.flat):
+            assert region[i, j + 20] == classify_point(1.0, 0.0, i * dt, j * dt).value
+        assert set(np.unique(region)) == {1, 2, 3}
+
+    def test_characteristics_and_apex_belong_to_wedge(self):
+        np.testing.assert_array_equal(classify_nodes(5, np.array([-6, -5, 0, 5, 6])), [1, 3, 3, 3, 2])
+        np.testing.assert_array_equal(classify_nodes(0, np.array([-2, 0, 2])), [1, 3, 2])
 
 
 @settings(max_examples=120, deadline=None)

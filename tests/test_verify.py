@@ -8,11 +8,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import charwave.expr as ex
 from charwave.assembly import solve
 from charwave.cauchy import GridParams, PicardParams, ProblemSpec
 from charwave.errors import ConfigError, DomainError, NegativeTime, NonConvergence, NotLinear
+from charwave.geometry import Region, classify_point
 from charwave.verify import (
     ConvergenceEntry,
     ConvergenceStudy,
@@ -85,6 +88,33 @@ class TestLinearOracle:
         # a = 2, psi = 1 both sides: u = (1/2a) * 2at = t
         spec = make_spec(a=2.0, psi1="1", psi2="1")
         assert linear_oracle(spec, 0.7, 0.3) == pytest.approx(0.7, abs=1e-12)
+
+    def test_point_just_left_of_the_characteristic_is_side_1(self):
+        # (x - x0) + a*t < 0, so region 1, although x + a*t rounds to x0
+        spec = make_spec(a=0.3, x0=-1.6245616529030604, phi1="0", phi2="1", A=0.5)
+        t, x = 0.05669495304401262, -1.6415701388162642
+        assert classify_point(spec.a, spec.x0, t, x) is Region.Q1_STAR
+        assert linear_oracle(spec, t, x) == 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    a=st.sampled_from((0.3, 1.0, 2.5)),
+    x0=st.floats(-2.0, 2.0),
+    t=st.floats(0.0, 2.0, exclude_min=True),
+    sign=st.sampled_from((-1, 1)),
+    k=st.integers(-3, 3),
+)
+@example(a=0.3, x0=-1.6245616529030604, t=0.05669495304401262, sign=-1, k=0)
+def test_oracle_region_near_characteristics_is_classify_points(a, x0, t, sign, k):
+    # x within 3 ulps of the characteristic x = x0 + sign*a*t; the data make
+    # the value name the region: phi1 on side 1, phi2 on side 2, A in the wedge
+    x = x0 + sign * a * t
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    spec = make_spec(a=a, x0=x0, phi1="0", phi2="1", A=0.25)
+    expected = {Region.Q1_STAR: 0.0, Region.Q2_STAR: 1.0, Region.Q3_STAR: 0.25}
+    assert linear_oracle(spec, t, x) == expected[classify_point(a, x0, t, x)]
 
 
 def whole_lattice_forcing(F, a, t, x, quad_n):

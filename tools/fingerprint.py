@@ -14,7 +14,9 @@ it prints, as sorted JSON:
 * the sha256 of the CSV that ``charwave solve -o`` writes;
 * the exit code and stdout of ``classify --json`` and ``verify --json``,
   and, for refine_study and every config whose f is 0, of
-  ``converge --levels 3 --json``;
+  ``converge --levels 3 --json`` and of ``linear_oracle`` at t = T/2 on
+  both characteristics and 1 and 2 ulps of x to either side of them, where
+  a change to the region rule would show;
 * for each audit check, the sha256 of the three ``w`` arrays of
   ``inject_fault(sol, check)`` and the JSON of ``check_definition1`` on it.
 
@@ -30,6 +32,7 @@ import glob
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -51,6 +54,20 @@ def _run(cli, argv: list[str]) -> dict:
 
 def _w_sha256(sol) -> list[str]:
     return [_sha256(f.w.tobytes()) for f in (sol.field1, sol.field2, sol.field3)]
+
+
+def _oracle_near_characteristics(charwave, spec, T: float) -> list[list[float]]:
+    """[x, linear_oracle(spec, T/2, x)] for x on each characteristic at
+    t = T/2 and 1 and 2 ulps to either side of it."""
+    t = T / 2
+    out = []
+    for sign in (-1, 1):
+        for k in (-2, -1, 0, 1, 2):
+            x = spec.x0 + sign * spec.a * t
+            for _ in range(abs(k)):
+                x = math.nextafter(x, math.copysign(math.inf, k))
+            out.append([x, charwave.linear_oracle(spec, t, x)])
+    return out
 
 
 def fingerprint(charwave, path: str, tmp: str, converge: bool) -> dict:
@@ -78,6 +95,9 @@ def fingerprint(charwave, path: str, tmp: str, converge: bool) -> dict:
         }
     if converge:
         result["converge"] = _run(cli, ["converge", path, "--levels", "3", "--json"])
+        result["oracle_near_characteristics"] = _oracle_near_characteristics(
+            charwave, sol.spec, sol.grid.T
+        )
     return result
 
 

@@ -158,7 +158,9 @@ def evaluate(sol: Solution, t: float, x: float) -> tuple[float, float, float, Re
 
     Off-node points are interpolated bilinearly from nodes of the point's own
     region only; characteristics evaluate to the wedge field (closure
-    convention).
+    convention).  The point is classified as given, so at the rounded (t, x)
+    of a user node on a characteristic, an ulp off it, this may read the
+    adjacent side's field; ``sample_user_grid`` is the node-exact reader.
     """
     g = sol.grid
     if not (0.0 <= t <= g.T) or not (g.x_lo <= x <= g.x_hi):

@@ -61,7 +61,9 @@ def classify_point(a: float, x0: float, t: float, x: float) -> Region:
     The dividing lines are tested as d + a t < 0 and d - a t > 0 with
     d = x - x0, in exactly that form, so that point code using the same
     arithmetic (``RegionField.interpolate``) stays inside the region it was
-    given.  Grid nodes are classified by ``classify_nodes``.
+    given.  The point is classified as given: the rounded x of a node on a
+    characteristic may lie an ulp off it, in a side region.  Grid nodes are
+    classified exactly by ``classify_nodes``.
     """
     _check_speed(a)
     if t < 0:

@@ -324,14 +324,18 @@ def inject_fault(sol: Solution, check: str) -> Solution:
 # Linear oracle (no fixed point needed when f is absent)
 
 
-def _trapz_expr(e: ex.Expr, lo: float, hi: float, n: int) -> float:
+# trapezoid panels per dimension of the psi and F integrals
+_QUAD_N = 1024
+
+
+def _trapz_expr(e: ex.Expr, lo: float, hi: float) -> float:
     if hi == lo:
         return 0.0
-    ys = np.linspace(lo, hi, n + 1)
+    ys = np.linspace(lo, hi, _QUAD_N + 1)
     vals = np.asarray(ex.evaluate(e, {"x": ys}), dtype=float)
     if vals.ndim == 0:
         return float(vals) * (hi - lo)
-    return float(np.trapezoid(vals, dx=(hi - lo) / n))
+    return float(np.trapezoid(vals, dx=(hi - lo) / _QUAD_N))
 
 
 # tau-rows of the F lattice per tile: each tile is a long numpy pass (a worker
@@ -370,26 +374,19 @@ def _row_trapezoids(F: ex.Expr, taus, lo, widths):
 # an overflow is silent here: it shows as a non-finite value, which is raised
 # as DomainError below
 @np.errstate(over="ignore", invalid="ignore")
-def linear_oracle(
-    spec: ProblemSpec,
-    t: float,
-    x: float,
-    quad_n: int = 1024,
-    include_jump_term: bool = True,
-) -> float:
+def linear_oracle(spec: ProblemSpec, t: float, x: float, include_jump_term: bool = True) -> float:
     """Direct quadrature of the assembled closed form, valid only for f = 0.
 
     The region of (t, x) is ``classify_point``'s.  On a side: the average of
     that side's phi at x -/+ a t, plus its psi integral.  In the wedge: the
     average of phi1(x - a t) and phi2(x + a t), plus the psi integral split at
     x0, plus the indicator term A - (phi1(x0)+phi2(x0))/2.  Then the double
-    integral of F over the dependence triangle with quad_n^2 trapezoid
-    cells.  The lattice is integrated in tiles of _TILE_ROWS tau-rows: at
-    quad_n = 1024, on a quadratic F, a call allocates about 3 MiB at its
-    peak instead of the whole lattice's 32 MiB, and returns the
-    whole-lattice rule's bits.  ``include_jump_term=False`` evaluates the
-    formula without the indicator (the version that is exact when A is the
-    midpoint).
+    integral of F over the dependence triangle with _QUAD_N^2 trapezoid
+    cells, integrated in tiles of _TILE_ROWS tau-rows: on a quadratic F a
+    call allocates about 3 MiB at its peak instead of the whole lattice's
+    32 MiB, and returns the whole-lattice rule's bits.
+    ``include_jump_term=False`` evaluates the formula without the indicator
+    (the version that is exact when A is the midpoint).
     Raises NegativeTime when t < 0, and DomainError, naming the probe, when
     the value is not finite.
     """
@@ -409,20 +406,17 @@ def linear_oracle(
             p1 = ex.evaluate(spec.phi1, {"x": x0})
             p2 = ex.evaluate(spec.phi2, {"x": x0})
             u += A - 0.5 * (p1 + p2)
-        s = _trapz_expr(spec.psi1, xm, x0, quad_n) + _trapz_expr(spec.psi2, x0, xp, quad_n)
+        s = _trapz_expr(spec.psi1, xm, x0) + _trapz_expr(spec.psi2, x0, xp)
     else:
         phi, psi = (spec.phi1, spec.psi1) if region is Region.Q1_STAR else (spec.phi2, spec.psi2)
         u = 0.5 * (ex.evaluate(phi, {"x": xm}) + ex.evaluate(phi, {"x": xp}))
-        s = _trapz_expr(psi, xm, xp, quad_n)
+        s = _trapz_expr(psi, xm, xp)
     u += s / (2.0 * a)
     if not ex.is_zero(spec.F) and t > 0:
-        taus = np.linspace(0.0, t, quad_n + 1)
+        taus = np.linspace(0.0, t, _QUAD_N + 1)
         widths = 2.0 * a * (t - taus)
-        if not ex.free_vars(spec.F):  # a constant: the inner integrals are exact
-            inner = ex.evaluate(spec.F, {}) * widths
-        else:
-            inner = _row_trapezoids(spec.F, taus, x - a * (t - taus), widths) * (widths / quad_n)
-        outer = float(np.trapezoid(inner, dx=t / quad_n))
+        inner = _row_trapezoids(spec.F, taus, x - a * (t - taus), widths) * (widths / _QUAD_N)
+        outer = float(np.trapezoid(inner, dx=t / _QUAD_N))
         u += outer / (2.0 * a)
     if not math.isfinite(u):
         raise DomainError(f"the closed-form reference at (t={t}, x={x}) is not finite ({u})")

@@ -1,8 +1,8 @@
-"""Shared helpers of the test modules: the problem corpus and the grids and
-strip plans ``solve`` uses.  A plain module rather than ``conftest``, so
-that test modules import it by a name no other test directory shares
-(``benchmarks/tests`` has a conftest of its own and runs in the same
-session)."""
+"""Shared helpers of the test modules: the problem corpus, a problem
+builder, and the grids and strip plans ``solve`` uses.  A plain module
+rather than ``conftest``, so that test modules import it by a name no other
+test directory shares (``benchmarks/tests`` has a conftest of its own and
+runs in the same session)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import pathlib
 
 from charwave.cauchy import (
     PicardParams,
+    ProblemSpec,
     build_grid,
     plan_strips,
     resolve_lipschitz,
@@ -33,6 +34,17 @@ CORPUS_NAMES = (
 
 # problems with f = 0, comparable against the closed-form quadrature
 LINEAR_NAMES = tuple(n for n in CORPUS_NAMES if n != "manufactured")
+
+
+def make_spec(**kw):
+    """A problem with a = 1, x0 = 0 and every number and expression 0 but
+    those given in ``kw``."""
+    base = dict(
+        a=1.0, x0=0.0, A=0.0,
+        phi1="0", phi2="0", psi1="0", psi2="0", F="0", f="0",
+    )
+    base.update(kw)
+    return ProblemSpec.from_strings(**base)
 
 
 def config_path(name: str) -> pathlib.Path:

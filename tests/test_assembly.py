@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,16 +19,7 @@ from charwave.errors import ConfigError, OutOfWindow
 from charwave.geometry import Region, classify_point
 from charwave.verify import linear_oracle
 
-from helpers import CORPUS_NAMES
-
-
-def make_spec(**kw):
-    base = dict(
-        a=1.0, x0=0.0, A=0.0,
-        phi1="0", phi2="0", psi1="0", psi2="0", F="0", f="0",
-    )
-    base.update(kw)
-    return ProblemSpec.from_strings(**base)
+from helpers import CORPUS_NAMES, load_problem, make_spec
 
 
 GP = GridParams(T=1.5, x_lo=-3.0, x_hi=3.0, nt=16)
@@ -266,6 +259,43 @@ class TestSampleUserGrid:
         assert inside.any()
         np.testing.assert_allclose(u[inside], 1.0, atol=1e-13)
 
+    # with a = 0.3 and this x0 the x of some characteristic user nodes rounds
+    # to a point an ulp off the characteristic
+    ULP_OFF = dict(a=0.3, x0=-1.6245616529030604, phi1="0", phi2="1", A=0.5)
+
+    @pytest.mark.parametrize("name", ["ulp_off", "mixed_forcing", "manufactured", "phi_step_general"])
+    def test_evaluate_at_the_csv_nodes(self, name):
+        """``evaluate`` classifies a point as given, ``sample_user_grid`` a
+        node exactly.  Off the characteristics they agree in region and u; on
+        them ``evaluate`` may read the adjacent side's field at the node."""
+        if name == "ulp_off":
+            spec = make_spec(**self.ULP_OFF)
+            gp = GridParams(T=1.0, x_lo=-3.0, x_hi=0.0, nt=16)
+        else:
+            spec, gp, _ = load_problem(name)
+            gp = replace(gp, nt=16)
+        sol = solve(spec, gp)
+        times, xs, region, u, *_ = sample_user_grid(sol)
+        offsets = sol.grid.user_offsets()
+        moved = []
+        for i, t in enumerate(times):
+            for j, x in enumerate(xs):
+                got, _, _, reg = evaluate(sol, float(t), float(x))
+                if reg.value == region[i, j]:
+                    assert got == u[i, j]
+                    continue
+                level, offset = 2 * i, offsets[j]
+                assert region[i, j] == 3 and level > 0
+                side, on = (sol.field1, -level) if reg is Region.Q1_STAR else (sol.field2, level)
+                assert offset == on
+                assert got == side.at(level, offset)[0]
+                moved.append((float(t), float(x)))
+        if name == "ulp_off":
+            assert len(moved) == 14
+            assert (0.0625, -1.6433116529030605) in moved
+        else:
+            assert not moved
+
 
 _HALVES = st.integers(-4, 4).map(lambda k: k / 2.0)
 _COEFFS = st.lists(_HALVES, min_size=3, max_size=3)
@@ -303,5 +333,5 @@ def test_solve_matches_linear_oracle(a, x0, A, data, forcing, nt, points):
         x = min(max(g.x_lo + fx * (g.x_hi - g.x_lo), g.x_lo), g.x_hi)
         if min(abs(x - x0 - a * t), abs(x - x0 + a * t)) < 1e-9:
             continue  # u jumps across the characteristics
-        err = abs(evaluate(sol, t, x)[0] - linear_oracle(spec, t, x, quad_n=256))
+        err = abs(evaluate(sol, t, x)[0] - linear_oracle(spec, t, x))
         assert err <= h * h * scale, (t, x, err)

@@ -24,16 +24,7 @@ from charwave.cauchy import (
 )
 from charwave.errors import ConfigError, InvalidSpeed, NonConvergence
 
-from helpers import load_problem, solve_side, strip_plan
-
-
-def make_spec(**kw):
-    base = dict(
-        a=1.0, x0=0.0, A=0.0,
-        phi1="0", phi2="0", psi1="0", psi2="0", F="0", f="0",
-    )
-    base.update(kw)
-    return ProblemSpec.from_strings(**base)
+from helpers import load_problem, make_spec, solve_side, strip_plan
 
 
 def make_grid(**kw):
@@ -330,6 +321,13 @@ class TestLipschitzEstimate:
 
 
 class TestClosedForms:
+    @pytest.mark.parametrize("side", [0, 3, "1"])
+    def test_side_must_be_1_or_2(self, side):
+        spec = make_spec()
+        grid = build_grid(spec, GridParams(T=1.0, x_lo=-1.0, x_hi=1.0, nt=4))
+        with pytest.raises(ConfigError, match=f"side must be 1 or 2, got {side!r}"):
+            solve_cauchy_region(spec, side, grid, strip_plan(spec, grid), PicardParams())
+
     def test_zero_problem_in_one_sweep(self):
         spec = make_spec()
         field = solve_side(spec, 2, GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))

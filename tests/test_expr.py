@@ -202,6 +202,9 @@ SMOOTH_CASES = [
     "2^x",
     "x^1.5 + 3",
     "(x + 1)/(x^2 + 1)",
+    "tan(x)",
+    "1/(2 + 1) + x",  # a quotient rule whose numerator is structurally 0
+    "log(1) + x",  # an outer derivative 1/1, which is 1 itself
 ]
 
 

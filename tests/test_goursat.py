@@ -5,20 +5,11 @@ import pytest
 
 import charwave.expr as ex
 from charwave.assembly import diagnose, solve
-from charwave.cauchy import GridParams, PicardParams, ProblemSpec, _picard
+from charwave.cauchy import GridParams, PicardParams, _picard
 from charwave.errors import ConfigError, NonConvergence
 from charwave.goursat import goursat_traces, solve_goursat_region
 
-from helpers import load_problem, solve_side, strip_plan
-
-
-def make_spec(**kw):
-    base = dict(
-        a=1.0, x0=0.0, A=0.0,
-        phi1="0", phi2="0", psi1="0", psi2="0", F="0", f="0",
-    )
-    base.update(kw)
-    return ProblemSpec.from_strings(**base)
+from helpers import load_problem, make_spec, solve_side, strip_plan
 
 
 def solve_both_sides(spec, gp, picard=PicardParams()):

@@ -11,6 +11,9 @@ it prints, as sorted JSON:
 
 * the sha256 of ``field1.w``, ``field2.w`` and ``field3.w`` and every
   ``report.update_norms`` of the solve;
+* the solve's Lipschitz constant as ``float.hex`` and its strip plan
+  (``field1.report.strips``, which all three regions march), so that a
+  change to the estimate or to the plan shows even when no field bit moves;
 * the sha256 of the CSV that ``charwave solve -o`` writes;
 * the exit code and stdout of ``classify --json`` and ``verify --json``,
   and, for refine_study and every config whose f is 0, of
@@ -82,6 +85,8 @@ def fingerprint(charwave, path: str, tmp: str, converge: bool) -> dict:
     result = {
         "w_sha256": _w_sha256(sol),
         "update_norms": [f.report.update_norms for f in fields],
+        "lipschitz": float.hex(sol.lipschitz),
+        "strips": sol.field1.report.strips,
         "csv_sha256": csv_sha,
         "classify": _run(cli, ["classify", path, "--json"]),
         "verify": _run(cli, ["verify", path, "--json"]),

@@ -58,10 +58,17 @@ of (phi, psi, phi').  A sweep forms, and evaluates F and f, only on each
 row's sector, and reads a row's G before writing the row (Jacobi order).
 With L = 0 there is a single band and the first sweep is already exact.
 
+Storage: a side keeps only its sectors.  Its array packs each level's
+sector, the live run of nodes, contiguously and level after level, and the
+kernel reads and writes a band's rows through views of those runs; no side
+ever holds the rectangle of levels by columns around them.  The row buffers
+of a sweep (G, the ray and triangle integrals, the new row) are full-width
+and few.
+
 Memory: when f reads no state every band is swept once, and the sweep forms
 each row's d'Alembert part and F as it reaches the row, in row buffers, so a
 side solve holds little more than its array.  A band swept many times forms
-them once, in band-size planes, rather than once per sweep.
+them once, one array per row, rather than once per sweep.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ import os
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -288,6 +296,11 @@ class PicardReport:
         return tuple(len(norms) for norms in self.update_norms)
 
 
+# the row and column steps to the corners of a 2x2 cell
+_ROW = np.array([[0, 0], [1, 1]])
+_COL = np.array([[0, 1], [0, 1]])
+
+
 def _bilinear(cell: np.ndarray, f0: float, f1: float) -> np.ndarray:
     """Blend of the (3, 2, 2) ``cell`` at fractions f0 along its rows and f1
     along its columns."""
@@ -299,22 +312,42 @@ def _bilinear(cell: np.ndarray, f0: float, f1: float) -> np.ndarray:
     )
 
 
+def _row_starts(region: Region, grid: SolverGrid) -> np.ndarray:
+    """The row table of a region's packed storage: row k's live run is
+    ``w[:, starts[k]:starts[k + 1]]``.
+
+    A side's row i is level i, whose sector holds cols - 2i of the side's
+    cols offsets; the wedge's row s holds the n_levels + 1 - s nodes (s, r)
+    with s + r <= n_levels.
+    """
+    rows = np.arange(grid.n_levels + 1)
+    if region is Region.Q3_STAR:
+        lengths = grid.n_levels + 1 - rows
+    else:
+        cols = 1 - grid.j1_min if region is Region.Q1_STAR else grid.j2_max + 1
+        lengths = cols - 2 * rows
+    return np.concatenate(([0], np.cumsum(lengths)))
+
+
 @dataclass(frozen=True)
 class RegionField:
-    """(u, u_t, u_x) samples over one region's closure, stacked in the
-    read-only array ``w`` of shape (3, rows, cols); ``u``, ``p`` and ``q`` are
-    its planes.  Outside the two region solves, only this class reads ``w``
-    by position: everyone else names nodes (level, offset) as in SolverGrid,
-    through ``at``, ``nodes`` and ``interpolate``.
+    """(u, u_t, u_x) at the nodes of one region's closure that hold the
+    solution, stacked in the read-only array ``w`` of shape (3, n_live).
+    Outside the two region solves, only this class reads ``w`` by position:
+    everyone else names nodes (level, offset) as in SolverGrid, through
+    ``at``, ``nodes`` and ``interpolate``.
 
-    Storage: a side's row is a level and its columns run over the side's
-    offsets in increasing order.  The domain of dependence shaves one column
-    per level at each end, so only the sector [i, cols - 1 - i] of row i
-    holds solution values.  The wedge stores node (s, r) at level s + r and
-    offset r - s, and holds the solution where s + r <= n_levels.
+    Storage: ``w`` holds each row's live run contiguously, row after row,
+    as the row table ``_row_starts`` lays them out.  A side's row i is level
+    i, over the side's offsets in increasing order; the domain of dependence
+    shaves one offset per level at each end, so the run is the sector of
+    columns [i, cols - 1 - i].  The wedge's row s holds the nodes (s, r), at
+    level s + r and offset r - s, for r in [0, n_levels - s].
 
-    ``live`` marks the nodes that hold the solution; every other node is 0,
-    and neither the solvers nor the readers of a field read it.
+    ``u``, ``p``, ``q`` and ``live`` are the rectangles around the rows,
+    (levels, cols) for a side and (s, r) for the wedge, built on each call:
+    ``live`` marks the stored nodes, and the planes are 0 off them.  Nothing
+    in the package reads them.
     """
 
     region: Region
@@ -323,57 +356,89 @@ class RegionField:
     report: PicardReport
 
     def __post_init__(self):
+        if self.w.shape != (3, self._starts[-1]):
+            raise ValueError(
+                f"region {self.region.value} stores {self._starts[-1]} nodes, "
+                f"not an array of shape {self.w.shape}"
+            )
         self.w.setflags(write=False)
 
-    @property
-    def u(self) -> np.ndarray:
-        return self.w[0]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.w[1]
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.w[2]
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        return _row_starts(self.region, self.grid)
 
     @property
     def _offset0(self) -> int:
         """The offset of a side's column 0."""
         return self.grid.j1_min if self.region is Region.Q1_STAR else 0
 
+    def _first(self, row):
+        """The column of each row's first live node."""
+        return 0 if self.region is Region.Q3_STAR else row
+
     def at(self, level, offset) -> np.ndarray:
         """(u, u_t, u_x) at the integer nodes (level, offset), shape (3,)
-        plus the broadcast shape of the arguments."""
+        plus the broadcast shape of the arguments.  Raises IndexError,
+        naming the region and the node, at a node it does not store."""
+        level, offset = np.broadcast_arrays(level, offset)
         if self.region is Region.Q3_STAR:
-            return self.w[:, (level - offset) // 2, (level + offset) // 2]
-        return self.w[:, level, offset - self._offset0]
+            row, col = (level - offset) // 2, (level + offset) // 2
+            stored = (np.abs(offset) <= level) & ((level - offset) % 2 == 0)
+        else:
+            row, col = level, offset - self._offset0
+            stored = (col >= level) & (col + level < self._starts[1]) & (level >= 0)
+        stored &= level <= self.grid.n_levels
+        if not stored.all():
+            k = np.flatnonzero(~stored)[0]
+            raise IndexError(
+                f"region {self.region.value} stores no node "
+                f"(level={level.flat[k]}, offset={offset.flat[k]})"
+            )
+        return self.w[:, self._starts[row] + col - self._first(row)]
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(level, offset) of every stored node, as integer arrays that
-        broadcast to the shape of a plane: ``at(*nodes())`` equals ``w``."""
-        rows, cols = self.w.shape[1:]
-        i = np.arange(rows)[:, None]
-        c = np.arange(cols)[None, :]
+        """(level, offset) of every stored node, as integer arrays in the
+        order of ``w``: ``at(*nodes())`` equals ``w``."""
+        starts = self._starts
+        row = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+        col = np.arange(starts[-1]) - starts[row] + self._first(row)
         if self.region is Region.Q3_STAR:
-            return i + c, c - i
-        return i, c + self._offset0
+            return row + col, col - row
+        return row, col + self._offset0
 
     @property
     def live(self) -> np.ndarray:
-        level, offset = self.nodes()
-        if self.region is Region.Q3_STAR:
-            return level <= self.grid.n_levels
-        # the domain of dependence shaves one offset per level at each end
-        lo, hi = self._offset0, self._offset0 + self.w.shape[2] - 1
-        return (offset >= lo + level) & (offset <= hi - level)
+        """The rectangle around the rows, True on the stored nodes."""
+        lengths = np.diff(self._starts)
+        row = np.arange(lengths.size)[:, None]
+        col = np.arange(lengths[0])
+        first = self._first(row)
+        return (col >= first) & (col < first + lengths[:, None])
+
+    def _rectangle(self, k: int) -> np.ndarray:
+        """Plane k (0 u, 1 u_t, 2 u_x) on the rectangle, 0 off the stored nodes."""
+        live = self.live
+        out = np.zeros(live.shape)
+        out[live] = self.w[k]
+        return out
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._rectangle(0)
+
+    @property
+    def p(self) -> np.ndarray:
+        return self._rectangle(1)
+
+    @property
+    def q(self) -> np.ndarray:
+        return self._rectangle(2)
 
     def interpolate(self, t: float, x: float) -> np.ndarray:
         """(u, u_t, u_x) at a point of the region's closure, bilinear on the
         region's own nodes."""
         g = self.grid
         m = g.n_levels
-        w = self.w
         if self.region is Region.Q3_STAR:
             hc = 2.0 * g.a * g.dt
             d = x - g.x0
@@ -384,13 +449,15 @@ class RegionField:
             r0 = min(int(math.floor(r_real)), m)
             fs = s_real - s0
             fr = r_real - r0
-            v00 = w[:, s0, r0]
+            # node (s, r) is at level s + r and offset r - s
+            level, offset = s0 + r0, r0 - s0
             if s0 + r0 + 2 <= m:
-                return _bilinear(w[:, s0 : s0 + 2, r0 : r0 + 2], fs, fr)
+                return _bilinear(self.at(level + _ROW + _COL, offset + _COL - _ROW), fs, fr)
+            v00 = self.at(level, offset)
             if s0 + r0 + 1 <= m:
                 # cell straddles the top boundary t = T: linear on three corners
-                v10 = w[:, s0 + 1, r0]
-                v01 = w[:, s0, r0 + 1]
+                v10 = self.at(level + 1, offset - 1)
+                v01 = self.at(level + 1, offset + 1)
                 return v00 + fs * (v10 - v00) + fr * (v01 - v00)
             # s0 + r0 = n_levels forces fs = fr = 0 (query on the top corner)
             return v00
@@ -402,10 +469,10 @@ class RegionField:
         # query may then sit one cell outside the clamped block (extrapolating
         # bilinear, still second order)
         c_lo = i0 + 1
-        c_hi = w.shape[2] - i0 - 3
+        c_hi = self._starts[1] - i0 - 3
         c0 = min(max(int(math.floor(c_real)), c_lo), c_hi)
         fc = c_real - c0
-        return _bilinear(w[:, i0 : i0 + 2, c0 : c0 + 2], fi, fc)
+        return _bilinear(self.at(i0 + _ROW, self._offset0 + c0 + _COL), fi, fc)
 
 
 # --------------------------------------------------------------------------
@@ -434,8 +501,10 @@ def build_grid(spec: ProblemSpec, params: GridParams) -> SolverGrid:
     # characteristic at every level for one-sided extrapolation
     reach = max(2 * n_left + n_levels + 1, 2 * n_levels + 3)
     reach2 = max(2 * n_right + n_levels + 1, 2 * n_levels + 3)
-    # bytes of the (3, rows, cols) float arrays of the two sides and the
-    # wedge, an exact integer that may pass any float (hence Decimal below)
+    # bytes of (3, rows, cols) float arrays over the two sides' rectangles and
+    # the wedge's square, which the stored fields and the wedge's working
+    # square stay below; an exact integer that may pass any float (hence
+    # Decimal below)
     rows = n_levels + 1
     need = 24 * rows * (reach + 1 + reach2 + 1 + rows)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -572,55 +641,54 @@ def _cumtrapz_row(values: np.ndarray, h: float, start=None, skip=None) -> np.nda
     return out
 
 
-def _dal_rows(a: float, dt: float, b: int, Wb: np.ndarray):
-    """Homogeneous part of a band anchored at level b, one row at a time.
+def _dal_rows(a: float, dt: float, Wb: np.ndarray):
+    """Homogeneous part of a band, one row at a time.
 
-    Returns ``row(m, out)``, which writes into ``out`` (3, cols), on row m's
-    sector, the value at level b+m of the representation built from the
-    bottom sector's samples Wb = (u, u_t, u_x) standing in for
-    (phi, psi, phi'), and returns ``out``; the psi prefix starts at column b.
+    Returns ``row(m, out)``, which writes into ``out`` (3, k - 2m) row m's
+    sector of the representation built from the bottom row's k sector
+    samples Wb = (u, u_t, u_x), standing in for (phi, psi, phi'), and
+    returns ``out``; the psi prefix starts at the sector's first node.
     """
     Ub, Pb, Qb = Wb
-    ncols = Ub.shape[0]
-    CPb = np.zeros(ncols)
-    CPb[b : ncols - b] = _cumtrapz_row(Pb[b : ncols - b], a * dt)
+    k = Ub.shape[0]
+    CPb = _cumtrapz_row(Pb, a * dt)
 
     def row(m: int, out: np.ndarray) -> np.ndarray:
-        tc = slice(b + m, ncols - b - m)
-        tl = slice(b, ncols - b - 2 * m)
-        tr = slice(b + 2 * m, ncols - b)
-        out[0, tc] = 0.5 * (Ub[tl] + Ub[tr]) + (CPb[tr] - CPb[tl]) / (2.0 * a)
-        out[1, tc] = 0.5 * a * (Qb[tr] - Qb[tl]) + 0.5 * (Pb[tl] + Pb[tr])
-        out[2, tc] = 0.5 * (Qb[tl] + Qb[tr]) + (Pb[tr] - Pb[tl]) / (2.0 * a)
+        tl = slice(0, k - 2 * m)
+        tr = slice(2 * m, k)
+        out[0] = 0.5 * (Ub[tl] + Ub[tr]) + (CPb[tr] - CPb[tl]) / (2.0 * a)
+        out[1] = 0.5 * a * (Qb[tr] - Qb[tl]) + 0.5 * (Pb[tl] + Pb[tr])
+        out[2] = 0.5 * (Qb[tl] + Qb[tr]) + (Pb[tr] - Pb[tl]) / (2.0 * a)
         return out
 
     return row
 
 
-def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, block):
-    """The fixed-point map on the band whose rows at levels b..b+nb are
-    ``block``, a (3, nb+1, cols) view of a region's stacked (u, u_t, u_x),
-    anchored at its bottom row ``block[:, 0]``.
+def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, rows):
+    """The fixed-point map on the band of levels b..b+nb, whose stacked
+    (u, u_t, u_x) are ``rows``: row m is a (3, k) view of level b+m's
+    sector, the columns [b+m, ncols-1-b-m] of ``x_cols``, in a region's
+    packed storage.  The band is anchored at its bottom row ``rows[0]``.
 
-    Returns ``sweep(feedback)``, one application of the map in place on
-    ``block``, on each row's sector [b+m, ncols-1-b-m] only: the recurrences
-    for row m read rows m-1 and m-2 on their own sectors.  Row m's integrand
-    G = F - f(., ., u, ut, ux) is read from the block's row m before that row
-    is written (F alone when ``feedback`` is False), then the row is formed
-    from its d'Alembert part and the running I+, I- and D.  The sweep returns
-    the largest update.
+    Returns ``sweep(feedback)``, one application of the map in place on the
+    rows 1..nb: the recurrences for row m read rows m-1 and m-2 on their own
+    sectors.  Row m's integrand G = F - f(., ., u, ut, ux) is read from
+    ``rows[m]`` before that row is written (F alone when ``feedback`` is
+    False), then the row is formed from its d'Alembert part and the running
+    I+, I- and D.  The sweep returns the largest update.
 
     When f reads state the band is swept many times, so its d'Alembert rows
-    and F are formed once, into band-size planes.  Otherwise the band is
-    swept once, and each row's d'Alembert part and F are formed as the sweep
+    and F are formed once, one array per row.  Otherwise the band is swept
+    once, and each row's d'Alembert part and F are formed as the sweep
     reaches the row, into row buffers: the same values, with no band-size
     temporaries.
     """
     a, dt = grid.a, grid.dt
-    nb = block.shape[1] - 1
+    nb = len(rows) - 1
     ncols = x_cols.shape[0]
-    dal = _dal_rows(a, dt, b, block[:, 0])
-    # row m's sector c and its shifts l = c - 1, r = c + 1
+    dal = _dal_rows(a, dt, rows[0])
+    # row m's sector c and its shifts l = c - 1, r = c + 1, in the columns
+    # of the full-width row buffers
     spans = [(b + m, ncols - b - m) for m in range(nb + 1)]
     cols = [(slice(lo - 1, hi - 1), slice(lo, hi), slice(lo + 1, hi + 1)) for lo, hi in spans]
     ts = dt * np.arange(b, b + nb + 1)
@@ -630,13 +698,10 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, b
 
     if spec.f_reads_state:
         # swept many times: form each row's d'Alembert part and F once
-        planes = np.zeros((3, nb + 1, ncols))
-        Fg = np.zeros((nb + 1, ncols))
-        for m, (_, c, _) in enumerate(cols):
-            dal(m, planes[:, m])
-            Fg[m, c] = forcing(m)
-        dal = lambda m, out: planes[:, m]
-        forcing = lambda m: Fg[m, cols[m][1]]
+        planes = [dal(m, np.empty_like(row)) for m, row in enumerate(rows)]
+        Fg = [forcing(m) for m in range(nb + 1)]
+        dal = lambda m, out: planes[m]
+        forcing = lambda m: Fg[m]
     half, area, two_a = 0.5 * dt, dt * (a * dt), 2.0 * a
     # G and the running ray integrals keep rows m-1 and m, the triangle
     # integral rows m-2..m; upd[m] is row m's largest update
@@ -653,7 +718,7 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, b
         if not feedback:
             g[c] = forcing(m)
             return g
-        u, ut, ux = block[:, m, c]
+        u, ut, ux = rows[m]
         env = {"t": ts[m], "x": x_cols[c], "u": u, "ut": ut, "ux": ux}
         np.subtract(forcing(m), ex.evaluate(spec.f, env), out=g[c])
         return g
@@ -672,12 +737,12 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, b
                 np.multiply(0.5, row, out=d[c])
             else:
                 np.add(d1[l] + d1[r] - D[(m - 2) % 3, c], row, out=d[c])
-            base = dal(m, new)
-            np.add(base[0, c], d[c] / two_a, out=new[0, c])
-            np.add(base[1, c], 0.5 * (ip[c] + im[c]), out=new[1, c])
-            np.add(base[2, c], (im[c] - ip[c]) / two_a, out=new[2, c])
-            upd[m] = abs(new[:, c] - block[:, m, c]).max(initial=0.0)
-            block[:, m, c] = new[:, c]
+            base = dal(m, new[:, c])
+            np.add(base[0], d[c] / two_a, out=new[0, c])
+            np.add(base[1], 0.5 * (ip[c] + im[c]), out=new[1, c])
+            np.add(base[2], (im[c] - ip[c]) / two_a, out=new[2, c])
+            upd[m] = abs(new[:, c] - rows[m]).max(initial=0.0)
+            rows[m][...] = new[:, c]
         return float(upd.max())
 
     return sweep
@@ -739,13 +804,15 @@ def solve_cauchy_region(
         raise ConfigError(f"side must be 1 or 2, got {side!r}")
     region = Region.Q1_STAR if side == 1 else Region.Q2_STAR
     x_cols = grid.region_xcols(side)
-    W = np.zeros((3, grid.n_levels + 1, x_cols.shape[0]))
+    starts = _row_starts(region, grid)
+    W = np.zeros((3, starts[-1]))
+    rows = [W[:, lo:hi] for lo, hi in zip(starts, starts[1:])]
     phi, psi = (spec.phi1, spec.psi1) if side == 1 else (spec.phi2, spec.psi2)
     for k, e in enumerate((phi, psi, ex.differentiate(phi, "x"))):
-        W[k, 0] = ex.evaluate(e, {"x": x_cols})
+        rows[0][k] = ex.evaluate(e, {"x": x_cols})
     all_norms = [
         _picard(
-            _band_map(spec, grid, x_cols, b, W[:, b : e + 1]),
+            _band_map(spec, grid, x_cols, b, rows[b : e + 1]),
             spec.f_reads_state, picard, f"band [{b}, {e}]",
         )
         for b, e in strips

@@ -36,7 +36,9 @@ uniform grid of spacing hc = 2 a dt anchored at the vertex, so the double
 integral is a separable 2-D composite trapezoid evaluated by running prefix
 sums.  Bands of constant s + r are marched in time exactly like the cauchy
 strips, and every band's boundary nodes reproduce the traces identically
-(their integral prefix is empty).
+(their integral prefix is empty).  The solve works in the (n, n) square of
+(s, r), n = n_levels + 1, and the field it returns stores the triangle's
+rows packed, as ``RegionField`` lays them out.
 
 A sweep of band (b, e] costs O(band nodes): the prefix sums along s and r
 of the nodes below the band are final, so each band resumes them from the
@@ -69,6 +71,7 @@ from .cauchy import (
     SolverGrid,
     _cumtrapz_row,
     _picard,
+    _row_starts,
 )
 from .errors import ConfigError
 from .geometry import Region
@@ -303,4 +306,11 @@ def solve_goursat_region(
         all_norms.append(tuple(norms) if spec.f_reads_state else (max(norms),))
 
     report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
-    return RegionField(region=Region.Q3_STAR, grid=g, w=W, report=report)
+    # free the last band's buffers, then store row s's live run
+    # r <= n_levels - s, row after row
+    del sweep, carry
+    starts = _row_starts(Region.Q3_STAR, g)
+    w = np.empty((3, starts[-1]))
+    for s in range(n):
+        w[:, starts[s] : starts[s + 1]] = W[:, s, : n - s]
+    return RegionField(region=Region.Q3_STAR, grid=g, w=w, report=report)

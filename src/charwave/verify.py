@@ -113,9 +113,9 @@ def probe_points(
 
 
 def _field_scale(sol: Solution) -> float:
-    """max(1, max |u|) over the live nodes of the three fields."""
+    """max(1, max |u|) over the stored nodes of the three fields."""
     fields = (sol.field1, sol.field2, sol.field3)
-    return max(float(np.max(np.abs(f.u), where=f.live, initial=1.0)) for f in fields)
+    return max(float(np.max(np.abs(u), initial=1.0)) for u, _, _ in (f.w for f in fields))
 
 
 def _second_difference(minus, mid, plus, step: float):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -93,11 +94,36 @@ class TestSolveOrchestration:
         assert not d.generalized_dalembert
         assert sol.lipschitz == 0.0
 
+    def test_solve_memory(self):
+        # the sides store their sectors, so a whole solve peaks below the
+        # two side rectangles and the wedge's working square together
+        spec, params, picard = load_problem("mixed_forcing")
+        tracemalloc.start()
+        try:
+            sol = solve(spec, params, picard)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g = sol.grid
+        rows = g.n_levels + 1
+        rectangles = rows * (g.region_xcols(1).size + g.region_xcols(2).size + rows)
+        assert peak <= 0.9 * 3 * 8 * rectangles
+
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_dead_nodes_are_zero(self, solved, name):
+        # a field stores its live nodes and no other: the sector of cols - 2i
+        # offsets on a side's level i, the triangle s + r <= n_levels in the
+        # wedge; the rectangles built on demand are 0 off them
         sol = solved[name]
+        rows = sol.grid.n_levels + 1
+        for side, field in ((1, sol.field1), (2, sol.field2)):
+            cols = sol.grid.region_xcols(side).size
+            assert field.w.shape == (3, sum(max(cols - 2 * i, 0) for i in range(rows)))
+        assert sol.field3.w.shape == (3, rows * (rows + 1) // 2)
         for field in (sol.field1, sol.field2, sol.field3):
-            assert not np.any(field.w[:, ~field.live])
+            assert field.live.sum() == field.w.shape[1]
+            for plane in (field.u, field.p, field.q):
+                assert not np.any(plane[~field.live])
 
     def test_state_free_f_solves_in_one_sweep_per_band(self):
         # f reads t and x only: each band's first full sweep is the fixed

@@ -215,33 +215,62 @@ class TestRegionField:
                 level, offset = field.nodes()
                 at = field.at(level, offset)
                 np.testing.assert_array_equal(at.view(np.uint64), field.w.view(np.uint64))
-                # the characteristics through (0, x0) hold live nodes
-                mask = replace(field, w=np.broadcast_to(field.live, field.w.shape).astype(float))
+                # the characteristics through (0, x0) hold stored nodes
                 signs = {1: (-1,), 2: (1,), 3: (-1, 1)}[side]
                 for sign in signs:
-                    assert mask.at(levels, sign * levels).all()
+                    assert field.at(levels, sign * levels).shape == (3, levels.size)
                 if side == 3:
                     continue
-                # a side's offsets run along its columns
-                np.testing.assert_array_equal(g.x0 + g.dx * offset[0], g.region_xcols(side))
+                # a side's offsets run along its columns, level 0 first
+                np.testing.assert_array_equal(
+                    g.x0 + g.dx * offset[level == 0], g.region_xcols(side)
+                )
+                assert np.all(np.diff(level) >= 0)
+
+    def test_at_refuses_a_node_it_does_not_store(self, solved):
+        # one column outside level 5's sector at either end of a side, a
+        # wedge node past the hypotenuse and one off the wedge's lattice
+        sol = solved["mixed_forcing"]
+        g = sol.grid
+        m = g.n_levels
+        dead = (
+            (sol.field1, [(5, g.j1_min + 4), (5, -4)]),
+            (sol.field2, [(5, 4), (5, g.j2_max - 4)]),
+            (sol.field3, [(m + 1, m - 1), (1, 0)]),
+        )
+        for field, nodes in dead:
+            for level, offset in nodes:
+                node = rf"\(level={level}, offset={offset}\)"
+                with pytest.raises(IndexError, match=rf"region {field.region.value} stores no node {node}"):
+                    field.at(level, offset)
+                # also among stored nodes: (0, 0) is stored by every region
+                with pytest.raises(IndexError, match=node):
+                    field.at(np.array([0, level]), np.array([0, offset]))
 
     def test_live_nodes_and_views(self):
         sol = solve(make_spec(psi2="1"), GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
-        for field in (sol.field1, sol.field2):
-            rows, ncols = field.w.shape[1:]
+        g = sol.grid
+        for side, field in ((1, sol.field1), (2, sol.field2)):
+            rows, ncols = field.live.shape
+            assert (rows, ncols) == (g.n_levels + 1, g.region_xcols(side).size)
             # the sector [i, ncols-1-i] of level i
             assert field.live.sum() == sum(max(ncols - 2 * i, 0) for i in range(rows))
             assert field.live[0].all()
-        n = sol.field3.w.shape[1]  # wedge nodes s + r <= n - 1
+        n = g.n_levels + 1  # wedge nodes s + r <= n - 1
+        assert sol.field3.live.shape == (n, n)
         assert sol.field3.live.sum() == n * (n + 1) // 2
         assert sol.field3.live[:, 0].all() and sol.field3.live[0, :].all()
         for field in (sol.field1, sol.field2, sol.field3):
-            assert field.w.shape[0] == 3
+            assert field.w.shape == (3, field.live.sum())
             assert not field.w.flags.writeable
+            # the rectangles are copies built on demand, 0 off the live nodes
             for k, plane in enumerate((field.u, field.p, field.q)):
-                assert np.shares_memory(plane, field.w)
-                assert not plane.flags.writeable
-                np.testing.assert_array_equal(plane, field.w[k])
+                assert plane.shape == field.live.shape
+                assert not np.shares_memory(plane, field.w)
+                np.testing.assert_array_equal(plane[field.live], field.w[k])
+                assert not np.any(plane[~field.live])
+        with pytest.raises(ValueError, match="region 1 stores"):
+            replace(sol.field1, w=sol.field1.w[:, 1:])
 
 
 class TestStripPlanning:
@@ -559,10 +588,10 @@ def _whole_band_map(spec, grid, x_cols, b, block):
     col = np.arange(ncols)[None, :]
     live = (col >= level) & (col < ncols - level)
     live[0] = False  # the anchor row is not written
-    row = _dal_rows(a, dt, b, block[:, 0])
+    row = _dal_rows(a, dt, block[:, 0, b : ncols - b])
     u_dal, p_dal, q_dal = dal = np.zeros((3, nb + 1, ncols))
     for m in range(1, nb + 1):
-        row(m, dal[:, m])
+        row(m, dal[:, m, b + m : ncols - b - m])
 
     def on_band(e, **env):  # e on every node of the band
         env.update(t=dt * level, x=x_cols[None, :])
@@ -600,10 +629,11 @@ def _whole_band_map(spec, grid, x_cols, b, block):
 
 
 def _whole_band_solve(spec, side, grid, strips, picard, feeds_back=None):
-    """The side solve marched with whole-band sweeps, the twin of
-    test_goursat's ``_whole_block_solve``.  Returns the stacked (u, u_t, u_x)
-    and the update norms per band; ``feeds_back`` overrides whether the
-    Picard driver iterates."""
+    """The side solve marched with whole-band sweeps on the side's
+    rectangle, the twin of test_goursat's ``_whole_block_solve``.  Returns
+    the stacked (u, u_t, u_x) on the live nodes, level by level, and the
+    update norms per band; ``feeds_back`` overrides whether the Picard
+    driver iterates."""
     if feeds_back is None:
         feeds_back = spec.f_reads_state
     x_cols = grid.region_xcols(side)
@@ -618,7 +648,9 @@ def _whole_band_solve(spec, side, grid, strips, picard, feeds_back=None):
         )
         for b, e in strips
     )
-    return W, norms
+    level = np.arange(grid.n_levels + 1)[:, None]
+    col = np.arange(x_cols.shape[0])
+    return W[:, (col >= level) & (col < x_cols.shape[0] - level)], norms
 
 
 class TestBandKernel:
@@ -629,7 +661,7 @@ class TestBandKernel:
             field = solve_side(spec, side, params, picard)
             assert len(field.report.strips) == n_strips
             W, norms = _whole_band_solve(spec, side, field.grid, field.report.strips, picard)
-            # bit for bit, signed zeros and the zero dead nodes included
+            # bit for bit, signed zeros included
             np.testing.assert_array_equal(field.w.view(np.uint64), W.view(np.uint64))
             assert field.report.update_norms == norms
 
@@ -656,7 +688,9 @@ class TestBandKernel:
             assert norms[0][-1] == 0.0
 
     def test_single_strip_side_solve_memory(self):
-        # one sweep forms each row as it goes: row buffers, no band-size planes
+        # one sweep forms each row as it goes: row buffers, no band-size
+        # planes; the side stores its sectors, 2/3 of its rectangle here, and
+        # never holds the rectangle
         spec, params, picard = load_problem("mixed_forcing")
         grid = build_grid(spec, params)
         strips = strip_plan(spec, grid, picard)
@@ -668,3 +702,5 @@ class TestBandKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * field.w.nbytes
+        rectangle = 3 * 8 * (grid.n_levels + 1) * grid.region_xcols(1).size
+        assert peak <= 0.8 * rectangle

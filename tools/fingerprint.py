@@ -9,8 +9,9 @@ directory, and no bytecode is cached.  The problems are each
 ROOT/configs/*.json and seed 501 of each benchmark workload.  For each one
 it prints, as sorted JSON:
 
-* the sha256 of ``field1.w``, ``field2.w`` and ``field3.w`` and every
-  ``report.update_norms`` of the solve;
+* the sha256 of each field's live values, ``np.stack((f.u, f.p, f.q))``
+  at ``f.live``, row by row, so that one digest compares fields that store
+  their nodes differently, and every ``report.update_norms`` of the solve;
 * the solve's Lipschitz constant as ``float.hex`` and its strip plan
   (``field1.report.strips``, which all three regions march), so that a
   change to the estimate or to the plan shows even when no field bit moves;
@@ -20,7 +21,7 @@ it prints, as sorted JSON:
   ``converge --levels 3 --json`` and of ``linear_oracle`` at t = T/2 on
   both characteristics and 1 and 2 ulps of x to either side of them, where
   a change to the region rule would show;
-* for each audit check, the sha256 of the three ``w`` arrays of
+* for each audit check, the same digests of the three fields of
   ``inject_fault(sol, check)`` and the JSON of ``check_definition1`` on it.
 
 Run it on two checkouts and compare the outputs byte for byte, e.g.
@@ -40,6 +41,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 SEED = 501
 CHECKS = ("initial_u", "initial_ut", "pde_residual", "goursat_traces", "jump_constancy")
 
@@ -56,7 +59,10 @@ def _run(cli, argv: list[str]) -> dict:
 
 
 def _w_sha256(sol) -> list[str]:
-    return [_sha256(f.w.tobytes()) for f in (sol.field1, sol.field2, sol.field3)]
+    """The digest of each field's live (u, u_t, u_x), row by row, however
+    the field stores them."""
+    fields = (sol.field1, sol.field2, sol.field3)
+    return [_sha256(np.stack((f.u, f.p, f.q))[:, f.live].tobytes()) for f in fields]
 
 
 def _oracle_near_characteristics(charwave, spec, T: float) -> list[list[float]]:

@@ -502,9 +502,9 @@ def build_grid(spec: ProblemSpec, params: GridParams) -> SolverGrid:
     reach = max(2 * n_left + n_levels + 1, 2 * n_levels + 3)
     reach2 = max(2 * n_right + n_levels + 1, 2 * n_levels + 3)
     # bytes of (3, rows, cols) float arrays over the two sides' rectangles and
-    # the wedge's square, which the stored fields and the wedge's working
-    # square stay below; an exact integer that may pass any float (hence
-    # Decimal below)
+    # the wedge's (s, r) rectangle: they bound both the stored fields and the
+    # u/p/q/live rectangles a reader can still ask for; an exact integer that
+    # may pass any float (hence Decimal below)
     rows = n_levels + 1
     need = 24 * rows * (reach + 1 + reach2 + 1 + rows)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

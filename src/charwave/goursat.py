@@ -36,9 +36,10 @@ uniform grid of spacing hc = 2 a dt anchored at the vertex, so the double
 integral is a separable 2-D composite trapezoid evaluated by running prefix
 sums.  Bands of constant s + r are marched in time exactly like the cauchy
 strips, and every band's boundary nodes reproduce the traces identically
-(their integral prefix is empty).  The solve works in the (n, n) square of
-(s, r), n = n_levels + 1, and the field it returns stores the triangle's
-rows packed, as ``RegionField`` lays them out.
+(their integral prefix is empty).  The solve works in the packed rows that
+the field it returns stores, as ``RegionField`` lays them out: row s holds
+the nodes (s, r), r <= n_levels - s, and node (s, r) is entry
+starts[s] + r of the row table ``starts``.
 
 A sweep of band (b, e] costs O(band nodes): the prefix sums along s and r
 of the nodes below the band are final, so each band resumes them from the
@@ -139,7 +140,7 @@ def goursat_traces(
 
 def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, e: int, base):
     """The parallelogram map on band (b, e] of the wedge, in place on ``W``,
-    the stacked (u, u_t, u_x) of the whole lattice.
+    the stacked (u, u_t, u_x) of the whole triangle.
 
     The band's prefix sums run over its levels l = s + r as columns, in two
     skewed layouts: (s, l), where jcol and the double integral U (sums along
@@ -159,14 +160,14 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     nodes, otherwise H does not depend on them and it returns the columns
     the last ``sweep(True)`` built.
 
-    ``W`` is the solve's contiguous (3, n, n) array, n = n_levels + 1, and
-    the band spans at most n - 1 levels: the (s, l) view of the band is a
-    reshape of W with rows n - 1 long.
+    ``W`` is the solve's (3, n_live) array of packed rows.  The band's nodes
+    are gathered from it and scattered back through one index, ``node``,
+    in the order of ``band``'s True entries.
     """
     g = traces.grid
     a = g.a
     hc = 2.0 * a * g.dt
-    n, R, nb = W.shape[1], e + 1, e - b
+    R, nb = e + 1, e - b
     idx = np.arange(R)[:, None]
     lev = np.arange(b, e + 1)
     band = idx <= lev[1:]  # the band's nodes, columns 1..
@@ -176,14 +177,12 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     # (s, l) <-> (r, l): row c of column l takes row l - c; the rows past
     # the triangle keep their own
     flip = np.where(idx <= lev, lev - idx, idx) * (nb + 1) + np.arange(nb + 1)
-    # the band of W in the (s, l) layout, a view as W is contiguous: node
-    # (s, l - s); the entries with s > l lie on other nodes, and are neither
-    # used nor written
-    Wv = W.reshape(3, -1)[:, b + 1 : b + 1 + R * (n - 1)]
-    Wv = Wv.reshape(3, R, n - 1)[:, :, :nb]
     s, j = np.nonzero(band)
     r = b + 1 + j - s
     env = {"t": (s + r) * g.dt, "x": g.x0 + (r - s) * g.dx}
+    # the entry of W at each band node (s, r)
+    node = _row_starts(Region.Q3_STAR, g)[s] + r
+    del s, j, r
     F = ex.evaluate(spec.F, env)
     # f reads the coordinates and state planes it names, gathered per sweep
     reads = ex.free_vars(spec.f)
@@ -204,7 +203,7 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     last = []  # level e's columns of the last sweep, when f reads no state
 
     def integrals():
-        env.update((v, Wv[k][band]) for k, v in enumerate(("u", "ut", "ux")) if v in reads)
+        env.update((v, W[k][node]) for k, v in enumerate(("u", "ut", "ux")) if v in reads)
         H[:, 1:][band] = F - ex.evaluate(spec.f, env)
         # int over y in [xi_s, x0] at fixed eta_r
         jrow = np.take(_cumtrapz_row(np.take(H, flip), hc, starts[0], skip), flip)
@@ -217,9 +216,12 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
         upd = []
 
         def put(k, new):
-            d = new - Wv[k]
-            upd.append(np.max(np.abs(d, out=d), where=band, initial=0.0))
-            np.copyto(Wv[k], new, where=band)
+            # through the row W[k]: a 1-D index is about twice as fast as W[k, node]
+            new, w = new[band], W[k]
+            d = w[node]
+            np.subtract(new, d, out=d)
+            upd.append(np.max(np.abs(d, out=d), initial=0.0))
+            w[node] = new
 
         if feedback:
             sums = integrals()
@@ -268,10 +270,10 @@ def solve_goursat_region(
     """Solve the wedge problem by Picard iteration on the parallelogram map,
     marching the bands ``strips`` (levels s + r) of :func:`plan_strips`."""
     g = traces.grid
-    n = g.n_levels + 1
-    W = np.zeros((3, n, n))
+    starts = _row_starts(Region.Q3_STAR, g)
+    W = np.zeros((3, starts[-1]))
     # vertex node: degenerate parallelogram, all integrals empty
-    W[:, 0, 0] = (
+    W[:, 0] = (
         traces.gamma1[0],
         0.5 * (traces.dgamma1[0] + traces.dgamma2[0]),
         (traces.dgamma2[0] - traces.dgamma1[0]) / (2.0 * g.a),
@@ -279,7 +281,7 @@ def solve_goursat_region(
 
     # the first band's base: H = F - f at the vertex, with empty prefixes
     zero = np.zeros(1)
-    env = {"t": zero, "x": g.x0 + zero, "u": W[0, :1, 0], "ut": W[1, :1, 0], "ux": W[2, :1, 0]}
+    env = {"t": zero, "x": g.x0 + zero, "u": W[0, :1], "ut": W[1, :1], "ux": W[2, :1]}
     base = (ex.evaluate(spec.F, env) - ex.evaluate(spec.f, env), [-0.0], [-0.0], [-0.0])
     all_norms = []
     for b, e in strips:
@@ -299,18 +301,11 @@ def solve_goursat_region(
             # rounding (they add and subtract the apex value); pin the
             # boundary exactly
             ks = np.arange(lo + 1, hi + 1)
-            W[0, ks, 0] = traces.gamma1[ks]
-            W[0, 0, ks] = traces.gamma2[ks]
+            W[0, starts[ks]] = traces.gamma1[ks]  # nodes (ks, 0)
+            W[0, ks] = traces.gamma2[ks]  # nodes (0, ks)
         # one entry per planned band: a sub-banded sweep's update is the
         # largest of its parts'
         all_norms.append(tuple(norms) if spec.f_reads_state else (max(norms),))
 
     report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
-    # free the last band's buffers, then store row s's live run
-    # r <= n_levels - s, row after row
-    del sweep, carry
-    starts = _row_starts(Region.Q3_STAR, g)
-    w = np.empty((3, starts[-1]))
-    for s in range(n):
-        w[:, starts[s] : starts[s + 1]] = W[:, s, : n - s]
-    return RegionField(region=Region.Q3_STAR, grid=g, w=w, report=report)
+    return RegionField(region=Region.Q3_STAR, grid=g, w=W, report=report)

@@ -9,9 +9,8 @@ directory, and no bytecode is cached.  The problems are each
 ROOT/configs/*.json and seed 501 of each benchmark workload.  For each one
 it prints, as sorted JSON:
 
-* the sha256 of each field's live values, ``np.stack((f.u, f.p, f.q))``
-  at ``f.live``, row by row, so that one digest compares fields that store
-  their nodes differently, and every ``report.update_norms`` of the solve;
+* the sha256 of each field's stored array ``f.w``, its live (u, u_t, u_x)
+  packed row after row, and every ``report.update_norms`` of the solve;
 * the solve's Lipschitz constant as ``float.hex`` and its strip plan
   (``field1.report.strips``, which all three regions march), so that a
   change to the estimate or to the plan shows even when no field bit moves;
@@ -41,8 +40,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 SEED = 501
 CHECKS = ("initial_u", "initial_ut", "pde_residual", "goursat_traces", "jump_constancy")
 
@@ -59,10 +56,8 @@ def _run(cli, argv: list[str]) -> dict:
 
 
 def _w_sha256(sol) -> list[str]:
-    """The digest of each field's live (u, u_t, u_x), row by row, however
-    the field stores them."""
-    fields = (sol.field1, sol.field2, sol.field3)
-    return [_sha256(np.stack((f.u, f.p, f.q))[:, f.live].tobytes()) for f in fields]
+    """The digest of each field's stored (u, u_t, u_x), row by row."""
+    return [_sha256(f.w.tobytes()) for f in (sol.field1, sol.field2, sol.field3)]
 
 
 def _oracle_near_characteristics(charwave, spec, T: float) -> list[list[float]]:

@@ -213,19 +213,23 @@ def characteristic_jump(sol: Solution, t: float, side: str) -> float:
 # User-grid sampling (the CSV surface)
 
 
-def sample_user_grid(sol: Solution):
+def sample_user_grid(sol: Solution, levels=slice(None)):
     """Arrays (times, xs, region, u, p, q) over the user grid.
 
+    ``levels`` picks user levels as numpy indexing does: the default gives
+    (nt+1, cols) arrays, an int one level's rows and a slice those levels.
     ``region`` is the int64 code {1,2,3} of each node, from
     ``classify_nodes`` (nodes on the characteristics belong to the wedge);
     the value arrays are read straight from the region fields at their own
     nodes (no interpolation).
     """
     g = sol.grid
-    level, offset = np.broadcast_arrays(2 * np.arange(g.nt + 1)[:, None], g.user_offsets())
+    level, offset = np.broadcast_arrays(
+        2 * np.arange(g.nt + 1)[levels][..., None], g.user_offsets()
+    )
     region = classify_nodes(level, offset)
     w = np.empty((3, *region.shape))
     for field in (sol.field1, sol.field2, sol.field3):
         on = region == field.region.value
         w[:, on] = field.at(level[on], offset[on])
-    return g.user_times(), g.user_xs(), region, w[0], w[1], w[2]
+    return g.user_times()[levels], g.user_xs(), region, w[0], w[1], w[2]

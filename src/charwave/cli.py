@@ -120,28 +120,28 @@ def load_config(path: str) -> tuple[ProblemSpec, GridParams, PicardParams]:
 
 
 def write_csv(sol, path: str) -> None:
-    """Write the user-grid samples as CSV, one time level at a time.
+    """Write the user-grid samples as CSV, reading each time level from the
+    region fields as it writes it, so no whole-grid array is held.
 
-    Each t and x is formatted once and each node's region code is baked into
-    a per-(region, column) line tail, so a level is one template filled by
-    one ``%`` with its u, u_t, u_x values.  Every OSError becomes a
-    ConfigError; a failed write may leave a partial file.
+    Each x is formatted once and each node's region code is baked into a
+    per-(region, column) line tail, so a level is one template filled by one
+    ``%`` with its u, u_t, u_x values.  Every OSError becomes a ConfigError;
+    a failed write may leave a partial file.
     """
-    times, xs, region, u, p, q = sample_user_grid(sol)
-    vals = np.stack((u, p, q), axis=-1)
-    xcells = ["%.17g" % x for x in xs.tolist()]
+    xcells = ["%.17g" % x for x in sol.grid.user_xs().tolist()]
     tails = np.array(
         [[f",{x},{code},%.17g,%.17g,%.17g\n" for x in xcells] for code in (1, 2, 3)],
         dtype=object,
     )
-    row_tails = tails[region - 1, np.arange(len(xcells))]
+    columns = np.arange(len(xcells))
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write("t,x,region,u,ut,ux\n")
-            for i, t in enumerate(times.tolist()):
+            for i in range(sol.grid.nt + 1):
+                t, _, region, u, p, q = sample_user_grid(sol, i)
                 ts = "%.17g" % t
-                template = ts + ts.join(row_tails[i].tolist())
-                fh.write(template % tuple(vals[i].ravel().tolist()))
+                template = ts + ts.join(tails[region - 1, columns].tolist())
+                fh.write(template % tuple(np.stack((u, p, q), axis=-1).ravel().tolist()))
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
 

@@ -287,18 +287,21 @@ class TestSampleUserGrid:
     # to a point an ulp off the characteristic
     ULP_OFF = dict(a=0.3, x0=-1.6245616529030604, phi1="0", phi2="1", A=0.5)
 
-    @pytest.mark.parametrize("name", ["ulp_off", "mixed_forcing", "manufactured", "phi_step_general"])
-    def test_evaluate_at_the_csv_nodes(self, name):
-        """``evaluate`` classifies a point as given, ``sample_user_grid`` a
-        node exactly.  Off the characteristics they agree in region and u; on
-        them ``evaluate`` may read the adjacent side's field at the node."""
+    def _solve_at_nt16(self, name):
         if name == "ulp_off":
             spec = make_spec(**self.ULP_OFF)
             gp = GridParams(T=1.0, x_lo=-3.0, x_hi=0.0, nt=16)
         else:
             spec, gp, _ = load_problem(name)
             gp = replace(gp, nt=16)
-        sol = solve(spec, gp)
+        return solve(spec, gp)
+
+    @pytest.mark.parametrize("name", ["ulp_off", "mixed_forcing", "manufactured", "phi_step_general"])
+    def test_evaluate_at_the_csv_nodes(self, name):
+        """``evaluate`` classifies a point as given, ``sample_user_grid`` a
+        node exactly.  Off the characteristics they agree in region and u; on
+        them ``evaluate`` may read the adjacent side's field at the node."""
+        sol = self._solve_at_nt16(name)
         times, xs, region, u, *_ = sample_user_grid(sol)
         offsets = sol.grid.user_offsets()
         moved = []
@@ -319,6 +322,19 @@ class TestSampleUserGrid:
             assert (0.0625, -1.6433116529030605) in moved
         else:
             assert not moved
+
+    @pytest.mark.parametrize("name", ["ulp_off", "mixed_forcing", "phi_step_general"])
+    def test_levels_read_the_rows_of_the_whole_grid(self, name):
+        # a level index reads exactly the bits of the whole-grid rows it
+        # picks, on the characteristics too
+        sol = self._solve_at_nt16(name)
+        whole = sample_user_grid(sol)
+        picks = [*range(sol.grid.nt + 1), slice(2, 5), -1]
+        for levels in picks:
+            want = (whole[0][levels], whole[1], *(a[levels] for a in whole[2:]))
+            for got, ref in zip(sample_user_grid(sol, levels), want):
+                got, ref = np.asarray(got), np.asarray(ref)
+                assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
 
 
 _HALVES = st.integers(-4, 4).map(lambda k: k / 2.0)

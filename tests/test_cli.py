@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from charwave.assembly import sample_user_grid, solve
 from charwave.cauchy import GridParams, PicardParams, build_grid
 from charwave.errors import ConfigError, NegativeTime, NotLinear, OutOfWindow
 
-from helpers import config_path
+from helpers import CORPUS_NAMES, config_path
 
 
 GOOD = {
@@ -222,11 +223,11 @@ class TestSolveCommand:
         # the per-node loop the writer replaced is the oracle for the format
         sols = []
 
-        def spy(sol):
-            sols.append(sol)
-            return sample_user_grid(sol)
+        def spy(*args):
+            sols.append(solve(*args))
+            return sols[-1]
 
-        monkeypatch.setattr(cli, "sample_user_grid", spy)
+        monkeypatch.setattr(cli, "solve", spy)
         out = tmp_path / "out.csv"
         assert cli.main(["solve", str(config_path(name)), "-o", str(out)]) == 0
         assert len(sols) == 1
@@ -240,6 +241,21 @@ class TestSolveCommand:
                     % (times[i], xs[j], region[i, j], u[i, j], p[i, j], q[i, j])
                 )
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_write_memory(self, tmp_path, solved, name):
+        # the writer reads one user level at a time, so it never holds a
+        # whole-grid array: its peak stays below one (nt+1, cols) float64 plane
+        sol = solved[name]
+        g = sol.grid
+        plane = 8 * (g.nt + 1) * g.user_offsets().size
+        tracemalloc.start()
+        try:
+            cli.write_csv(sol, str(tmp_path / "out.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= plane
 
 
 class TestClassifyCommand:

@@ -221,15 +221,20 @@ def sample_user_grid(sol: Solution, levels=slice(None)):
     ``region`` is the int64 code {1,2,3} of each node, from
     ``classify_nodes`` (nodes on the characteristics belong to the wedge);
     the value arrays are read straight from the region fields at their own
-    nodes (no interpolation).
+    nodes (no interpolation).  On one level the columns of regions 1, 3 and
+    2 are three blocks in x order, so a level is read as a slice of each
+    side's row and one gather from the wedge.
     """
     g = sol.grid
-    level, offset = np.broadcast_arrays(
-        2 * np.arange(g.nt + 1)[levels][..., None], g.user_offsets()
-    )
-    region = classify_nodes(level, offset)
+    level = 2 * np.arange(g.nt + 1)[levels]
+    offsets = g.user_offsets()
+    region = classify_nodes(level[..., None], offsets)
     w = np.empty((3, *region.shape))
-    for field in (sol.field1, sol.field2, sol.field3):
-        on = region == field.region.value
-        w[:, on] = field.at(level[on], offset[on])
+    rows = w.reshape(3, -1, offsets.size)
+    for k, (lev, codes) in enumerate(zip(level.flat, region.reshape(-1, offsets.size))):
+        n1, n2 = np.count_nonzero(codes == 1), np.count_nonzero(codes == 2)
+        ends = (0, n1, offsets.size - n2, offsets.size)
+        for field, a, b in zip((sol.field1, sol.field3, sol.field2), ends, ends[1:]):
+            first = int(offsets[0]) + 2 * a
+            rows[:, k, a:b] = field.at_level(int(lev), range(first, first + 2 * (b - a), 2))
     return g.user_times()[levels], g.user_xs(), region, w[0], w[1], w[2]

@@ -335,7 +335,7 @@ class RegionField:
     solution, stacked in the read-only array ``w`` of shape (3, n_live).
     Outside the two region solves, only this class reads ``w`` by position:
     everyone else names nodes (level, offset) as in SolverGrid, through
-    ``at``, ``nodes`` and ``interpolate``.
+    ``at``, ``at_level``, ``nodes`` and ``interpolate``.
 
     Storage: ``w`` holds each row's live run contiguously, row after row,
     as the row table ``_row_starts`` lays them out.  A side's row i is level
@@ -380,21 +380,38 @@ class RegionField:
         """(u, u_t, u_x) at the integer nodes (level, offset), shape (3,)
         plus the broadcast shape of the arguments.  Raises IndexError,
         naming the region and the node, at a node it does not store."""
-        level, offset = np.broadcast_arrays(level, offset)
+        return self.w[:, self._index(*np.broadcast_arrays(level, offset))]
+
+    def at_level(self, level: int, offsets: range) -> np.ndarray:
+        """(u, u_t, u_x) at the nodes (level, o) for o in ``offsets``, a range
+        of increasing offsets, shape (3, len(offsets)): a strided view of a
+        side's row, or one gather across the wedge's rows.  Raises
+        IndexError as ``at`` does."""
+        if self.region is Region.Q3_STAR or not offsets:
+            offset = np.arange(offsets.start, offsets.stop, offsets.step)
+            return self.w[:, self._index(level, offset)]
+        first, last = self._index(level, np.array([offsets[0], offsets[-1]]))
+        return self.w[:, first : last + 1 : offsets.step]
+
+    def _index(self, level, offset) -> np.ndarray:
+        """The position in ``w`` of each node (level, offset), in the
+        broadcast shape of the integer arguments; raises IndexError at a node
+        the region does not store."""
         if self.region is Region.Q3_STAR:
             row, col = (level - offset) // 2, (level + offset) // 2
             stored = (np.abs(offset) <= level) & ((level - offset) % 2 == 0)
         else:
             row, col = level, offset - self._offset0
             stored = (col >= level) & (col + level < self._starts[1]) & (level >= 0)
-        stored &= level <= self.grid.n_levels
-        if not stored.all():
+        stored = stored & (level <= self.grid.n_levels)
+        if not np.all(stored):
+            level, offset, stored = np.broadcast_arrays(level, offset, stored)
             k = np.flatnonzero(~stored)[0]
             raise IndexError(
                 f"region {self.region.value} stores no node "
                 f"(level={level.flat[k]}, offset={offset.flat[k]})"
             )
-        return self.w[:, self._starts[row] + col - self._first(row)]
+        return self._starts[row] + col - self._first(row)
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(level, offset) of every stored node, as integer arrays in the

@@ -37,9 +37,13 @@ The problem file is strict JSON with exactly these keys::
 
 Unknown keys anywhere are rejected, and numbers must fit a float.  CSV
 output has the header ``t,x,region,u,ut,ux`` with rows ordered by time then
-by x, every float printed with 17 significant digits so repeated runs are
-byte-identical.  It is written one time level at a time; a failed write
-exits 1 and may leave a partial file.
+by x, every float printed as Python's ``%.17g`` prints it, so repeated runs
+are byte-identical and every value reads back to the same double.  The
+u, u_t, u_x columns are formatted in numpy, a time level at a time, by an
+exact re-implementation of ``%.17g`` for 1e-4 <= |v| < 1e16 (``_format17``);
+zeros are "0" or "-0", and the few other values go through ``%.17g``
+itself.  It is written one time level at a time; a failed write exits 1 and
+may leave a partial file.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import json
 import sys
 
 import numpy as np
+import numpy.strings  # a lazy submodule: loaded here, not inside the first write
 
 from . import expr as ex
 from .assembly import diagnose, sample_user_grid, solve
@@ -119,29 +124,155 @@ def load_config(path: str) -> tuple[ProblemSpec, GridParams, PicardParams]:
     return spec, grid, PicardParams(**picard)
 
 
+_SPLITTER = 2.0**27 + 1
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v as high + low, each of at most 26 significant bits (Veltkamp's
+    split, with Dekker's constant 2**27 + 1)."""
+    big = _SPLITTER * v
+    high = big - (big - v)
+    return high, v - high
+
+
+# 10**i as exact doubles, and split
+_POW10 = np.array([float(10**i) for i in range(23)])
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+# "0000" to "9999" as 4-byte words, and the trailing '0's of each (4 for "0000")
+_QUADS = sum(
+    (d + ord("0")) << 8 * i for i, d in enumerate(np.ix_(*[np.arange(10, dtype=np.uint32)] * 4))
+).ravel().astype("<u4")
+_QUAD_ZEROS = np.cumprod(
+    _QUADS.view(np.uint8).reshape(-1, 4)[:, ::-1] == ord("0"), axis=1, dtype=np.int8
+).sum(axis=1, dtype=np.int8)
+# row p is True on the bytes before byte p
+_BEFORE = np.arange(28) < np.arange(28)[:, None]
+
+
+def _digits17(y: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round(y * 10**(16 - k)) as int64, correctly rounded (ties to even),
+    for y > 0 with 10**(16 - k) an exact double.  Dekker's two-product
+    gives the product exactly as high + low, high an even integer once it
+    passes 2**53, so rounding low rounds the sum."""
+    p = 16 - k
+    high = y * _POW10.take(p)
+    yh, yl = _split(y)
+    ph, pl = _POW10_HIGH.take(p), _POW10_LOW.take(p)
+    low = yh * ph
+    low -= high
+    low += yh * pl
+    low += yl * ph
+    low += yl * pl
+    return high.astype(np.int64) + np.rint(low, out=low).astype(np.int64)
+
+
+def _format17(x: np.ndarray) -> np.ndarray:
+    """``b"%.17g" % v`` for each v of the 1-D float64 array ``x``, as a
+    bytes array.
+
+    For 1e-4 <= |v| < 1e16, %.17g prints the 17 significant digits n of v,
+    correctly rounded, in positional notation with trailing fraction zeros
+    and a bare point removed.  n = round(|v| * 10**(16 - k)) with
+    k = floor(log10 |v|) is exact (``_digits17``), and k is stepped by one
+    wherever n falls outside [10**16, 10**17): that fixes both log10's
+    off-by-one and a round-up to 10**17.  The digits are laid out in a
+    28-byte frame, seven '0's then n, the bytes from the point on are moved
+    one up to make room for it, and the answer is one slice of the frame.
+    +-0 give "0" and "-0"; every other value (subnormal, tiny, huge, inf,
+    nan) goes through ``b"%.17g" %`` itself.
+
+    Each temporary is dropped once used, so a call peaks near 150 bytes a
+    value; ``write_csv`` formats a level per call.
+    """
+    a = np.abs(x)
+    inside = (a >= 1e-4) & (a < 1e16)
+    at = np.flatnonzero(inside)
+    y = a.take(at)
+    del a
+    k = np.floor(np.log10(y)).astype(np.int64)
+    n = _digits17(y, k)
+    off = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    while off.size:
+        k[off] += np.where(n[off] >= 10**17, 1, -1)
+        n[off] = _digits17(y[off], k[off])
+        off = off[(n[off] < 10**16) | (n[off] >= 10**17)]
+    del y
+    # n's lead digit and four quads of digits (scalar divisors are fast)
+    high = n // 10**8
+    low = n - high * 10**8
+    del n
+    lead = high // 10**8
+    quads = np.empty((at.size, 4), np.intp)
+    quads[:, 0] = high // 10**4 - lead * 10**4
+    quads[:, 1] = high % 10**4
+    quads[:, 2] = low // 10**4
+    quads[:, 3] = low % 10**4
+    del high, low
+    # trailing '0's of the 16 digits after the lead: a quad's count only if
+    # every quad right of it is "0000"
+    z = _QUAD_ZEROS.take(quads)
+    last = quads == 0
+    zeros = z[:, 3] + last[:, 3] * (z[:, 2] + last[:, 2] * (z[:, 1] + last[:, 1] * z[:, 0]))
+    del z, last
+    # the first byte is the lead, or for k < 0 the '0' of "0.000ddd"; the
+    # point follows k + 1 digits; a minus sign takes the '0' before the start
+    point = k + 8
+    start = 7 + np.minimum(k, 0)
+    minus = np.flatnonzero(np.signbit(x.take(at)))
+    start[minus] -= 1
+    fraction = 16 - k - zeros
+    stop = np.where(fraction > 0, point + 1 + fraction, point)
+    del k, zeros, fraction
+    frame = np.empty((at.size, 7), "<u4")
+    frame[:, [0, 6]] = 0x30303030
+    frame[:, 1] = 0x30303030 + (lead.astype("<u4") << 24)  # byte 7 is the lead
+    frame[:, 2:6] = _QUADS.take(quads)
+    del quads, lead
+    frame = frame.view(np.uint8)
+    body = np.empty_like(frame)
+    body[:, 1:] = frame[:, :-1]
+    np.copyto(body, frame, where=_BEFORE.take(point, axis=0))
+    del frame
+    body[np.arange(at.size), point] = ord(".")
+    body[minus, start[minus]] = ord("-")
+    del point, minus
+    digits = np.strings.slice(body.view("S28").ravel(), start, stop)
+    del body, start, stop
+    out = np.full(x.size, b"0", "S28")
+    out[at] = digits
+    del digits
+    out[(x == 0) & np.signbit(x)] = b"-0"
+    rest = np.flatnonzero(~inside & (x != 0))
+    out[rest] = [b"%.17g" % v for v in x.take(rest).tolist()]
+    return out
+
+
 def write_csv(sol, path: str) -> None:
     """Write the user-grid samples as CSV, reading each time level from the
     region fields as it writes it, so no whole-grid array is held.
 
     Each x is formatted once and each node's region code is baked into a
-    per-(region, column) line tail, so a level is one template filled by one
-    ``%`` with its u, u_t, u_x values.  Every OSError becomes a ConfigError;
-    a failed write may leave a partial file.
+    per-(region, column) line tail, so a level is one bytes template filled
+    by one ``%`` with its u, u_t, u_x values, all formatted at once by
+    ``_format17``: on linear_export seed 501 (1.78 M values, a 2-vCPU Xeon)
+    that takes 0.59 s where one ``%.17g`` per value took 1.20 s.  Every
+    OSError becomes a ConfigError; a failed write may leave a partial file.
     """
-    xcells = ["%.17g" % x for x in sol.grid.user_xs().tolist()]
+    xcells = [b"%.17g" % x for x in sol.grid.user_xs().tolist()]
     tails = np.array(
-        [[f",{x},{code},%.17g,%.17g,%.17g\n" for x in xcells] for code in (1, 2, 3)],
+        [[b",%b,%d,%%b,%%b,%%b\n" % (x, code) for x in xcells] for code in (1, 2, 3)],
         dtype=object,
     )
     columns = np.arange(len(xcells))
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,x,region,u,ut,ux\n")
+        with open(path, "wb") as fh:
+            fh.write(b"t,x,region,u,ut,ux\n")
             for i in range(sol.grid.nt + 1):
                 t, _, region, u, p, q = sample_user_grid(sol, i)
-                ts = "%.17g" % t
+                ts = b"%.17g" % t
                 template = ts + ts.join(tails[region - 1, columns].tolist())
-                fh.write(template % tuple(np.stack((u, p, q), axis=-1).ravel().tolist()))
+                values = _format17(np.stack((u, p, q), axis=-1).ravel())
+                fh.write(template % tuple(values.tolist()))
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
 

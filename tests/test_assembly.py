@@ -17,7 +17,7 @@ from charwave.assembly import (
 )
 from charwave.cauchy import GridParams, PicardParams, ProblemSpec
 from charwave.errors import ConfigError, OutOfWindow
-from charwave.geometry import Region, classify_point
+from charwave.geometry import Region, classify_nodes, classify_point
 from charwave.verify import linear_oracle
 
 from helpers import CORPUS_NAMES, load_problem, make_spec
@@ -336,6 +336,24 @@ class TestSampleUserGrid:
                 got, ref = np.asarray(got), np.asarray(ref)
                 assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
 
+
+    @pytest.mark.parametrize("name", ["ulp_off", "mixed_forcing", "phi_step_general"])
+    def test_levels_read_each_node_from_its_region(self, name):
+        # the per-level slices and gathers hold, bit for bit, what
+        # RegionField.at reads at each node from the region classify_nodes
+        # gives it (the masked reader the slices replaced)
+        sol = self._solve_at_nt16(name)
+        times, xs, region, u, p, q = sample_user_grid(sol)
+        level, offset = np.broadcast_arrays(
+            2 * np.arange(sol.grid.nt + 1)[:, None], sol.grid.user_offsets()
+        )
+        assert region.tobytes() == classify_nodes(level, offset).tobytes()
+        want = np.empty((3, *region.shape))
+        for field in (sol.field1, sol.field2, sol.field3):
+            on = region == field.region.value
+            assert on.any()
+            want[:, on] = field.at(level[on], offset[on])
+        assert np.stack((u, p, q)).tobytes() == want.tobytes()
 
 _HALVES = st.integers(-4, 4).map(lambda k: k / 2.0)
 _COEFFS = st.lists(_HALVES, min_size=3, max_size=3)

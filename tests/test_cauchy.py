@@ -247,6 +247,41 @@ class TestRegionField:
                 with pytest.raises(IndexError, match=node):
                     field.at(np.array([0, level]), np.array([0, offset]))
 
+    def test_at_level_reads_what_at_reads(self, solved):
+        # a level's run of offsets read as one slice (sides) or one gather
+        # (wedge) holds the bits ``at`` reads node by node
+        sol = solved["mixed_forcing"]
+        g = sol.grid
+        for level in (0, 1, 6, g.n_levels - 1, g.n_levels):
+            lo1, hi2 = g.j1_min + level, g.j2_max - level
+            runs = (
+                (sol.field1, range(lo1, -level + 1), range(lo1, -level, 2)),
+                (sol.field2, range(level, hi2 + 1), range(level + 2, hi2, 2)),
+                (sol.field3, range(-level, level + 1, 2), range(2 - level, level, 4)),
+            )
+            for field, *ranges in runs:
+                for offsets in (*ranges, range(0, 0)):
+                    got = field.at_level(level, offsets)
+                    want = field.at(np.full(len(offsets), level), np.array(offsets, np.int64))
+                    assert got.shape == (3, len(offsets))
+                    assert got.tobytes() == want.tobytes()
+                    if field is not sol.field3 and offsets:
+                        assert np.shares_memory(got, field.w)
+
+    def test_at_level_refuses_a_node_it_does_not_store(self, solved):
+        sol = solved["mixed_forcing"]
+        g = sol.grid
+        bad = (
+            (sol.field1, 5, range(g.j1_min + 4, -5)),
+            (sol.field1, 5, range(g.j1_min + 5, -3)),
+            (sol.field2, 5, range(6, g.j2_max - 3)),
+            (sol.field3, 5, range(-7, 7, 2)),
+            (sol.field3, 4, range(-3, 4, 2)),
+        )
+        for field, level, offsets in bad:
+            with pytest.raises(IndexError, match=rf"region {field.region.value} stores no node"):
+                field.at_level(level, offsets)
+
     def test_live_nodes_and_views(self):
         sol = solve(make_spec(psi2="1"), GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
         g = sol.grid

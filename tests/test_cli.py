@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import errno
+from fractions import Fraction
 import io
 import json
 import math
@@ -218,7 +219,7 @@ class TestSolveCommand:
         cli.main(["solve", str(cfg2), "-o", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("name", ["phi_step_general", "manufactured"])
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_golden_bytes(self, tmp_path, monkeypatch, name):
         # the per-node loop the writer replaced is the oracle for the format
         sols = []
@@ -256,6 +257,89 @@ class TestSolveCommand:
         finally:
             tracemalloc.stop()
         assert peak <= plane
+
+
+def _ref17(values) -> list[bytes]:
+    return [b"%.17g" % v for v in np.asarray(values, np.float64).tolist()]
+
+
+def _neighbours(values, ulps: int) -> np.ndarray:
+    """Each value and the doubles up to ``ulps`` steps either side of it."""
+    values = np.asarray(values, np.float64)
+    out = [values]
+    for direction in (-np.inf, np.inf):
+        v = values
+        for _ in range(ulps):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return np.concatenate(out)
+
+
+def _halfway_cases() -> np.ndarray:
+    """Doubles v, both signs, with v * 10**(16 - k) exactly halfway between
+    two integers, for every exponent k the vector path formats: v = m / 2**(p+1)
+    with m odd and m * 5**p / 2 in [10**16, 10**17), p = 16 - k."""
+    rng = np.random.default_rng(2024)
+    values = []
+    for p in range(1, 21):
+        # m < 2**53, so that m / 2**(p+1) is exact
+        lo, hi = -(-2 * 10**16 // 5**p), min(2 * 10**17 // 5**p, 2**53)
+        ms = [lo, hi - 1, *rng.integers(lo, hi, 60).tolist()]
+        values += [(m | 1) / 2 ** (p + 1) for m in ms if m | 1 < hi]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+class TestFormat17:
+    """``cli._format17`` is exactly ``b"%.17g" % v`` for every float64."""
+
+    def test_halfway_cases_round_to_even(self):
+        values = _halfway_cases()
+        assert values.size > 2000
+        # each is halfway at its 17th significant digit
+        for v in values.tolist():
+            scaled = abs(Fraction(v)) * Fraction(10) ** (16 - math.floor(math.log10(abs(v))))
+            # log10 may round across a power of ten
+            scaled *= 10 if scaled < 10**16 else Fraction(1, 10) if scaled > 10**17 else 1
+            assert scaled.denominator == 2 and 10**16 < scaled < 10**17
+        got = cli._format17(_neighbours(values, 1))
+        assert got.tolist() == _ref17(_neighbours(values, 1))
+
+    def test_powers_of_ten_and_the_range_ends(self):
+        values = np.array([10.0**k for k in range(-6, 19)] + [1e-4, 1e16])
+        values = _neighbours(np.concatenate([values, -values]), 2)
+        assert cli._format17(values).tolist() == _ref17(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        assert cli._format17(values).tolist() == _ref17(values)
+
+    def test_random_values_in_the_vector_range(self):
+        # uniform bit patterns are mostly tiny or huge; these all take the
+        # vector path: random mantissas over 1e-4 <= |v| < 1e16
+        rng = np.random.default_rng(18)
+        values = rng.uniform(1, 10, 10**6) * 10.0 ** rng.integers(-4, 16, 10**6)
+        values *= rng.choice([-1.0, 1.0], values.size)
+        assert cli._format17(values).tolist() == _ref17(values)
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(st.floats())
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.2250738585072014e-308)
+    @example(math.nan)
+    @example(-math.inf)
+    def test_any_float(self, v):
+        assert cli._format17(np.array([v])).tolist() == [b"%.17g" % v]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), max_size=40))
+    def test_any_mix(self, values):
+        # zeros, fallback values and vector values side by side in one call
+        assert cli._format17(np.array(values, np.float64)).tolist() == _ref17(values)
 
 
 class TestClassifyCommand:

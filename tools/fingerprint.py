@@ -6,8 +6,10 @@ ROOT is a charwave checkout.  The script imports charwave from ROOT/src and
 the benchmark's problem generator from ROOT/benchmarks/problems.py, and
 writes nothing under ROOT: problem files and CSVs go to a temporary
 directory, and no bytecode is cached.  The problems are each
-ROOT/configs/*.json and seed 501 of each benchmark workload.  For each one
-it prints, as sorted JSON:
+ROOT/configs/*.json, seed 501 of each benchmark workload and ``EXTREMES``
+below, whose CSV holds exact zeros, values below 1e-4 and values at or above
+1e16, which the CSV writer formats on separate paths.  For each one it
+prints, as sorted JSON:
 
 * the sha256 of each field's stored array ``f.w``, its live (u, u_t, u_x)
   packed row after row, and every ``report.update_norms`` of the solve;
@@ -42,6 +44,13 @@ import tempfile
 
 SEED = 501
 CHECKS = ("initial_u", "initial_ut", "pde_residual", "goursat_traces", "jump_constancy")
+# u = 0 on the left, u = 1e17 and u_t, u_x of order 1e-7 on the right
+EXTREMES = {
+    "a": 1.0, "x0": 0.0, "A": 5e16,
+    "phi1": "0", "phi2": "1e17", "psi1": "0", "psi2": "1e-6*x", "F": "0", "f": "0",
+    "window": {"T": 1.0, "xmin": -2.0, "xmax": 2.0},
+    "grid": {"nt": 32},
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -133,6 +142,10 @@ def main(argv: list[str]) -> int:
                 json.dump(problems.GENERATORS[workload](SEED)[0], fh, indent=1)
             name = f"{workload}:{SEED}"
             report[name] = fingerprint(charwave, path, tmp, converge=workload == "refine_study")
+        path = os.path.join(tmp, "extremes.json")
+        with open(path, "w") as fh:
+            json.dump(EXTREMES, fh)
+        report["extremes"] = fingerprint(charwave, path, tmp, converge=False)
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0
 

@@ -58,17 +58,19 @@ of (phi, psi, phi').  A sweep forms, and evaluates F and f, only on each
 row's sector, and reads a row's G before writing the row (Jacobi order).
 With L = 0 there is a single band and the first sweep is already exact.
 
-Storage: a side keeps only its sectors.  Its array packs each level's
-sector, the live run of nodes, contiguously and level after level, and the
-kernel reads and writes a band's rows through views of those runs; no side
-ever holds the rectangle of levels by columns around them.  The row buffers
-of a sweep (G, the ray and triangle integrals, the new row) are full-width
-and few.
+Storage: a side computes each level's whole sector, the domain of dependence
+of the window, but stores only its kept run: the window widened by the
+audit's residual stencil, joined to the characteristic and the offsets
+beyond it that the wedge traces and the jump extrapolation read.  The runs
+are packed contiguously, level after level.  The row buffers of a sweep (G,
+the ray and triangle integrals, the new row) are full-width and few.
 
 Memory: when f reads no state every band is swept once, and the sweep forms
-each row's d'Alembert part and F as it reaches the row, in row buffers, so a
-side solve holds little more than its array.  A band swept many times forms
-them once, one array per row, rather than once per sweep.
+each row's d'Alembert part and F as it reaches the row, in row buffers, and
+stores the row's kept run, so a side solve holds little more than its kept
+array.  A band swept many times iterates in one reused buffer of sector
+rows, forms its d'Alembert parts and F once, one array per row, and stores
+its kept runs once it has converged.
 """
 
 from __future__ import annotations
@@ -245,9 +247,9 @@ class SolverGrid:
     offset from x0.  Side 1 spans the offsets [j1_min, 0], side 2 spans
     [0, j2_max]; both bounds include the dependence margin of the window
     plus three columns beyond the characteristics for one-sided jump
-    extrapolation.  The wedge holds the nodes with |offset| <= level and
-    offset = level (mod 2).  ``RegionField`` reads its nodes by these
-    coordinates.
+    extrapolation; a side's field keeps only part of them (``_runs``).  The
+    wedge holds the nodes with |offset| <= level and offset = level
+    (mod 2).  ``RegionField`` reads its nodes by these coordinates.
     """
 
     a: float
@@ -312,37 +314,62 @@ def _bilinear(cell: np.ndarray, f0: float, f1: float) -> np.ndarray:
     )
 
 
-def _row_starts(region: Region, grid: SolverGrid) -> np.ndarray:
-    """The row table of a region's packed storage: row k's live run is
-    ``w[:, starts[k]:starts[k + 1]]``.
+# A side keeps, past the window, the offsets that the audit's residual
+# stencil reaches (verify._FD_STEPS user steps: 4 internal offsets), and
+# beyond its characteristic the offsets that the one-sided jump extrapolation
+# reads (assembly._jump_triple: 3)
+_STENCIL = 4
+_BEYOND = 3
 
-    A side's row i is level i, whose sector holds cols - 2i of the side's
-    cols offsets; the wedge's row s holds the n_levels + 1 - s nodes (s, r)
-    with s + r <= n_levels.
+
+def _runs(region: Region, grid: SolverGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The kept run of each row of a region, the columns [first, stop).
+
+    The wedge keeps every node: row s holds the n_levels + 1 - s nodes (s, r)
+    with s + r <= n_levels, columns r from 0.  A side's row i is level i,
+    over the side's offsets in increasing order as its columns; its run
+    reaches from the characteristic (offset -i or i) out to _STENCIL offsets
+    past the window's edge, or to _BEYOND offsets past the characteristic
+    where that is farther, inside the level's sector of columns
+    [i, cols - 1 - i].
     """
     rows = np.arange(grid.n_levels + 1)
     if region is Region.Q3_STAR:
-        lengths = grid.n_levels + 1 - rows
+        return np.zeros_like(rows), grid.n_levels + 1 - rows
+    if region is Region.Q1_STAR:
+        cols, n = 1 - grid.j1_min, grid.n_left
     else:
-        cols = 1 - grid.j1_min if region is Region.Q1_STAR else grid.j2_max + 1
-        lengths = cols - 2 * rows
-    return np.concatenate(([0], np.cumsum(lengths)))
+        cols, n = grid.j2_max + 1, grid.n_right
+    # the run's far end, as a distance |offset| from x0
+    far = np.minimum(cols - 1 - rows, np.maximum(2 * n + _STENCIL, rows + _BEYOND))
+    if region is Region.Q1_STAR:
+        return cols - 1 - far, cols - rows
+    return rows, far + 1
+
+
+def _row_starts(region: Region, grid: SolverGrid) -> np.ndarray:
+    """The row table of a region's packed storage: row k's kept run is
+    ``w[:, starts[k]:starts[k + 1]]``."""
+    first, stop = _runs(region, grid)
+    return np.concatenate(([0], np.cumsum(stop - first)))
 
 
 @dataclass(frozen=True)
 class RegionField:
-    """(u, u_t, u_x) at the nodes of one region's closure that hold the
-    solution, stacked in the read-only array ``w`` of shape (3, n_live).
-    Outside the two region solves, only this class reads ``w`` by position:
-    everyone else names nodes (level, offset) as in SolverGrid, through
-    ``at``, ``at_level``, ``nodes`` and ``interpolate``.
+    """(u, u_t, u_x) at the nodes one region keeps of its solve, stacked in
+    the read-only array ``w`` of shape (3, n_kept).  Outside the two region
+    solves, only this class reads ``w`` by position: everyone else names
+    nodes (level, offset) as in SolverGrid, through ``at``, ``at_level``,
+    ``nodes`` and ``interpolate``.
 
-    Storage: ``w`` holds each row's live run contiguously, row after row,
-    as the row table ``_row_starts`` lays them out.  A side's row i is level
-    i, over the side's offsets in increasing order; the domain of dependence
-    shaves one offset per level at each end, so the run is the sector of
-    columns [i, cols - 1 - i].  The wedge's row s holds the nodes (s, r), at
-    level s + r and offset r - s, for r in [0, n_levels - s].
+    Storage: ``w`` holds each row's kept run (``_runs``) contiguously, row
+    after row, as the row table ``_row_starts`` lays them out.  A side's row
+    i is level i, over the side's offsets in increasing order; its solve
+    computes the level's whole sector but keeps only the run read
+    afterwards, the window and 4 offsets past it joined to the
+    characteristic and the 3 offsets beyond it, so a characteristic that
+    leaves the window keeps its strip.  The wedge keeps every node: its row
+    s holds the nodes (s, r), at level s + r and offset r - s.
 
     ``u``, ``p``, ``q`` and ``live`` are the rectangles around the rows,
     (levels, cols) for a side and (s, r) for the wedge, built on each call:
@@ -364,6 +391,10 @@ class RegionField:
         self.w.setflags(write=False)
 
     @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        return _runs(self.region, self.grid)
+
+    @cached_property
     def _starts(self) -> np.ndarray:
         return _row_starts(self.region, self.grid)
 
@@ -371,10 +402,6 @@ class RegionField:
     def _offset0(self) -> int:
         """The offset of a side's column 0."""
         return self.grid.j1_min if self.region is Region.Q1_STAR else 0
-
-    def _first(self, row):
-        """The column of each row's first live node."""
-        return 0 if self.region is Region.Q3_STAR else row
 
     def at(self, level, offset) -> np.ndarray:
         """(u, u_t, u_x) at the integer nodes (level, offset), shape (3,)
@@ -397,12 +424,15 @@ class RegionField:
         """The position in ``w`` of each node (level, offset), in the
         broadcast shape of the integer arguments; raises IndexError at a node
         the region does not store."""
+        first, stop = self._runs
         if self.region is Region.Q3_STAR:
             row, col = (level - offset) // 2, (level + offset) // 2
             stored = (np.abs(offset) <= level) & ((level - offset) % 2 == 0)
         else:
             row, col = level, offset - self._offset0
-            stored = (col >= level) & (col + level < self._starts[1]) & (level >= 0)
+            # the run of a row in range; a row out of range is refused below
+            r = np.clip(row, 0, self.grid.n_levels)
+            stored = (col >= first[r]) & (col < stop[r]) & (level >= 0)
         stored = stored & (level <= self.grid.n_levels)
         if not np.all(stored):
             level, offset, stored = np.broadcast_arrays(level, offset, stored)
@@ -411,14 +441,14 @@ class RegionField:
                 f"region {self.region.value} stores no node "
                 f"(level={level.flat[k]}, offset={offset.flat[k]})"
             )
-        return self._starts[row] + col - self._first(row)
+        return self._starts[row] + col - first[row]
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(level, offset) of every stored node, as integer arrays in the
         order of ``w``: ``at(*nodes())`` equals ``w``."""
         starts = self._starts
         row = np.repeat(np.arange(starts.size - 1), np.diff(starts))
-        col = np.arange(starts[-1]) - starts[row] + self._first(row)
+        col = np.arange(starts[-1]) - starts[row] + self._runs[0][row]
         if self.region is Region.Q3_STAR:
             return row + col, col - row
         return row, col + self._offset0
@@ -426,11 +456,12 @@ class RegionField:
     @property
     def live(self) -> np.ndarray:
         """The rectangle around the rows, True on the stored nodes."""
-        lengths = np.diff(self._starts)
-        row = np.arange(lengths.size)[:, None]
-        col = np.arange(lengths[0])
-        first = self._first(row)
-        return (col >= first) & (col < first + lengths[:, None])
+        first, stop = self._runs
+        if self.region is Region.Q3_STAR:
+            col = np.arange(first.size)
+        else:
+            col = np.arange(self.grid.region_xcols(self.region.value).size)
+        return (col >= first[:, None]) & (col < stop[:, None])
 
     def _rectangle(self, k: int) -> np.ndarray:
         """Plane k (0 u, 1 u_t, 2 u_x) on the rectangle, 0 off the stored nodes."""
@@ -482,11 +513,12 @@ class RegionField:
         c_real = (x - g.x0) / g.dx - self._offset0
         i0 = min(max(int(math.floor(i_real)), 0), m - 1)
         fi = i_real - i0
-        # keep the 2x2 cell inside the sector at both rows i0 and i0+1; the
-        # query may then sit one cell outside the clamped block (extrapolating
-        # bilinear, still second order)
-        c_lo = i0 + 1
-        c_hi = self._starts[1] - i0 - 3
+        # keep the 2x2 cell inside the kept runs of both rows i0 and i0+1;
+        # the query may then sit one cell outside the clamped block
+        # (extrapolating bilinear, still second order)
+        first, stop = self._runs
+        c_lo = int(max(first[i0], first[i0 + 1]))
+        c_hi = int(min(stop[i0], stop[i0 + 1])) - 2
         c0 = min(max(int(math.floor(c_real)), c_lo), c_hi)
         fc = c_real - c0
         return _bilinear(self.at(i0 + _ROW, self._offset0 + c0 + _COL), fi, fc)
@@ -681,24 +713,28 @@ def _dal_rows(a: float, dt: float, Wb: np.ndarray):
     return row
 
 
-def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, rows):
-    """The fixed-point map on the band of levels b..b+nb, whose stacked
-    (u, u_t, u_x) are ``rows``: row m is a (3, k) view of level b+m's
-    sector, the columns [b+m, ncols-1-b-m] of ``x_cols``, in a region's
-    packed storage.  The band is anchored at its bottom row ``rows[0]``.
+def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, rows, kept):
+    """The fixed-point map on the band of levels b..b+nb.  Row m of ``rows``
+    is the (3, k) stacked (u, u_t, u_x) of level b+m's sector, the columns
+    [b+m, ncols-1-b-m] of ``x_cols``; the band is anchored at its bottom row
+    ``rows[0]``.  ``kept[m]`` is (dest, run): level b+m's kept run, the
+    columns ``run``, is stored in the array ``dest``.
 
-    Returns ``sweep(feedback)``, one application of the map in place on the
-    rows 1..nb: the recurrences for row m read rows m-1 and m-2 on their own
+    Returns ``sweep(feedback)``, one application of the map on the rows
+    1..nb: the recurrences for row m read rows m-1 and m-2 on their own
     sectors.  Row m's integrand G = F - f(., ., u, ut, ux) is read from
     ``rows[m]`` before that row is written (F alone when ``feedback`` is
     False), then the row is formed from its d'Alembert part and the running
-    I+, I- and D.  The sweep returns the largest update.
+    I+, I- and D.  The sweep returns the largest update over the sectors.
 
-    When f reads state the band is swept many times, so its d'Alembert rows
-    and F are formed once, one array per row.  Otherwise the band is swept
-    once, and each row's d'Alembert part and F are formed as the sweep
-    reaches the row, into row buffers: the same values, with no band-size
-    temporaries.
+    When f reads state the band is swept many times: rows 1..nb are a band
+    buffer that each sweep rewrites, the caller stores their kept runs once
+    the band has converged, and the d'Alembert rows and F are formed once,
+    one array per row.  Otherwise the band is swept once and no row is read
+    back: each row's d'Alembert part and F are formed into row buffers as
+    the sweep reaches the row, its update is taken over its sector against
+    the 0 it replaces, and only its kept run is stored; rows 1..nb-1 are
+    unused and ``rows[nb]`` receives the top sector, the next band's anchor.
     """
     a, dt = grid.a, grid.dt
     nb = len(rows) - 1
@@ -713,7 +749,8 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, r
     def forcing(m: int):
         return ex.evaluate(spec.F, {"t": ts[m], "x": x_cols[cols[m][1]]})
 
-    if spec.f_reads_state:
+    iterated = spec.f_reads_state
+    if iterated:
         # swept many times: form each row's d'Alembert part and F once
         planes = [dal(m, np.empty_like(row)) for m, row in enumerate(rows)]
         Fg = [forcing(m) for m in range(nb + 1)]
@@ -735,8 +772,9 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, r
         if not feedback:
             g[c] = forcing(m)
             return g
-        u, ut, ux = rows[m]
-        env = {"t": ts[m], "x": x_cols[c], "u": u, "ut": ut, "ux": ux}
+        env = {"t": ts[m], "x": x_cols[c]}
+        if iterated:
+            env.update(zip(("u", "ut", "ux"), rows[m]))
         np.subtract(forcing(m), ex.evaluate(spec.f, env), out=g[c])
         return g
 
@@ -758,8 +796,15 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, r
             np.add(base[0], d[c] / two_a, out=new[0, c])
             np.add(base[1], 0.5 * (ip[c] + im[c]), out=new[1, c])
             np.add(base[2], (im[c] - ip[c]) / two_a, out=new[2, c])
-            upd[m] = abs(new[:, c] - rows[m]).max(initial=0.0)
-            rows[m][...] = new[:, c]
+            if iterated:
+                upd[m] = abs(new[:, c] - rows[m]).max(initial=0.0)
+                rows[m][...] = new[:, c]
+            else:
+                upd[m] = abs(new[:, c]).max(initial=0.0)
+                dest, run = kept[m]
+                dest[...] = new[:, run]
+        if not iterated:
+            rows[nb][...] = new[:, cols[nb][1]]
         return float(upd.max())
 
     return sweep
@@ -821,18 +866,43 @@ def solve_cauchy_region(
         raise ConfigError(f"side must be 1 or 2, got {side!r}")
     region = Region.Q1_STAR if side == 1 else Region.Q2_STAR
     x_cols = grid.region_xcols(side)
+    ncols = x_cols.shape[0]
+    first, stop = _runs(region, grid)
     starts = _row_starts(region, grid)
     W = np.zeros((3, starts[-1]))
-    rows = [W[:, lo:hi] for lo, hi in zip(starts, starts[1:])]
+    # level i's kept run: the columns first[i]:stop[i], stored in W
+    kept = [(W[:, lo:hi], slice(c, e)) for lo, hi, c, e in zip(starts, starts[1:], first, stop)]
+    # the bands' anchors, each level b's sector in the columns [b, ncols-1-b]
+    # of a full-width row: two, as a band writes the next band's anchor
+    anchors = np.empty((2, 3, ncols))
     phi, psi = (spec.phi1, spec.psi1) if side == 1 else (spec.phi2, spec.psi2)
     for k, e in enumerate((phi, psi, ex.differentiate(phi, "x"))):
-        rows[0][k] = ex.evaluate(e, {"x": x_cols})
-    all_norms = [
-        _picard(
-            _band_map(spec, grid, x_cols, b, rows[b : e + 1]),
-            spec.f_reads_state, picard, f"band [{b}, {e}]",
-        )
-        for b, e in strips
-    ]
+        anchors[0, k] = ex.evaluate(e, {"x": x_cols})
+    dest, run = kept[0]
+    dest[...] = anchors[0][:, run]
+    iterated = spec.f_reads_state
+    # the lengths of each band's sector rows 1..nb
+    lengths = [ncols - 2 * np.arange(b + 1, e + 1) for b, e in strips]
+    if iterated:
+        band = np.empty((3, max(n.sum() for n in lengths)))  # the band buffer
+    all_norms = []
+    for k, (b, e) in enumerate(strips):
+        rows = [anchors[k % 2][:, b : ncols - b]]
+        top = anchors[(k + 1) % 2][:, e : ncols - e]
+        if iterated:
+            ends = np.cumsum(lengths[k])
+            band[:, : ends[-1]] = 0.0
+            rows += [band[:, lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+        else:
+            rows += [None] * (e - b - 1) + [top]
+        sweep = _band_map(spec, grid, x_cols, b, rows, kept[b : e + 1])
+        all_norms.append(_picard(sweep, iterated, picard, f"band [{b}, {e}]"))
+        del sweep  # and its band-size planes, before the next band forms its own
+        if iterated:
+            # store the converged rows' kept runs; the top row anchors the next band
+            for i, row in enumerate(rows[1:], b + 1):
+                dest, run = kept[i]
+                dest[...] = row[:, run.start - i : run.stop - i]
+            top[...] = rows[-1]
     report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
     return RegionField(region=region, grid=grid, w=W, report=report)

@@ -252,25 +252,25 @@ def write_csv(sol, path: str) -> None:
     region fields as it writes it, so no whole-grid array is held.
 
     Each x is formatted once and each node's region code is baked into a
-    per-(region, column) line tail, so a level is one bytes template filled
-    by one ``%`` with its u, u_t, u_x values, all formatted at once by
+    per-(region, column) line tail, so a level is one bytes template, joined
+    from three slices of the tails at the region boundaries and filled by
+    one ``%`` with its u, u_t, u_x values, all formatted at once by
     ``_format17``: on linear_export seed 501 (1.78 M values, a 2-vCPU Xeon)
     that takes 0.59 s where one ``%.17g`` per value took 1.20 s.  Every
     OSError becomes a ConfigError; a failed write may leave a partial file.
     """
     xcells = [b"%.17g" % x for x in sol.grid.user_xs().tolist()]
-    tails = np.array(
-        [[b",%b,%d,%%b,%%b,%%b\n" % (x, code) for x in xcells] for code in (1, 2, 3)],
-        dtype=object,
-    )
-    columns = np.arange(len(xcells))
+    tails = [[b",%b,%d,%%b,%%b,%%b\n" % (x, code) for x in xcells] for code in (1, 2, 3)]
     try:
         with open(path, "wb") as fh:
             fh.write(b"t,x,region,u,ut,ux\n")
             for i in range(sol.grid.nt + 1):
                 t, _, region, u, p, q = sample_user_grid(sol, i)
+                # the columns of regions 1, 3 and 2 are three blocks in x order
+                lo = np.count_nonzero(region == 1)
+                hi = region.size - np.count_nonzero(region == 2)
                 ts = b"%.17g" % t
-                template = ts + ts.join(tails[region - 1, columns].tolist())
+                template = ts + ts.join(tails[0][:lo] + tails[2][lo:hi] + tails[1][hi:])
                 values = _format17(np.stack((u, p, q), axis=-1).ravel())
                 fh.write(template % tuple(values.tolist()))
     except OSError as e:

@@ -1,8 +1,8 @@
 """Shared helpers of the test modules: the problem corpus, a problem
-builder, and the grids and strip plans ``solve`` uses.  A plain module
-rather than ``conftest``, so that test modules import it by a name no other
-test directory shares (``benchmarks/tests`` has a conftest of its own and
-runs in the same session)."""
+builder, the grids and strip plans ``solve`` uses, and the offsets a side
+field keeps.  A plain module rather than ``conftest``, so that test modules
+import it by a name no other test directory shares (``benchmarks/tests``
+has a conftest of its own and runs in the same session)."""
 
 from __future__ import annotations
 
@@ -64,3 +64,15 @@ def solve_side(spec, side, params, picard=PicardParams()):
 
 def load_problem(name: str):
     return load_config(str(config_path(name)))
+
+
+def kept_offsets(grid, side, level) -> range:
+    """The offsets a side field stores on ``level``, in increasing order:
+    from the characteristic out past the window's edge by the residual
+    stencil's 4 offsets, or by 3 offsets past the characteristic where that
+    is farther, inside the level's sector."""
+    if side == 1:
+        lo = max(grid.j1_min + level, min(-2 * grid.n_left - 4, -level - 3))
+        return range(lo, -level + 1)
+    hi = min(grid.j2_max - level, max(2 * grid.n_right + 4, level + 3))
+    return range(level, hi + 1)

@@ -18,9 +18,9 @@ from charwave.assembly import (
 from charwave.cauchy import GridParams, PicardParams, ProblemSpec
 from charwave.errors import ConfigError, OutOfWindow
 from charwave.geometry import Region, classify_nodes, classify_point
-from charwave.verify import linear_oracle
+from charwave.verify import check_definition1, linear_oracle
 
-from helpers import CORPUS_NAMES, load_problem, make_spec
+from helpers import CORPUS_NAMES, kept_offsets, load_problem, make_spec
 
 
 GP = GridParams(T=1.5, x_lo=-3.0, x_hi=3.0, nt=16)
@@ -109,14 +109,14 @@ class TestSolveOrchestration:
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_dead_nodes_are_zero(self, solved, name):
-        # a field stores its live nodes and no other: the sector of cols - 2i
+        # a field stores its kept nodes and no other: the kept run of
         # offsets on a side's level i, the triangle s + r <= n_levels in the
         # wedge; the rectangles built on demand are 0 off them
         sol = solved[name]
         rows = sol.grid.n_levels + 1
         for side, field in ((1, sol.field1), (2, sol.field2)):
-            cols = sol.grid.region_xcols(side).size
-            assert field.w.shape == (3, sum(max(cols - 2 * i, 0) for i in range(rows)))
+            kept = sum(len(kept_offsets(sol.grid, side, i)) for i in range(rows))
+            assert field.w.shape == (3, kept)
         assert sol.field3.w.shape == (3, rows * (rows + 1) // 2)
         for field in (sol.field1, sol.field2, sol.field3):
             assert field.live.sum() == field.w.shape[1]
@@ -244,6 +244,20 @@ class TestJumps:
         j8, j16 = jmax(8), jmax(16)
         assert j8 < 1e-3
         assert j8 / j16 > 3.0
+
+    @pytest.mark.parametrize("f", ["0", "sin(u)/3"], ids=["one-band", "bands-with-feedback"])
+    def test_characteristic_that_leaves_the_window(self, f):
+        # the left characteristic leaves the window [-0.5, 3] at t = 0.5; side
+        # 1 then keeps only its strip, which still solves, audits and gives
+        # the jump at t = T
+        spec = make_spec(A=0.5, phi1="sin(x)", phi2="1 + x^2", psi1="x", F="t*x", f=f)
+        sol = solve(spec, GridParams(T=1.5, x_lo=-0.5, x_hi=3.0, nt=16))
+        m = sol.grid.n_levels
+        level, offset = sol.field1.nodes()
+        np.testing.assert_array_equal(offset[level == m], np.arange(-m - 3, -m + 1))
+        assert check_definition1(sol).passed
+        for side in ("left", "right"):
+            assert characteristic_jump(sol, 1.5, side) == pytest.approx(0.5, abs=1e-3)
 
 
 class TestSampleUserGrid:

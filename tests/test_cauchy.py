@@ -24,7 +24,7 @@ from charwave.cauchy import (
 )
 from charwave.errors import ConfigError, InvalidSpeed, NonConvergence
 
-from helpers import load_problem, make_spec, solve_side, strip_plan
+from helpers import kept_offsets, load_problem, make_spec, solve_side, strip_plan
 
 
 def make_grid(**kw):
@@ -221,9 +221,11 @@ class TestRegionField:
                     assert field.at(levels, sign * levels).shape == (3, levels.size)
                 if side == 3:
                     continue
-                # a side's offsets run along its columns, level 0 first
+                # a side's offsets run along its columns, level 0 first; the
+                # level keeps its run of them
+                kept = np.array(kept_offsets(g, side, 0)) - (g.j1_min if side == 1 else 0)
                 np.testing.assert_array_equal(
-                    g.x0 + g.dx * offset[level == 0], g.region_xcols(side)
+                    g.x0 + g.dx * offset[level == 0], g.region_xcols(side)[kept]
                 )
                 assert np.all(np.diff(level) >= 0)
 
@@ -247,13 +249,38 @@ class TestRegionField:
                 with pytest.raises(IndexError, match=node):
                     field.at(np.array([0, level]), np.array([0, offset]))
 
+    def test_sides_store_their_kept_runs(self, solved):
+        # a side stores, level by level, exactly the kept run of offsets
+        for sol in solved.values():
+            g = sol.grid
+            for side, field in ((1, sol.field1), (2, sol.field2)):
+                runs = [kept_offsets(g, side, i) for i in range(g.n_levels + 1)]
+                level, offset = field.nodes()
+                np.testing.assert_array_equal(level, np.repeat(np.arange(len(runs)), list(map(len, runs))))
+                np.testing.assert_array_equal(offset, np.concatenate([np.array(r) for r in runs]))
+
+    def test_at_refuses_a_margin_node(self, solved):
+        # the sector nodes outside the kept run are computed but not stored
+        sol = solved["mixed_forcing"]
+        g = sol.grid
+        for level in (0, 5, g.n_levels // 2):
+            run1, run2 = kept_offsets(g, 1, level), kept_offsets(g, 2, level)
+            margin = ((sol.field1, run1[0] - 1), (sol.field2, run2[-1] + 1))
+            for field, offset in margin:
+                assert g.j1_min + level <= offset <= g.j2_max - level  # in the sector
+                node = rf"\(level={level}, offset={offset}\)"
+                with pytest.raises(IndexError, match=rf"region {field.region.value} stores no node {node}"):
+                    field.at(level, offset)
+                with pytest.raises(IndexError, match=node):
+                    field.at_level(level, range(offset, offset + 1))
+
     def test_at_level_reads_what_at_reads(self, solved):
         # a level's run of offsets read as one slice (sides) or one gather
         # (wedge) holds the bits ``at`` reads node by node
         sol = solved["mixed_forcing"]
         g = sol.grid
         for level in (0, 1, 6, g.n_levels - 1, g.n_levels):
-            lo1, hi2 = g.j1_min + level, g.j2_max - level
+            lo1, hi2 = kept_offsets(g, 1, level)[0], kept_offsets(g, 2, level)[-1]
             runs = (
                 (sol.field1, range(lo1, -level + 1), range(lo1, -level, 2)),
                 (sol.field2, range(level, hi2 + 1), range(level + 2, hi2, 2)),
@@ -288,9 +315,10 @@ class TestRegionField:
         for side, field in ((1, sol.field1), (2, sol.field2)):
             rows, ncols = field.live.shape
             assert (rows, ncols) == (g.n_levels + 1, g.region_xcols(side).size)
-            # the sector [i, ncols-1-i] of level i
-            assert field.live.sum() == sum(max(ncols - 2 * i, 0) for i in range(rows))
-            assert field.live[0].all()
+            # the kept run of level i
+            assert field.live.sum() == sum(len(kept_offsets(g, side, i)) for i in range(rows))
+            kept = np.array(kept_offsets(g, side, 0)) - (g.j1_min if side == 1 else 0)
+            np.testing.assert_array_equal(np.flatnonzero(field.live[0]), kept)
         n = g.n_levels + 1  # wedge nodes s + r <= n - 1
         assert sol.field3.live.shape == (n, n)
         assert sol.field3.live.sum() == n * (n + 1) // 2
@@ -433,9 +461,13 @@ class TestClosedForms:
         spec = make_spec(phi2="sin(x)", psi2="cos(2*x)")
         field = solve_side(spec, 2, GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
         xs = field.grid.region_xcols(2)
-        np.testing.assert_array_equal(field.u[0], np.sin(xs))
-        np.testing.assert_array_equal(field.p[0], np.cos(2 * xs))
-        np.testing.assert_array_equal(field.q[0], np.cos(xs))
+        # the data on every column, read on the kept run (side 2's column j
+        # is offset j)
+        offsets = np.array(kept_offsets(field.grid, 2, 0))
+        u, p, q = field.at(0, offsets)
+        np.testing.assert_array_equal(u, np.sin(xs)[offsets])
+        np.testing.assert_array_equal(p, np.cos(2 * xs)[offsets])
+        np.testing.assert_array_equal(q, np.cos(xs)[offsets])
 
     def test_psi_integral_matches_direct_trapezoid(self):
         # with f = F = 0 the scheme is the trapezoid rule on the data; check
@@ -512,7 +544,7 @@ class TestNonlinear:
                 spec, 2, field.grid, field.report.strips, PicardParams(), feeds_back=True
             )
             assert norms[0][-1] == 0.0
-            np.testing.assert_array_equal(W.view(np.uint64), field.w.view(np.uint64))
+            np.testing.assert_array_equal(_at_nodes(W, field).view(np.uint64), field.w.view(np.uint64))
 
     def test_updates_contract(self):
         field = solve_side(self.spec, 2, self.grid, PicardParams(tol=1e-12))
@@ -666,7 +698,7 @@ def _whole_band_map(spec, grid, x_cols, b, block):
 def _whole_band_solve(spec, side, grid, strips, picard, feeds_back=None):
     """The side solve marched with whole-band sweeps on the side's
     rectangle, the twin of test_goursat's ``_whole_block_solve``.  Returns
-    the stacked (u, u_t, u_x) on the live nodes, level by level, and the
+    the stacked (u, u_t, u_x) on the rectangle, (3, levels, cols), and the
     update norms per band; ``feeds_back`` overrides whether the Picard
     driver iterates."""
     if feeds_back is None:
@@ -683,9 +715,14 @@ def _whole_band_solve(spec, side, grid, strips, picard, feeds_back=None):
         )
         for b, e in strips
     )
-    level = np.arange(grid.n_levels + 1)[:, None]
-    col = np.arange(x_cols.shape[0])
-    return W[:, (col >= level) & (col < x_cols.shape[0] - level)], norms
+    return W, norms
+
+
+def _at_nodes(W, field):
+    """A side's rectangle ``W`` (3, levels, cols) read at the nodes that
+    ``field`` stores, in the order of ``field.w``."""
+    level, offset = field.nodes()
+    return W[:, level, offset - (field.grid.j1_min if field.region.value == 1 else 0)]
 
 
 class TestBandKernel:
@@ -697,7 +734,7 @@ class TestBandKernel:
             assert len(field.report.strips) == n_strips
             W, norms = _whole_band_solve(spec, side, field.grid, field.report.strips, picard)
             # bit for bit, signed zeros included
-            np.testing.assert_array_equal(field.w.view(np.uint64), W.view(np.uint64))
+            np.testing.assert_array_equal(field.w.view(np.uint64), _at_nodes(W, field).view(np.uint64))
             assert field.report.update_norms == norms
 
     def test_streamed_rows_keep_f_of_t_and_x(self):
@@ -713,19 +750,19 @@ class TestBandKernel:
             assert field.report.strips == ((0, 32),)
             assert field.report.iterations == (1,)
             W, norms = _whole_band_solve(spec, side, field.grid, field.report.strips, picard)
-            np.testing.assert_array_equal(field.w.view(np.uint64), W.view(np.uint64))
+            np.testing.assert_array_equal(field.w.view(np.uint64), _at_nodes(W, field).view(np.uint64))
             assert field.report.update_norms == norms
             # iterated as if f fed back, the reference moves nothing more
             W, norms = _whole_band_solve(
                 spec, side, field.grid, field.report.strips, picard, feeds_back=True
             )
-            np.testing.assert_array_equal(field.w.view(np.uint64), W.view(np.uint64))
+            np.testing.assert_array_equal(field.w.view(np.uint64), _at_nodes(W, field).view(np.uint64))
             assert norms[0][-1] == 0.0
 
     def test_single_strip_side_solve_memory(self):
         # one sweep forms each row as it goes: row buffers, no band-size
-        # planes; the side stores its sectors, 2/3 of its rectangle here, and
-        # never holds the rectangle
+        # planes; the side stores its kept runs, half its rectangle here,
+        # and never holds its sectors or the rectangle
         spec, params, picard = load_problem("mixed_forcing")
         grid = build_grid(spec, params)
         strips = strip_plan(spec, grid, picard)
@@ -736,6 +773,28 @@ class TestBandKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * field.w.nbytes
-        rectangle = 3 * 8 * (grid.n_levels + 1) * grid.region_xcols(1).size
+        ncols = grid.region_xcols(1).size
+        # the stored bytes, and 24 full-width (3, ncols) rows: the sweep's
+        # row buffers, the anchors and the per-level views
+        assert peak <= field.w.nbytes + 24 * 3 * 8 * ncols
+        rectangle = 3 * 8 * (grid.n_levels + 1) * ncols
         assert peak <= 0.8 * rectangle
+
+    def test_multi_strip_side_solve_memory(self):
+        # bands with feedback iterate in one band buffer of sector rows and
+        # store their kept runs: the stored bytes plus the band buffer, its
+        # d'Alembert planes and F, not one buffer over the whole side
+        spec, params, picard = load_problem("manufactured")
+        grid = build_grid(spec, params)
+        strips = strip_plan(spec, grid, picard)
+        assert len(strips) > 1 and spec.f_reads_state
+        tracemalloc.start()
+        try:
+            field = solve_cauchy_region(spec, 2, grid, strips, picard)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ncols = grid.region_xcols(2).size
+        b, e = strips[0]  # the first band's rows are the widest
+        band = 3 * 8 * sum(ncols - 2 * i for i in range(b + 1, e + 1))
+        assert peak <= field.w.nbytes + 3 * band

@@ -27,7 +27,7 @@ from charwave.verify import (
     probe_points,
 )
 
-from helpers import load_problem, make_spec
+from helpers import kept_offsets, load_problem, make_spec
 
 CHECK_NAMES = ("initial_u", "initial_ut", "pde_residual", "goursat_traces", "jump_constancy")
 
@@ -202,13 +202,14 @@ class TestAudit:
             check_definition1(sol)
 
     def test_no_stencil_reads_a_dead_node(self, solved):
-        # a field stores its live nodes only, and reading any other node
+        # a field stores its kept nodes only, and reading any other node
         # raises IndexError, so every audit and every fault injection that
-        # runs here read live nodes alone
+        # runs here read kept nodes alone; each fault fails its check
         for name, sol in solved.items():
             assert check_definition1(sol).passed, name
             for check in CHECK_NAMES:
-                check_definition1(inject_fault(sol, check))
+                report = check_definition1(inject_fault(sol, check))
+                assert not next(c for c in report.checks if c.name == check).passed, (name, check)
 
     def test_report_shape(self, solved):
         report = check_definition1(solved["psi_step"])
@@ -265,6 +266,23 @@ class TestAudit:
         tolerances = {c.name: c.tolerance for c in check_definition1(sol).checks}
         assert tolerances["goursat_traces"] == 20.0 * h * h * live
         assert tolerances["jump_constancy"] == 20.0 * h * h * live
+
+    def test_scale_reads_the_kept_nodes(self, solved):
+        # phi_sq: u = x^2 + t^2 on the sides is largest in the dependence
+        # margin, which the sides compute but do not store; the goursat_traces
+        # tolerance scales with max |u| over the nodes they keep
+        sol = solved["phi_sq"]
+        g = sol.grid
+        kept = [sol.field3.w[0]]
+        for side, field in ((1, sol.field1), (2, sol.field2)):
+            for i in range(g.n_levels + 1):
+                kept.append(field.at(i, np.array(kept_offsets(g, side, i)))[0])
+        scale = max(1.0, float(np.max(np.abs(np.concatenate(kept)))))
+        h = g.dt_user
+        tolerances = {c.name: c.tolerance for c in check_definition1(sol).checks}
+        assert tolerances["goursat_traces"] == 20.0 * h * h * scale
+        # u at the margin's far end on level 0 is 1.79x that scale
+        assert (g.x0 + g.j1_min * g.dx) ** 2 > 1.7 * scale
 
     def test_unknown_fault_name(self, solved):
         with pytest.raises(ValueError):

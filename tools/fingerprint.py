@@ -11,8 +11,11 @@ below, whose CSV holds exact zeros, values below 1e-4 and values at or above
 1e16, which the CSV writer formats on separate paths.  For each one it
 prints, as sorted JSON:
 
-* the sha256 of each field's stored array ``f.w``, its live (u, u_t, u_x)
-  packed row after row, and every ``report.update_norms`` of the solve;
+* the sha256 of each field's (u, u_t, u_x), read through ``at`` on a node
+  set that does not depend on how the field is stored: the user nodes of
+  the field's region, then on every level the characteristic's node and
+  the 3 next to it on the field's side of the line (``_node_sha256``); and
+  every ``report.update_norms`` of the solve;
 * the solve's Lipschitz constant as ``float.hex`` and its strip plan
   (``field1.report.strips``, which all three regions march), so that a
   change to the estimate or to the plan shows even when no field bit moves;
@@ -42,6 +45,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 SEED = 501
 CHECKS = ("initial_u", "initial_ut", "pde_residual", "goursat_traces", "jump_constancy")
 # u = 0 on the left, u = 1e17 and u_t, u_x of order 1e-7 on the right
@@ -64,9 +69,30 @@ def _run(cli, argv: list[str]) -> dict:
     return {"exit": code, "stdout": out.getvalue()}
 
 
-def _w_sha256(sol) -> list[str]:
-    """The digest of each field's stored (u, u_t, u_x), row by row."""
-    return [_sha256(f.w.tobytes()) for f in (sol.field1, sol.field2, sol.field3)]
+def _node_sha256(charwave, sol) -> list[str]:
+    """The digest of each field's (u, u_t, u_x) at the user nodes of its
+    region, in row-major order, then at the nodes (level, offset) with
+    offset -level - k on side 1, level + k on side 2, and -level + 2k and
+    level - 2k in the wedge, for k = 0..3 and every level, where the wedge
+    has the node."""
+    g = sol.grid
+    user = np.broadcast_arrays(2 * np.arange(g.nt + 1)[:, None], g.user_offsets())
+    region = charwave.geometry.classify_nodes(*user)
+    level, k = np.arange(g.n_levels + 1)[:, None], np.arange(4)
+    strips = {
+        1: [(level, -level - k)],
+        2: [(level, level + k)],
+        3: [(level, -level + 2 * k), (level, level - 2 * k)],
+    }
+    digests = []
+    for code, field in enumerate((sol.field1, sol.field2, sol.field3), 1):
+        nodes = [(user[0][region == code], user[1][region == code])]
+        for lv, off in strips[code]:
+            lv, off = np.broadcast_arrays(lv, off)
+            on = np.abs(off) <= lv if code == 3 else np.ones(lv.shape, bool)
+            nodes.append((lv[on], off[on]))
+        digests.append(_sha256(b"".join(field.at(lv, off).tobytes() for lv, off in nodes)))
+    return digests
 
 
 def _oracle_near_characteristics(charwave, spec, T: float) -> list[list[float]]:
@@ -93,7 +119,7 @@ def fingerprint(charwave, path: str, tmp: str, converge: bool) -> dict:
         csv_sha = _sha256(fh.read())
     os.remove(csv)
     result = {
-        "w_sha256": _w_sha256(sol),
+        "node_sha256": _node_sha256(charwave, sol),
         "update_norms": [f.report.update_norms for f in fields],
         "lipschitz": float.hex(sol.lipschitz),
         "strips": sol.field1.report.strips,
@@ -105,7 +131,7 @@ def fingerprint(charwave, path: str, tmp: str, converge: bool) -> dict:
     for check in CHECKS:
         bad = charwave.inject_fault(sol, check)
         result["faults"][check] = {
-            "w_sha256": _w_sha256(bad),
+            "node_sha256": _node_sha256(charwave, bad),
             "report": json.dumps(charwave.check_definition1(bad).to_dict()),
         }
     if converge:

@@ -32,13 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fork
 from . import expr as ex
 from .cauchy import (
     GridParams,
     PicardParams,
+    PicardReport,
     ProblemSpec,
     RegionField,
     SolverGrid,
+    _row_starts,
     build_grid,
     plan_strips,
     resolve_lipschitz,
@@ -126,14 +129,28 @@ def solve(
     """Run both side solves, build the traces, solve the wedge, assemble.
 
     The diagnostics, the Lipschitz constant and the strip plan are resolved
-    once and shared by all three region solves.
+    once and shared by all three region solves.  The two side solves share
+    nothing, so side 2 is started with ``_fork.start`` (in a child process
+    when that pays, see ``_fork``) and solved into a shared anonymous
+    mapping while side 1 solves here; only its PicardReport comes back.
+    Side 1 solves first either way, so its error is the one raised when
+    both sides fail.
     """
+    import mmap
+
     diagnostics = diagnose(spec)
     sgrid = build_grid(spec, grid)
     L = resolve_lipschitz(spec, sgrid)
     strips = plan_strips(sgrid, L, picard)
-    field1 = solve_cauchy_region(spec, 1, sgrid, strips, picard)
-    field2 = solve_cauchy_region(spec, 2, sgrid, strips, picard)
+    buffer = mmap.mmap(-1, 3 * 8 * int(_row_starts(Region.Q2_STAR, sgrid)[-1]))
+    w2 = np.frombuffer(buffer).reshape(3, -1)
+    join = _fork.start(sgrid.user_nodes, _side2_report, spec, sgrid, strips, picard, w2)
+    try:
+        field1 = solve_cauchy_region(spec, 1, sgrid, strips, picard)
+    except BaseException:
+        join(cancel=True)
+        raise
+    field2 = RegionField(region=Region.Q2_STAR, grid=sgrid, w=w2, report=join())
     traces = goursat_traces(spec, field1, field2, diagnostics)
     field3 = solve_goursat_region(spec, traces, strips, picard)
     return Solution(
@@ -147,6 +164,11 @@ def solve(
         traces=traces,
         diagnostics=diagnostics,
     )
+
+
+def _side2_report(spec, grid, strips, picard, out) -> PicardReport:
+    """Solve side 2 into ``out``; its report is all that is returned."""
+    return solve_cauchy_region(spec, 2, grid, strips, picard, out=out).report
 
 
 # --------------------------------------------------------------------------

@@ -274,6 +274,11 @@ class SolverGrid:
     def user_xs(self) -> np.ndarray:
         return self.x0 + self.dx_user * np.arange(-self.n_left, self.n_right + 1)
 
+    @property
+    def user_nodes(self) -> int:
+        """The number of user-grid nodes, (nt + 1) * (n_left + n_right + 1)."""
+        return (self.nt + 1) * (self.n_left + self.n_right + 1)
+
     def user_offsets(self) -> np.ndarray:
         """The internal offset of each user column: column j is offset 2j."""
         return 2 * np.arange(-self.n_left, self.n_right + 1)
@@ -859,9 +864,13 @@ def solve_cauchy_region(
     grid: SolverGrid,
     strips: Sequence[tuple[int, int]],
     picard: PicardParams,
+    out: np.ndarray | None = None,
 ) -> RegionField:
     """Solve the one-sided Cauchy problem on sector ``side`` (1 left, 2 right)
-    by Picard iteration, marching the bands ``strips`` of :func:`plan_strips`."""
+    by Picard iteration, marching the bands ``strips`` of :func:`plan_strips`.
+
+    ``out``, if given, is a zeroed float64 array of the field's shape,
+    (3, ``_row_starts(region, grid)[-1]``), that the field is solved into."""
     if side not in (1, 2):
         raise ConfigError(f"side must be 1 or 2, got {side!r}")
     region = Region.Q1_STAR if side == 1 else Region.Q2_STAR
@@ -869,7 +878,7 @@ def solve_cauchy_region(
     ncols = x_cols.shape[0]
     first, stop = _runs(region, grid)
     starts = _row_starts(region, grid)
-    W = np.zeros((3, starts[-1]))
+    W = np.zeros((3, starts[-1])) if out is None else out
     # level i's kept run: the columns first[i]:stop[i], stored in W
     kept = [(W[:, lo:hi], slice(c, e)) for lo, hi, c, e in zip(starts, starts[1:], first, stop)]
     # the bands' anchors, each level b's sector in the columns [b, ncols-1-b]

@@ -42,19 +42,24 @@ are byte-identical and every value reads back to the same double.  The
 u, u_t, u_x columns are formatted in numpy, a time level at a time, by an
 exact re-implementation of ``%.17g`` for 1e-4 <= |v| < 1e16 (``_format17``);
 zeros are "0" or "-0", and the few other values go through ``%.17g``
-itself.  It is written one time level at a time; a failed write exits 1 and
-may leave a partial file.
+itself.  It is written one time level at a time, the second half of the
+levels formatted by a child process where ``write_csv`` says; a failed
+write exits 1 and may leave a partial file.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import shutil
 import sys
 
 import numpy as np
 import numpy.strings  # a lazy submodule: loaded here, not inside the first write
 
+from . import _fork
 from . import expr as ex
 from .assembly import diagnose, sample_user_grid, solve
 from .cauchy import _SLOT_VARS, GridParams, PicardParams, ProblemSpec
@@ -247,6 +252,44 @@ def _format17(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _write_levels(sol, tails, levels: range, fh) -> None:
+    """Write the rows of the user ``levels`` to the binary file ``fh``."""
+    for i in levels:
+        t, _, region, u, p, q = sample_user_grid(sol, i)
+        # the columns of regions 1, 3 and 2 are three blocks in x order
+        lo = np.count_nonzero(region == 1)
+        hi = region.size - np.count_nonzero(region == 2)
+        ts = b"%.17g" % t
+        template = ts + ts.join(tails[0][:lo] + tails[2][lo:hi] + tails[1][hi:])
+        values = _format17(np.stack((u, p, q), axis=-1).ravel())
+        fh.write(template % tuple(values.tolist()))
+    fh.flush()
+
+
+def _append(fh, rest) -> None:
+    """Append the whole of the file ``rest`` to the flushed file ``fh``:
+    in the kernel where ``sendfile`` writes to ``fh`` (a file, a pipe), or
+    through this process."""
+    size, sent = os.fstat(rest.fileno()).st_size, 0
+    try:
+        while sent < size:
+            sent += os.sendfile(fh.fileno(), rest.fileno(), sent, size - sent)
+    except OSError as e:
+        if e.errno not in (errno.EINVAL, errno.ENOSYS):
+            raise
+        rest.seek(sent)
+        shutil.copyfileobj(rest, fh)
+
+
+def _anonymous_file():
+    """A binary file with no name: a memfd where there is one."""
+    if hasattr(os, "memfd_create"):
+        return open(os.memfd_create("charwave-csv"), "w+b")
+    import tempfile
+
+    return tempfile.TemporaryFile()
+
+
 def write_csv(sol, path: str) -> None:
     """Write the user-grid samples as CSV, reading each time level from the
     region fields as it writes it, so no whole-grid array is held.
@@ -256,23 +299,30 @@ def write_csv(sol, path: str) -> None:
     from three slices of the tails at the region boundaries and filled by
     one ``%`` with its u, u_t, u_x values, all formatted at once by
     ``_format17``: on linear_export seed 501 (1.78 M values, a 2-vCPU Xeon)
-    that takes 0.59 s where one ``%.17g`` per value took 1.20 s.  Every
-    OSError becomes a ConfigError; a failed write may leave a partial file.
+    that takes 0.59 s where one ``%.17g`` per value took 1.20 s.
+
+    The levels from (nt + 1) // 2 on are formatted into an anonymous file
+    started with ``_fork.start`` (in a child process when that pays, see
+    ``_fork``) while this process writes the header and the levels before
+    them; the anonymous file is then appended, so the bytes are those of
+    one pass.  Every OSError becomes a ConfigError; a failed write may leave
+    a partial file.
     """
-    xcells = [b"%.17g" % x for x in sol.grid.user_xs().tolist()]
+    g = sol.grid
+    xcells = [b"%.17g" % x for x in g.user_xs().tolist()]
     tails = [[b",%b,%d,%%b,%%b,%%b\n" % (x, code) for x in xcells] for code in (1, 2, 3)]
+    half = (g.nt + 1) // 2
     try:
-        with open(path, "wb") as fh:
-            fh.write(b"t,x,region,u,ut,ux\n")
-            for i in range(sol.grid.nt + 1):
-                t, _, region, u, p, q = sample_user_grid(sol, i)
-                # the columns of regions 1, 3 and 2 are three blocks in x order
-                lo = np.count_nonzero(region == 1)
-                hi = region.size - np.count_nonzero(region == 2)
-                ts = b"%.17g" % t
-                template = ts + ts.join(tails[0][:lo] + tails[2][lo:hi] + tails[1][hi:])
-                values = _format17(np.stack((u, p, q), axis=-1).ravel())
-                fh.write(template % tuple(values.tolist()))
+        with _anonymous_file() as rest, open(path, "wb") as fh:
+            join = _fork.start(g.user_nodes, _write_levels, sol, tails, range(half, g.nt + 1), rest)
+            try:
+                fh.write(b"t,x,region,u,ut,ux\n")
+                _write_levels(sol, tails, range(half), fh)
+            except BaseException:
+                join(cancel=True)
+                raise
+            join()
+            _append(fh, rest)
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
 

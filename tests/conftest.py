@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import charwave as cw
@@ -21,3 +23,31 @@ def solved(corpus):
         name: cw.solve(spec, grid, picard)
         for name, (spec, grid, picard) in corpus.items()
     }
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child that ``os.fork`` starts during the test."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process behind, running or unreaped:
+    every process charwave forks must be reaped before its call returns."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind (waitpid gave pid {pid}, status {status})")

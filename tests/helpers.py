@@ -9,6 +9,7 @@ from __future__ import annotations
 import pathlib
 
 from charwave.cauchy import (
+    GridParams,
     PicardParams,
     ProblemSpec,
     build_grid,
@@ -45,6 +46,16 @@ def make_spec(**kw):
     )
     base.update(kw)
     return ProblemSpec.from_strings(**base)
+
+
+def bench_like():
+    """(spec, grid, picard) of a problem shaped like the benchmark's
+    nonlinear_verify (f = sin(u), L estimated, several strips), at nt = 64."""
+    spec = make_spec(
+        x0=0.25, A=0.4, phi1="0.5*sin(2*x)", phi2="1 + 0.25*cos(3*x)",
+        psi1="0.1*x", psi2="-0.2", F="t*x", f="sin(u)",
+    )
+    return spec, GridParams(T=1.5, x_lo=-3.0, x_hi=3.0, nt=64), PicardParams(tol=1e-10)
 
 
 def config_path(name: str) -> pathlib.Path:

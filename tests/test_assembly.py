@@ -1,3 +1,8 @@
+import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -6,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charwave import _fork, assembly
 from charwave.assembly import (
     CaseKind,
     characteristic_jump,
@@ -15,12 +21,20 @@ from charwave.assembly import (
     sample_user_grid,
     solve,
 )
-from charwave.cauchy import GridParams, PicardParams, ProblemSpec
-from charwave.errors import ConfigError, OutOfWindow
+from charwave.cauchy import GridParams, PicardParams, ProblemSpec, build_grid
+from charwave.errors import (
+    CharwaveError,
+    ConfigError,
+    DomainError,
+    ExprSyntaxError,
+    NonConvergence,
+    OutOfWindow,
+    UnknownVariable,
+)
 from charwave.geometry import Region, classify_nodes, classify_point
 from charwave.verify import check_definition1, linear_oracle
 
-from helpers import CORPUS_NAMES, kept_offsets, load_problem, make_spec
+from helpers import CORPUS_NAMES, bench_like, kept_offsets, load_problem, make_spec
 
 
 GP = GridParams(T=1.5, x_lo=-3.0, x_hi=3.0, nt=16)
@@ -368,6 +382,114 @@ class TestSampleUserGrid:
             assert on.any()
             want[:, on] = field.at(level[on], offset[on])
         assert np.stack((u, p, q)).tobytes() == want.tobytes()
+
+class TestSideTwoInAChild:
+    """``solve`` starts side 2 with ``_fork.start``: in a child process at
+    ``_fork.FLOOR`` user nodes or more while no second thread runs, in this
+    one otherwise; the two give the same bits."""
+
+    @pytest.mark.parametrize("name", [*CORPUS_NAMES, "bench_like"])
+    def test_forked_solve_is_the_in_process_solve(self, monkeypatch, forks, name):
+        problem = bench_like() if name == "bench_like" else load_problem(name)
+        sols = []
+        for floor in (0, math.inf):
+            monkeypatch.setattr(_fork, "FLOOR", floor)
+            sols.append(solve(*problem))
+        assert len(forks) == 1
+        forked, local = sols
+        for field in ("field1", "field2", "field3"):
+            a, b = getattr(forked, field), getattr(local, field)
+            assert a.w.tobytes() == b.w.tobytes()
+            assert a.report == b.report
+
+    @pytest.mark.parametrize(
+        "data, picard, error, message",
+        [
+            (dict(phi2="1", f="5*max(x, 0)*u", lipschitz=1e-9),
+             PicardParams(tol=1e-12, max_iter=3), NonConvergence, "stalled"),
+            (dict(psi2="sqrt(x - 0.5)"), PicardParams(), DomainError, "sqrt"),
+        ],
+        ids=["nonconvergence", "domain"],
+    )
+    def test_side2_error_is_raised_again(self, monkeypatch, forks, data, picard, error, message):
+        # side 1 (x <= 0) solves, side 2 fails: in the child, then in-process
+        raised = []
+        for floor in (0, math.inf):
+            monkeypatch.setattr(_fork, "FLOOR", floor)
+            with pytest.raises(error, match=message) as err:
+                solve(make_spec(**data), GP, picard)
+            raised.append(err.value)
+        assert len(forks) == 1
+        forked, local = raised
+        assert type(forked) is type(local)
+        assert forked.args == local.args and vars(forked) == vars(local)
+        if error is NonConvergence:
+            assert forked.last_update == local.last_update > 0.0
+
+    @pytest.mark.parametrize(
+        "error",
+        [UnknownVariable("y", 3), ExprSyntaxError("bad token", 2), MemoryError("no room"),
+         NonConvergence("stalled", last_update=2.5)],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_join_raises_the_childs_error_again(self, monkeypatch, forks, error):
+        # the error is rebuilt from its args and attributes, not its __init__
+        def fail():
+            raise error
+
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        with pytest.raises(type(error)) as err:
+            _fork.start(0, fail)()
+        assert len(forks) == 1
+        assert err.value.args == error.args and vars(err.value) == vars(error)
+        assert str(err.value) == str(error)
+
+    def test_child_killed_by_a_signal(self, monkeypatch, forks):
+        def die(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(assembly, "_side2_report", die)
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        with pytest.raises(CharwaveError, match="killed by signal 9"):
+            solve(make_spec(), GP)
+        assert len(forks) == 1
+
+    def test_side1_error_kills_the_child(self, monkeypatch, forks):
+        # side 2 would take a minute; side 1's error stops and reaps it
+        def side(spec, side, *args, **kwargs):
+            if side == 2:
+                time.sleep(60.0)
+            raise NonConvergence("side 1 failed", last_update=1.0)
+
+        monkeypatch.setattr(assembly, "solve_cauchy_region", side)
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        started = time.monotonic()
+        with pytest.raises(NonConvergence, match="side 1 failed"):
+            solve(make_spec(), GP)
+        assert time.monotonic() - started < 30.0
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_no_fork_while_a_second_thread_runs(self, monkeypatch, forks):
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait)
+        worker.start()
+        try:
+            solve(make_spec(phi2="1"), GP)
+        finally:
+            release.set()
+            worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert forks == []
+
+    def test_no_fork_below_the_floor(self, forks):
+        spec = make_spec(phi2="1")
+        assert build_grid(spec, GP).user_nodes < _fork.FLOOR
+        solve(spec, GP)
+        assert forks == []
+
 
 _HALVES = st.integers(-4, 4).map(lambda k: k / 2.0)
 _COEFFS = st.lists(_HALVES, min_size=3, max_size=3)

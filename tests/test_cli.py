@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import tempfile
+import threading
 import tracemalloc
 import warnings
 
@@ -17,11 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import charwave.cli as cli
+from charwave import _fork
 from charwave.assembly import sample_user_grid, solve
 from charwave.cauchy import GridParams, PicardParams, build_grid
 from charwave.errors import ConfigError, NegativeTime, NotLinear, OutOfWindow
 
-from helpers import CORPUS_NAMES, config_path
+from helpers import CORPUS_NAMES, bench_like, config_path
 
 
 GOOD = {
@@ -257,6 +259,104 @@ class TestSolveCommand:
         finally:
             tracemalloc.stop()
         assert peak <= plane
+
+
+class TestCsvHalves:
+    """``write_csv`` formats the levels from (nt + 1) // 2 on with
+    ``_fork.start``: in a child process at ``_fork.FLOOR`` user nodes or
+    more while no second thread runs, in this one otherwise."""
+
+    @pytest.mark.parametrize("name", [*CORPUS_NAMES, "bench_like"])
+    def test_forked_csv_is_the_in_process_csv(self, tmp_path, monkeypatch, solved, forks, name):
+        sol = solve(*bench_like()) if name == "bench_like" else solved[name]
+        forks.clear()
+        out = []
+        for floor in (0, math.inf):
+            monkeypatch.setattr(_fork, "FLOOR", floor)
+            path = tmp_path / "out.csv"
+            cli.write_csv(sol, str(path))
+            out.append(path.read_bytes())
+        assert len(forks) == 1
+        assert out[0] == out[1]
+
+    def test_childs_error_is_raised_again(self, tmp_path, monkeypatch, solved, forks):
+        sol = solved["zero"]
+        half = (sol.grid.nt + 1) // 2
+        real = cli.sample_user_grid
+
+        def sample(sol, level):
+            if level == half:
+                raise MemoryError(f"no room for level {level}")
+            return real(sol, level)
+
+        monkeypatch.setattr(cli, "sample_user_grid", sample)
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        with pytest.raises(MemoryError, match=f"no room for level {half}$"):
+            cli.write_csv(sol, str(tmp_path / "out.csv"))
+        assert len(forks) == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_stops_the_child(self, monkeypatch, solved, forks):
+        # this process's first level fails to write; the child is killed and
+        # reaped (the autouse no_child_left fixture checks the reaping)
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        with pytest.raises(ConfigError, match=os.strerror(errno.ENOSPC)):
+            cli.write_csv(solved["zero"], "/dev/full")
+        assert len(forks) == 1
+
+    def test_appends_to_a_pipe(self, tmp_path, solved):
+        # the second half goes out by sendfile, which writes to a pipe too
+        sol = solved["psi_step"]
+        want = tmp_path / "out.csv"
+        cli.write_csv(sol, str(want))
+        read, write = os.pipe()
+        got = []
+
+        def drain():
+            with open(read, "rb") as pipe:
+                got.append(pipe.read())
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        try:
+            cli.write_csv(sol, f"/dev/fd/{write}")
+        finally:
+            os.close(write)
+            reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert got == [want.read_bytes()]
+
+    def test_appends_where_sendfile_refuses_the_output(self, tmp_path, monkeypatch, solved):
+        # sendfile refuses some outputs (an O_APPEND file, /dev/full) with
+        # EINVAL; the child's half is then copied through this process
+        def refuse(*args):
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+        sol = solved["psi_step"]
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        cli.write_csv(sol, str(want))
+        monkeypatch.setattr(os, "sendfile", refuse)
+        cli.write_csv(sol, str(got))
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("why", ["thread", "floor"])
+    def test_no_fork_with_a_thread_or_below_the_floor(self, tmp_path, monkeypatch, solved, forks, why):
+        sol = solved["zero"]
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait)
+        if why == "thread":
+            monkeypatch.setattr(_fork, "FLOOR", 0)
+            worker.start()
+        else:
+            monkeypatch.setattr(_fork, "FLOOR", sol.grid.user_nodes + 1)
+        try:
+            cli.write_csv(sol, str(tmp_path / "out.csv"))
+        finally:
+            release.set()
+            if why == "thread":
+                worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert forks == []
 
 
 def _ref17(values) -> list[bytes]:

@@ -2,15 +2,22 @@
 
 ``join = start(nodes, fn, *args)`` and later ``join()`` return ``fn(*args)``
 or raise its exception again, with the same type, ``args`` and attributes.
-``fn`` runs in an ``os.fork()`` child only when a fork is safe and pays for
-itself: on Linux, with no second Python thread alive (a fork copies only
-the calling thread, so a lock another thread holds would stay held in the
-child), and with ``nodes``, the user-grid nodes of the caller's problem, at
-least ``FLOOR``.  Otherwise, or when the fork itself fails, ``fn`` runs
-inside ``join()``.  Either way the caller sees ``fn`` run after whatever it
-does between ``start`` and ``join``: the child shares nothing with the
-caller but what ``fn`` writes to a shared mapping or a file set up before
-``start``.
+``fn`` runs in an ``os.fork()`` child only when ``forks(nodes)``, that is
+when a fork is safe and pays for itself: on Linux, with no second Python
+thread alive (a fork copies only the calling thread, so a lock another
+thread holds would stay held in the child), and with ``nodes``, the
+user-grid nodes of the caller's problem, at least ``FLOOR``.  Otherwise, or
+when the fork itself fails, ``fn`` runs inside ``join()``.  Either way the
+caller sees ``fn`` run after whatever it does between ``start`` and
+``join``: the child shares nothing with the caller but what ``fn`` writes
+to a shared mapping or a file set up before ``start``.
+
+Only Python threads are counted.  A native thread the host started is not
+seen, and one that holds a lock at the fork (and registers no
+``pthread_atfork`` handler, as OpenBLAS's pool does) would leave the child,
+and ``join`` with it, waiting for good.  Python 3.12 and later warn at a
+fork while a second OS thread runs, a BLAS pool's included (a
+DeprecationWarning); the warning is left to the caller's filters.
 
 ``join(cancel=True)`` is the caller's way out when its own part fails: the
 child is killed and reaped (or ``fn`` never runs) and None is returned.
@@ -24,17 +31,17 @@ from __future__ import annotations
 import os
 import sys
 import threading
-import warnings
 
 from .errors import CharwaveError
 
-__all__ = ["start"]
+__all__ = ["forks", "start"]
 
 # A fork, the child's exit and the waitpid cost 2.0-2.6 ms on a 2-vCPU Xeon,
 # and each page the parent writes while the child lives is copied once.  A
 # linear solve, one sweep per region, does the least work per node; it
 # breaks even near this many user-grid nodes (measured in the README's
-# "Library" section).
+# "Library" section by in-process pairs; no benchmark workload runs below
+# it).
 FLOOR = 12_000
 
 
@@ -42,25 +49,27 @@ def _in_process(fn, args):
     return lambda cancel=False: None if cancel else fn(*args)
 
 
-def start(nodes: int, fn, *args):
-    """Start ``fn(*args)``; returns its ``join(cancel=False)``."""
-    if not (
+def forks(nodes: int) -> bool:
+    """Whether ``start`` runs ``fn`` in a child for a problem of ``nodes``
+    user-grid nodes (unless the fork itself fails)."""
+    return (
         sys.platform.startswith("linux")
         and hasattr(os, "fork")
         and threading.active_count() == 1
         and nodes >= FLOOR
-    ):
+    )
+
+
+def start(nodes: int, fn, *args):
+    """Start ``fn(*args)``; returns its ``join(cancel=False)``."""
+    if not forks(nodes):
         return _in_process(fn, args)
     import pickle
     import signal
 
     read, write = os.pipe()
     try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns at a fork whenever a second OS thread runs,
-            # a BLAS pool's included; no Python thread is alive here
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
+        pid = os.fork()
     except OSError:  # no process to spare: run in this one
         os.close(read)
         os.close(write)

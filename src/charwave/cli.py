@@ -50,10 +50,8 @@ write exits 1 and may leave a partial file.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
-import shutil
 import sys
 
 import numpy as np
@@ -266,30 +264,6 @@ def _write_levels(sol, tails, levels: range, fh) -> None:
     fh.flush()
 
 
-def _append(fh, rest) -> None:
-    """Append the whole of the file ``rest`` to the flushed file ``fh``:
-    in the kernel where ``sendfile`` writes to ``fh`` (a file, a pipe), or
-    through this process."""
-    size, sent = os.fstat(rest.fileno()).st_size, 0
-    try:
-        while sent < size:
-            sent += os.sendfile(fh.fileno(), rest.fileno(), sent, size - sent)
-    except OSError as e:
-        if e.errno not in (errno.EINVAL, errno.ENOSYS):
-            raise
-        rest.seek(sent)
-        shutil.copyfileobj(rest, fh)
-
-
-def _anonymous_file():
-    """A binary file with no name: a memfd where there is one."""
-    if hasattr(os, "memfd_create"):
-        return open(os.memfd_create("charwave-csv"), "w+b")
-    import tempfile
-
-    return tempfile.TemporaryFile()
-
-
 def write_csv(sol, path: str) -> None:
     """Write the user-grid samples as CSV, reading each time level from the
     region fields as it writes it, so no whole-grid array is held.
@@ -301,28 +275,40 @@ def write_csv(sol, path: str) -> None:
     ``_format17``: on linear_export seed 501 (1.78 M values, a 2-vCPU Xeon)
     that takes 0.59 s where one ``%.17g`` per value took 1.20 s.
 
-    The levels from (nt + 1) // 2 on are formatted into an anonymous file
-    started with ``_fork.start`` (in a child process when that pays, see
-    ``_fork``) while this process writes the header and the levels before
-    them; the anonymous file is then appended, so the bytes are those of
-    one pass.  Every OSError becomes a ConfigError; a failed write may leave
-    a partial file.
+    Where ``_fork.forks`` says a child process pays, the levels from
+    (nt + 1) // 2 on are formatted by one (``_fork.start``) into a temporary
+    file while this process writes the header and the levels before them;
+    the temporary file is then copied on, so the bytes are those of one
+    pass.  It lies beside a regular output, on that disk rather than in
+    memory, and in tempfile's directory for any other output (a pipe, say).
+    Every OSError becomes a ConfigError; a failed write may leave a partial
+    file.
     """
     g = sol.grid
     xcells = [b"%.17g" % x for x in g.user_xs().tolist()]
     tails = [[b",%b,%d,%%b,%%b,%%b\n" % (x, code) for x in xcells] for code in (1, 2, 3)]
-    half = (g.nt + 1) // 2
     try:
-        with _anonymous_file() as rest, open(path, "wb") as fh:
-            join = _fork.start(g.user_nodes, _write_levels, sol, tails, range(half, g.nt + 1), rest)
-            try:
-                fh.write(b"t,x,region,u,ut,ux\n")
-                _write_levels(sol, tails, range(half), fh)
-            except BaseException:
-                join(cancel=True)
-                raise
-            join()
-            _append(fh, rest)
+        with open(path, "wb") as fh:
+            fh.write(b"t,x,region,u,ut,ux\n")
+            if not _fork.forks(g.user_nodes):
+                _write_levels(sol, tails, range(g.nt + 1), fh)
+                return
+            import shutil
+            import stat
+            import tempfile
+
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            half = (g.nt + 1) // 2
+            with tempfile.TemporaryFile(dir=(os.path.dirname(path) or ".") if regular else None) as rest:
+                join = _fork.start(g.user_nodes, _write_levels, sol, tails, range(half, g.nt + 1), rest)
+                try:
+                    _write_levels(sol, tails, range(half), fh)
+                except BaseException:
+                    join(cancel=True)
+                    raise
+                join()
+                rest.seek(0)
+                shutil.copyfileobj(rest, fh)
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
 

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -266,6 +268,19 @@ class TestCsvHalves:
     ``_fork.start``: in a child process at ``_fork.FLOOR`` user nodes or
     more while no second thread runs, in this one otherwise."""
 
+    @pytest.fixture
+    def temporaries(self, monkeypatch):
+        """The ``dir`` of each temporary file opened during the test."""
+        dirs = []
+        real = tempfile.TemporaryFile
+
+        def spy(*args, dir=None, **kw):
+            dirs.append(dir)
+            return real(*args, dir=dir, **kw)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+        return dirs
+
     @pytest.mark.parametrize("name", [*CORPUS_NAMES, "bench_like"])
     def test_forked_csv_is_the_in_process_csv(self, tmp_path, monkeypatch, solved, forks, name):
         sol = solve(*bench_like()) if name == "bench_like" else solved[name]
@@ -304,43 +319,35 @@ class TestCsvHalves:
             cli.write_csv(solved["zero"], "/dev/full")
         assert len(forks) == 1
 
-    def test_appends_to_a_pipe(self, tmp_path, solved):
-        # the second half goes out by sendfile, which writes to a pipe too
-        sol = solved["psi_step"]
-        want = tmp_path / "out.csv"
-        cli.write_csv(sol, str(want))
-        read, write = os.pipe()
-        got = []
-
-        def drain():
-            with open(read, "rb") as pipe:
-                got.append(pipe.read())
-
-        reader = threading.Thread(target=drain)
-        reader.start()
-        try:
-            cli.write_csv(sol, f"/dev/fd/{write}")
-        finally:
-            os.close(write)
-            reader.join(timeout=10.0)
-        assert not reader.is_alive()
-        assert got == [want.read_bytes()]
-
-    def test_appends_where_sendfile_refuses_the_output(self, tmp_path, monkeypatch, solved):
-        # sendfile refuses some outputs (an O_APPEND file, /dev/full) with
-        # EINVAL; the child's half is then copied through this process
-        def refuse(*args):
-            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
-
+    def test_appends_to_a_pipe(self, tmp_path, monkeypatch, solved, forks, temporaries):
+        # the child's half waits in tempfile's directory, not beside the pipe;
+        # the pipe is drained by another process, as a thread would stop the fork
         sol = solved["psi_step"]
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"
         cli.write_csv(sol, str(want))
-        monkeypatch.setattr(os, "sendfile", refuse)
-        cli.write_csv(sol, str(got))
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        forks.clear()
+        temporaries.clear()
+        drain = "import shutil, sys; shutil.copyfileobj(sys.stdin.buffer, open(sys.argv[1], 'wb'))"
+        reader = subprocess.Popen([sys.executable, "-c", drain, str(got)], stdin=subprocess.PIPE)
+        try:
+            cli.write_csv(sol, f"/dev/fd/{reader.stdin.fileno()}")
+        finally:
+            reader.stdin.close()
+            assert reader.wait(timeout=60.0) == 0
         assert got.read_bytes() == want.read_bytes()
+        assert len(forks) == 1
+        assert temporaries == [None]
+
+    def test_childs_half_waits_beside_the_output(self, tmp_path, monkeypatch, solved, forks, temporaries):
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        cli.write_csv(solved["psi_step"], str(tmp_path / "out.csv"))
+        assert len(forks) == 1
+        assert temporaries == [str(tmp_path)]
+        assert os.listdir(tmp_path) == ["out.csv"]
 
     @pytest.mark.parametrize("why", ["thread", "floor"])
-    def test_no_fork_with_a_thread_or_below_the_floor(self, tmp_path, monkeypatch, solved, forks, why):
+    def test_no_fork_with_a_thread_or_below_the_floor(self, tmp_path, monkeypatch, solved, forks, temporaries, why):
         sol = solved["zero"]
         release = threading.Event()
         worker = threading.Thread(target=release.wait)
@@ -357,6 +364,7 @@ class TestCsvHalves:
                 worker.join(timeout=10.0)
         assert not worker.is_alive()
         assert forks == []
+        assert temporaries == []
 
 
 def _ref17(values) -> list[bytes]:

@@ -23,7 +23,9 @@ DeprecationWarning); the warning is left to the caller's filters.
 child is killed and reaped (or ``fn`` never runs) and None is returned.
 Every child is reaped before ``join`` returns or raises; one that ends
 without a result (killed by a signal, say) raises CharwaveError naming how
-it ended.
+it ended.  A result or error that cannot be pickled back (an instance of a
+locally defined exception class, say) raises CharwaveError instead, naming
+the error's type and message.
 """
 
 from __future__ import annotations
@@ -78,14 +80,18 @@ def start(nodes: int, fn, *args):
         code = 1
         try:
             os.close(read)
+            error = None
             try:
                 outcome = (True, fn(*args))
             except BaseException as e:
+                error = e
                 outcome = (False, (type(e), e.args, vars(e)))
             try:
                 data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
             except Exception as e:
-                message = f"the worker process could not send back its outcome: {e!r}"
+                # name what is lost: a local exception class, say, cannot be pickled
+                what = "its result" if error is None else f"{type(error).__qualname__}: {error}"
+                message = f"the worker process could not send back {what} ({e!r})"
                 data = pickle.dumps((False, (CharwaveError, (message,), {})))
             with open(write, "wb") as pipe:
                 pipe.write(data)

@@ -26,9 +26,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import _fork
 from . import expr as ex
 from .assembly import Solution, _jump_triple, evaluate, sample_user_grid
-from .cauchy import GridParams, PicardParams, ProblemSpec, RegionField
+from .cauchy import GridParams, PicardParams, ProblemSpec, RegionField, build_grid
 from .errors import ConfigError, DomainError, NotLinear
 from .geometry import Region, classify_nodes, classify_point
 from .goursat import goursat_traces
@@ -342,9 +343,8 @@ def _trapz_expr(e: ex.Expr, lo: float, hi: float) -> float:
     return float(np.trapezoid(vals, dx=(hi - lo) / _QUAD_N))
 
 
-# tau-rows of the F lattice per tile: each tile is a long numpy pass (a worker
-# thread running the oracle releases the GIL through it) whose buffers stay
-# small beside the solves it overlaps
+# tau-rows of the F lattice per tile: the tiles keep a call's peak near 3 MiB,
+# where the whole lattice takes 32 MiB
 _TILE_ROWS = 64
 
 
@@ -375,6 +375,11 @@ def _row_trapezoids(F: ex.Expr, taus, lo, widths):
     return out
 
 
+def _require_linear(spec: ProblemSpec) -> None:
+    if not ex.is_zero(spec.f):
+        raise NotLinear("the closed-form reference requires f to be literally 0")
+
+
 # an overflow is silent here: it shows as a non-finite value, which is raised
 # as DomainError below
 @np.errstate(over="ignore", invalid="ignore")
@@ -394,8 +399,7 @@ def linear_oracle(spec: ProblemSpec, t: float, x: float, include_jump_term: bool
     Raises NegativeTime when t < 0, and DomainError, naming the probe, when
     the value is not finite.
     """
-    if not ex.is_zero(spec.f):
-        raise NotLinear("the closed-form reference requires f to be literally 0")
+    _require_linear(spec)
     region = classify_point(spec.a, spec.x0, t, x)
     a, x0, A = spec.a, spec.x0, spec.A
     xm = x - a * t
@@ -463,23 +467,26 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Solve at nt, 2nt, 4nt, ... and fit the sup-error order at fixed probes.
 
-    ``reference`` is a callable (t, x) -> u, or None for the linear oracle
-    (requires f = 0).  The probe set defaults to a lattice keeping
-    one coarse cell clear of the characteristics, and is held fixed across
+    ``reference`` is a callable (t, x) -> u, or None for the linear oracle,
+    which requires f = 0.  The probe set defaults to a lattice keeping one
+    coarse cell clear of the characteristics, and is held fixed across
     levels.  Errors all at rounding level, relative to the reference and the
     field at the probes (``_EXACT_FLOOR``), are reported as exact (order None).
 
-    The reference is evaluated at the probes on one worker thread while the
-    levels solve on the calling thread, which keeps only each level's values
-    at the probes; the worker is joined before the call returns or raises.
-    When the reference raises, its error takes precedence over any error of
-    the solves, as if it had been evaluated first.
+    The reference is evaluated at the probes with ``_fork.start``, sized by
+    the user-grid nodes of all the levels, so in a forked child when that
+    pays, while the levels solve here (each level's ``solve`` forks its
+    side 2 in turn) and keep only their values at the probes.  What a
+    reference changes in memory there is not seen by the caller.
+    NotLinear (the oracle with f != 0), and the ConfigError of a level's
+    grid that ``solve`` would reject, are raised before anything runs.
+    When a solve raises, the reference is still waited for, and its error
+    takes precedence, as if it had been evaluated first; a
+    ``BaseException`` that is not an ``Exception`` (KeyboardInterrupt, say)
+    stops the reference instead.  No child outlives the call.
     """
-    # imported here: at module level concurrent.futures would add to every
-    # command's start-up.  solve is looked up at call time, so that a wrapper
-    # installed on assembly.solve (a tracer, say) sees the study's solves
-    from concurrent.futures import ThreadPoolExecutor
-
+    # solve is looked up at call time, so that a wrapper installed on
+    # assembly.solve (a tracer, say) sees the study's solves
     from .assembly import solve
 
     if levels < 2:
@@ -493,28 +500,28 @@ def convergence_study(
             f"at nt={grid.nt}; widen the window or refine the grid"
         )
     if reference is None:
+        _require_linear(spec)
         reference = partial(linear_oracle, spec)
-    # the reference runs on one worker thread while this one solves the
-    # levels: the oracle's tiles are long numpy passes that release the GIL
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(lambda: [float(reference(t, x)) for t, x in probes])
+    grids = [replace(grid, nt=grid.nt * 2**k) for k in range(levels)]
+    nodes = sum(build_grid(spec, gp).user_nodes for gp in grids)
+    join = _fork.start(nodes, lambda: [float(reference(t, x)) for t, x in probes])
+    try:
+        solved = []  # (nt, u at each probe) of each level
+        for gp in grids:
+            sol = solve(spec, gp, picard)
+            solved.append((gp.nt, [evaluate(sol, t, x)[0] for t, x in probes]))
+            del sol  # free this level before the next, finer solve
+    except Exception:
+        # the reference's error comes first, as if it had run first
         try:
-            solved = []  # (nt, u at each probe) of each level
-            for k in range(levels):
-                if pending.done() and pending.exception() is not None:
-                    break  # result() below raises it
-                nt_k = grid.nt * 2**k
-                gp = GridParams(T=grid.T, x_lo=grid.x_lo, x_hi=grid.x_hi, nt=nt_k)
-                sol = solve(spec, gp, picard)
-                solved.append((nt_k, [evaluate(sol, t, x)[0] for t, x in probes]))
-                del sol  # free this level before the next, finer solve
-        except Exception:
-            # the reference's error comes first, as if it had run first
-            failed = pending.exception()  # waits for the reference
-            if failed is None:
-                raise
+            join()
+        except Exception as failed:
             raise failed from None
-        refs = pending.result()
+        raise
+    except BaseException:
+        join(cancel=True)
+        raise
+    refs = join()
     scale = max([1.0, *map(abs, refs)])
     entries = []
     for nt_k, us in solved:

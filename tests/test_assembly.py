@@ -444,6 +444,23 @@ class TestSideTwoInAChild:
         assert err.value.args == error.args and vars(err.value) == vars(error)
         assert str(err.value) == str(error)
 
+    def test_an_error_that_cannot_be_pickled_is_named(self, monkeypatch, forks):
+        # a locally defined class cannot be pickled back; its name and message
+        # still reach the caller
+        class Local(Exception):
+            pass
+
+        def fail():
+            raise Local("the reference broke")
+
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        with pytest.raises(CharwaveError) as err:
+            _fork.start(0, fail)()
+        assert len(forks) == 1
+        assert type(err.value) is CharwaveError
+        assert f"{Local.__qualname__}: the reference broke" in str(err.value)
+        assert "pickle" in str(err.value)
+
     def test_child_killed_by_a_signal(self, monkeypatch, forks):
         def die(*args):
             os.kill(os.getpid(), signal.SIGKILL)

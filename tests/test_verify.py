@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import threading
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -11,9 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import charwave.assembly as assembly
 import charwave.expr as ex
+import charwave.verify as verify
+from charwave import _fork
 from charwave.assembly import solve
-from charwave.cauchy import GridParams, PicardParams
+from charwave.cauchy import GridParams, PicardParams, build_grid
 from charwave.errors import ConfigError, DomainError, NegativeTime, NonConvergence, NotLinear
 from charwave.geometry import Region, classify_point
 from charwave.verify import (
@@ -28,6 +32,18 @@ from charwave.verify import (
 )
 
 from helpers import kept_offsets, load_problem, make_spec
+
+
+def refine_like():
+    """(spec, grid, picard) of a problem shaped like the benchmark's
+    refine_study (piecewise-quadratic data jumping at x0, A off the
+    midpoint, quadratic F, f = 0), at nt = 16."""
+    spec = make_spec(
+        A=0.55, phi1="0.3 + 0.1*x + 0.4*x^2", phi2="1.3 - 0.2*x + 0.4*x^2",
+        psi1="0.1 + 0.2*x - 0.3*x^2", psi2="-0.2 - 0.2*x - 0.3*x^2", F="t*x + 0.5*x^2 + 0.25",
+    )
+    return spec, GridParams(T=1.5, x_lo=-3.0, x_hi=3.0, nt=16), PicardParams()
+
 
 CHECK_NAMES = ("initial_u", "initial_ut", "pde_residual", "goursat_traces", "jump_constancy")
 
@@ -340,11 +356,24 @@ class TestConvergence:
                 make_spec(f="u"), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8)
             )
 
+    def test_oracle_on_a_nonlinear_problem_fails_before_any_solve(self, monkeypatch, forks):
+        # no solve, no fork and no oracle call: the study checks f itself
+        solves, probes = [], []
+
+        def oracle(*args, **kw):
+            probes.append(args)
+            return linear_oracle(*args, **kw)
+
+        monkeypatch.setattr(assembly, "solve", lambda *args, **kw: solves.append(args))
+        monkeypatch.setattr(verify, "linear_oracle", oracle)
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        with pytest.raises(NotLinear):
+            convergence_study(make_spec(f="u"), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8))
+        assert solves == [] and probes == [] and forks == []
+
     def test_each_level_is_freed_before_the_next_solve(self, monkeypatch):
         # the finest solve sets the peak memory; no coarser Solution may sit
         # under it
-        import charwave.assembly as assembly
-
         solve_level = assembly.solve
         held = []
 
@@ -363,9 +392,9 @@ class TestConvergence:
 
     def test_reference_error_takes_precedence(self, monkeypatch):
         # the reference's error wins, as if the reference had run before the
-        # solves, even when a solve fails first
-        import charwave.assembly as assembly
-
+        # solves, even when a solve fails first.  In process: the Event
+        # cannot cross into a child
+        monkeypatch.setattr(_fork, "FLOOR", math.inf)
         solve_level, solve_failed = assembly.solve, threading.Event()
 
         def failing_solve(*args, **kw):
@@ -400,25 +429,109 @@ class TestConvergence:
         assert solve_failed.is_set()
         assert threading.active_count() == before
 
-    def test_solve_error_when_the_reference_holds(self):
+    def test_solve_error_when_the_reference_holds(self, monkeypatch, forks):
         before = threading.active_count()
-        with pytest.raises(NonConvergence):
-            convergence_study(
-                make_spec(phi1="x", phi2="x", f="sin(u)", lipschitz=1.0),
-                GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8),
-                PicardParams(max_iter=1),
-                reference=lambda t, x: 0.0,
-                levels=2,
-            )
+        for floor in (math.inf, 0):
+            monkeypatch.setattr(_fork, "FLOOR", floor)
+            with pytest.raises(NonConvergence):
+                convergence_study(
+                    make_spec(phi1="x", phi2="x", f="sin(u)", lipschitz=1.0),
+                    GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8),
+                    PicardParams(max_iter=1),
+                    reference=lambda t, x: 0.0,
+                    levels=2,
+                )
+        assert len(forks) == 2  # forked: the reference and the first level's side 2
         assert threading.active_count() == before
 
-    def test_no_thread_outlives_the_study(self):
+    def test_oracle_study_starts_no_thread(self):
         before = threading.active_count()
         study = convergence_study(
             make_spec(F="t*x"), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8), levels=2
         )
         assert not study.exact
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("name", ["refine_like", "manufactured"])
+    def test_forked_study_is_the_in_process_study(self, monkeypatch, forks, name):
+        # forked: the reference in one child, and each level's side 2 in
+        # another; no thread runs beside the solves either way
+        if name == "refine_like":
+            spec, grid, picard = refine_like()
+            reference = None
+        else:
+            spec, grid, picard = load_problem(name)
+            grid = replace(grid, nt=16)
+            wave = ex.parse("sin(x - t)", ("t", "x"))
+            reference = lambda t, x: ex.evaluate(wave, {"t": t, "x": x})
+        levels = 3
+        grids = [replace(grid, nt=grid.nt * 2**k) for k in range(levels)]
+        nodes = sum(build_grid(spec, gp).user_nodes for gp in grids)
+        threads, solve_level, seen = threading.active_count(), assembly.solve, []
+
+        def spy(*args, **kw):
+            seen.append(threading.active_count())
+            return solve_level(*args, **kw)
+
+        monkeypatch.setattr(assembly, "solve", spy)
+        studies = []
+        for floor in (0, nodes + 1):
+            monkeypatch.setattr(_fork, "FLOOR", floor)
+            studies.append(
+                convergence_study(spec, grid, picard, reference=reference, levels=levels).to_dict()
+            )
+        forked, local = studies
+        assert json.dumps(forked) == json.dumps(local)  # repr of each float: its bits
+        assert len(forks) == 1 + levels
+        assert seen == [threads] * (2 * levels)
+        assert threading.active_count() == threads
+
+    def test_forked_reference_error_takes_precedence(self, monkeypatch, forks):
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        solve_level, solve_errors = assembly.solve, []
+
+        def failing_solve(*args, **kw):
+            try:
+                return solve_level(*args, **kw)
+            except NonConvergence as e:
+                solve_errors.append(e)
+                raise
+
+        def reference(t, x):
+            raise DomainError(f"no reference at (t={t}, x={x})")
+
+        monkeypatch.setattr(assembly, "solve", failing_solve)
+        with pytest.raises(DomainError, match="no reference") as err:
+            convergence_study(
+                make_spec(phi1="x", phi2="x", f="sin(u)", lipschitz=1.0),
+                GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8),
+                PicardParams(max_iter=1),
+                reference=reference,
+                levels=2,
+            )
+        assert len(solve_errors) == 1
+        assert err.value.__suppress_context__
+        assert len(forks) == 2  # the reference and the first level's side 2
+
+    def test_interrupted_solve_stops_the_reference(self, monkeypatch, forks):
+        # the reference would take a minute; the interrupt kills and reaps it
+        # (the autouse no_child_left fixture checks that none is left)
+        def interrupted(*args, **kw):
+            raise KeyboardInterrupt
+
+        def reference(t, x):
+            time.sleep(60.0)
+            return 0.0
+
+        monkeypatch.setattr(assembly, "solve", interrupted)
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            convergence_study(
+                make_spec(), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8), reference=reference
+            )
+        assert time.monotonic() - started < 30.0
+        assert len(forks) == 1
 
     def test_explicit_probes(self):
         study = convergence_study(

@@ -1,42 +1,54 @@
-"""Fork-join: run one function in a forked child while the caller goes on.
+"""Fork-join: two independent parts of a computation, one of them in a
+forked child process where that pays.
 
-``join = start(nodes, fn, *args)`` and later ``join()`` return ``fn(*args)``
-or raise its exception again, with the same type, ``args`` and attributes.
-``fn`` runs in an ``os.fork()`` child only when ``forks(nodes)``, that is
-when a fork is safe and pays for itself: on Linux, with no second Python
+``both(nodes, here, there)`` returns ``(here(), there())``.  ``there`` runs
+in an ``os.fork()`` child, while ``here`` runs in this process, only when
+``forks(nodes)``, that is when a fork is safe and pays for itself: on
+Linux, in a process that is not itself such a child, with no second Python
 thread alive (a fork copies only the calling thread, so a lock another
 thread holds would stay held in the child), and with ``nodes``, the
 user-grid nodes of the caller's problem, at least ``FLOOR``.  Otherwise, or
-when the fork itself fails, ``fn`` runs inside ``join()``.  Either way the
-caller sees ``fn`` run after whatever it does between ``start`` and
-``join``: the child shares nothing with the caller but what ``fn`` writes
-to a shared mapping or a file set up before ``start``.
+when the fork itself fails, ``there`` runs in this process after ``here``.
+The child shares nothing with the caller but what ``there`` writes to a
+shared mapping or a file set up before the call.
 
 Only Python threads are counted.  A native thread the host started is not
 seen, and one that holds a lock at the fork (and registers no
 ``pthread_atfork`` handler, as OpenBLAS's pool does) would leave the child,
-and ``join`` with it, waiting for good.  Python 3.12 and later warn at a
+and ``both`` with it, waiting for good.  Python 3.12 and later warn at a
 fork while a second OS thread runs, a BLAS pool's included (a
 DeprecationWarning); the warning is left to the caller's filters.
 
-``join(cancel=True)`` is the caller's way out when its own part fails: the
-child is killed and reaped (or ``fn`` never runs) and None is returned.
-Every child is reaped before ``join`` returns or raises; one that ends
-without a result (killed by a signal, say) raises CharwaveError naming how
-it ended.  A result or error that cannot be pickled back (an instance of a
-locally defined exception class, say) raises CharwaveError instead, naming
-the error's type and message.
+One rule holds either way: ``here`` runs first.  When ``here`` raises
+anything (KeyboardInterrupt included), the child is killed and reaped, or
+``there`` never runs, and ``here``'s error propagates; so when both parts
+fail, ``here``'s error is the one raised.  Otherwise ``there``'s result is
+returned, or its exception raised again with the same type, ``args`` and
+attributes.  A result or error that cannot be pickled back (an instance of
+a locally defined exception class, say) raises CharwaveError instead,
+naming the error's type and message; a child that ends without a result
+(killed by a signal, say) raises CharwaveError naming how it ended.  Every
+child is reaped before ``both`` returns or raises, and a child never forks
+again, so no process outlives the call.
+
+Under a host that ignores SIGCHLD the kernel reaps the child itself.  The
+child writes its outcome whole before it exits, so a whole outcome is still
+taken; a missing or cut-off one raises CharwaveError saying that the exit
+status was reaped elsewhere.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pickle
+import signal
 import sys
 import threading
 
 from .errors import CharwaveError
 
-__all__ = ["forks", "start"]
+__all__ = ["both", "forks"]
 
 # A fork, the child's exit and the waitpid cost 2.0-2.6 ms on a 2-vCPU Xeon,
 # and each page the parent writes while the child lives is copied once.  A
@@ -46,43 +58,41 @@ __all__ = ["forks", "start"]
 # it).
 FLOOR = 12_000
 
-
-def _in_process(fn, args):
-    return lambda cancel=False: None if cancel else fn(*args)
+_in_child = False  # set in a forked child, which never forks again
 
 
 def forks(nodes: int) -> bool:
-    """Whether ``start`` runs ``fn`` in a child for a problem of ``nodes``
+    """Whether ``both`` runs ``there`` in a child for a problem of ``nodes``
     user-grid nodes (unless the fork itself fails)."""
     return (
         sys.platform.startswith("linux")
         and hasattr(os, "fork")
+        and not _in_child
         and threading.active_count() == 1
         and nodes >= FLOOR
     )
 
 
-def start(nodes: int, fn, *args):
-    """Start ``fn(*args)``; returns its ``join(cancel=False)``."""
+def both(nodes: int, here, there):
+    """``(here(), there())``, ``there`` in a forked child where ``forks(nodes)``."""
+    global _in_child
     if not forks(nodes):
-        return _in_process(fn, args)
-    import pickle
-    import signal
-
+        return here(), there()
     read, write = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: run in this one
         os.close(read)
         os.close(write)
-        return _in_process(fn, args)
+        return here(), there()
     if pid == 0:  # the child; it never returns
         code = 1
         try:
+            _in_child = True
             os.close(read)
             error = None
             try:
-                outcome = (True, fn(*args))
+                outcome = (True, there())
             except BaseException as e:
                 error = e
                 outcome = (False, (type(e), e.args, vars(e)))
@@ -99,33 +109,37 @@ def start(nodes: int, fn, *args):
         finally:
             os._exit(code)
     os.close(write)
-
-    def join(cancel: bool = False):
+    with open(read, "rb") as pipe:
         data = None
         try:
-            with open(read, "rb") as pipe:
-                if not cancel:
-                    data = pipe.read()
+            mine = here()
+            data = pipe.read()
         finally:
-            if data is None:  # cancelled or interrupted: the outcome is not wanted
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
-        if cancel:
-            return None
-        if status:  # the child writes its outcome whole, then exits 0
-            if os.WIFSIGNALED(status):
-                sig = os.WTERMSIG(status)
-                how = f"was killed by signal {sig} ({signal.strsignal(sig)})"
-            else:
-                how = f"exited with status {os.waitstatus_to_exitcode(status)}"
-            raise CharwaveError(f"the worker process {how} before it sent a result")
+            if data is None:  # here failed or was interrupted: there's outcome is not wanted
+                with contextlib.suppress(ProcessLookupError):  # reaped already
+                    os.kill(pid, signal.SIGKILL)
+            try:
+                status = os.waitpid(pid, 0)[1]
+            except ChildProcessError:  # SIGCHLD is ignored: the kernel reaped it
+                status = None
+    if status:  # the child writes its outcome whole, then exits 0
+        if os.WIFSIGNALED(status):
+            sig = os.WTERMSIG(status)
+            how = f"was killed by signal {sig} ({signal.strsignal(sig)})"
+        else:
+            how = f"exited with status {os.waitstatus_to_exitcode(status)}"
+        raise CharwaveError(f"the worker process {how} before it sent a result")
+    try:
         ok, value = pickle.loads(data)
-        if ok:
-            return value
-        kind, exc_args, attrs = value
-        exc = kind.__new__(kind, *exc_args)  # no __init__: it may not take args
-        exc.args = exc_args
-        exc.__dict__.update(attrs)
-        raise exc
-
-    return join
+    except (EOFError, pickle.UnpicklingError):  # cut off: only without a status
+        raise CharwaveError(
+            "the worker process's exit status was reaped elsewhere (SIGCHLD is "
+            "ignored) and it sent no whole result"
+        ) from None
+    if ok:
+        return mine, value
+    kind, exc_args, attrs = value
+    exc = kind.__new__(kind, *exc_args)  # no __init__: it may not take args
+    exc.args = exc_args
+    exc.__dict__.update(attrs)
+    raise exc

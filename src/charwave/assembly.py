@@ -37,7 +37,6 @@ from . import expr as ex
 from .cauchy import (
     GridParams,
     PicardParams,
-    PicardReport,
     ProblemSpec,
     RegionField,
     SolverGrid,
@@ -130,11 +129,11 @@ def solve(
 
     The diagnostics, the Lipschitz constant and the strip plan are resolved
     once and shared by all three region solves.  The two side solves share
-    nothing, so side 2 is started with ``_fork.start`` (in a child process
-    when that pays, see ``_fork``) and solved into a shared anonymous
-    mapping while side 1 solves here; only its PicardReport comes back.
-    Side 1 solves first either way, so its error is the one raised when
-    both sides fail.
+    nothing, so they are the two parts of ``_fork.both``: side 1 solves here
+    while side 2 solves into a shared anonymous mapping, in a child process
+    when that pays (see ``_fork``), and only its PicardReport comes back.
+    Side 1 is the caller's part, so its error is the one raised when both
+    sides fail.
     """
     import mmap
 
@@ -144,13 +143,12 @@ def solve(
     strips = plan_strips(sgrid, L, picard)
     buffer = mmap.mmap(-1, 3 * 8 * int(_row_starts(Region.Q2_STAR, sgrid)[-1]))
     w2 = np.frombuffer(buffer).reshape(3, -1)
-    join = _fork.start(sgrid.user_nodes, _side2_report, spec, sgrid, strips, picard, w2)
-    try:
-        field1 = solve_cauchy_region(spec, 1, sgrid, strips, picard)
-    except BaseException:
-        join(cancel=True)
-        raise
-    field2 = RegionField(region=Region.Q2_STAR, grid=sgrid, w=w2, report=join())
+    field1, report2 = _fork.both(
+        sgrid.user_nodes,
+        lambda: solve_cauchy_region(spec, 1, sgrid, strips, picard),
+        lambda: solve_cauchy_region(spec, 2, sgrid, strips, picard, out=w2).report,
+    )
+    field2 = RegionField(region=Region.Q2_STAR, grid=sgrid, w=w2, report=report2)
     traces = goursat_traces(spec, field1, field2, diagnostics)
     field3 = solve_goursat_region(spec, traces, strips, picard)
     return Solution(
@@ -164,11 +162,6 @@ def solve(
         traces=traces,
         diagnostics=diagnostics,
     )
-
-
-def _side2_report(spec, grid, strips, picard, out) -> PicardReport:
-    """Solve side 2 into ``out``; its report is all that is returned."""
-    return solve_cauchy_region(spec, 2, grid, strips, picard, out=out).report
 
 
 # --------------------------------------------------------------------------

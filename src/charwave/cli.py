@@ -16,9 +16,10 @@ range, JSON that Python's decoder cannot hold, a wave speed or a Picard
 ``converge --levels`` below 2, a window too narrow for any ``converge``
 probe, ``verify`` at nt below 4, a grid whose step or column count is not a
 finite positive number or whose arrays exceed physical memory, not enough
-free memory for the grid, a Lipschitz estimate, closed-form reference, audit
-measurement or audit tolerance that is not finite, and geometry errors such
-as a query outside the window), 2 interior iteration failed to converge or
+free memory for the grid, a Lipschitz estimate, ``converge`` reference
+value, audit measurement or audit tolerance that is not finite, a standard
+output closed before the command wrote to it, and geometry errors such as a
+query outside the window), 2 interior iteration failed to converge or
 its field left the floating-point range, 3 verification failed.  Every error
 prints one ``error:`` line instead of a traceback.
 
@@ -275,14 +276,15 @@ def write_csv(sol, path: str) -> None:
     ``_format17``: on linear_export seed 501 (1.78 M values, a 2-vCPU Xeon)
     that takes 0.59 s where one ``%.17g`` per value took 1.20 s.
 
-    Where ``_fork.forks`` says a child process pays, the levels from
-    (nt + 1) // 2 on are formatted by one (``_fork.start``) into a temporary
-    file while this process writes the header and the levels before them;
-    the temporary file is then copied on, so the bytes are those of one
-    pass.  It lies beside a regular output, on that disk rather than in
-    memory, and in tempfile's directory for any other output (a pipe, say).
-    Every OSError becomes a ConfigError; a failed write may leave a partial
-    file.
+    Where ``_fork.forks`` says a child process pays, the levels are written
+    in two halves by ``_fork.both``: this process writes the header and the
+    levels before (nt + 1) // 2, while a child formats the rest into a
+    temporary file; the temporary file is then copied on, so the bytes are
+    those of one pass.  It lies beside a regular output, on that disk
+    rather than in memory, and in tempfile's directory for any other output
+    (a pipe, say).  This process's half comes first, so its error is the one
+    raised when both halves fail.  Every OSError becomes a ConfigError; a
+    failed write may leave a partial file.
     """
     g = sol.grid
     xcells = [b"%.17g" % x for x in g.user_xs().tolist()]
@@ -300,13 +302,11 @@ def write_csv(sol, path: str) -> None:
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             half = (g.nt + 1) // 2
             with tempfile.TemporaryFile(dir=(os.path.dirname(path) or ".") if regular else None) as rest:
-                join = _fork.start(g.user_nodes, _write_levels, sol, tails, range(half, g.nt + 1), rest)
-                try:
-                    _write_levels(sol, tails, range(half), fh)
-                except BaseException:
-                    join(cancel=True)
-                    raise
-                join()
+                _fork.both(
+                    g.user_nodes,
+                    lambda: _write_levels(sol, tails, range(half), fh),
+                    lambda: _write_levels(sol, tails, range(half, g.nt + 1), rest),
+                )
                 rest.seek(0)
                 shutil.copyfileobj(rest, fh)
     except OSError as e:
@@ -435,7 +435,17 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as e:
+        # stdout's reader is gone: what is still buffered goes to devnull, so
+        # that the flush at exit fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {e}", file=sys.stderr)
+        return 1
     except NonConvergence as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

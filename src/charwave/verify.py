@@ -473,17 +473,18 @@ def convergence_study(
     levels.  Errors all at rounding level, relative to the reference and the
     field at the probes (``_EXACT_FLOOR``), are reported as exact (order None).
 
-    The reference is evaluated at the probes with ``_fork.start``, sized by
-    the user-grid nodes of all the levels, so in a forked child when that
-    pays, while the levels solve here (each level's ``solve`` forks its
-    side 2 in turn) and keep only their values at the probes.  What a
-    reference changes in memory there is not seen by the caller.
-    NotLinear (the oracle with f != 0), and the ConfigError of a level's
-    grid that ``solve`` would reject, are raised before anything runs.
-    When a solve raises, the reference is still waited for, and its error
-    takes precedence, as if it had been evaluated first; a
-    ``BaseException`` that is not an ``Exception`` (KeyboardInterrupt, say)
-    stops the reference instead.  No child outlives the call.
+    The levels solve in one part of ``_fork.both``, sized by the user-grid
+    nodes of all the levels, so in a forked child when that pays, and keep
+    only their values at the probes.  The reference is evaluated at the
+    probes in this process meanwhile, so a callable reference sees the
+    caller's state.  It is the caller's part, so it comes first: its error
+    (a DomainError naming the probe where a value is not finite, say) is
+    raised even when a solve fails too, and in process the reference is
+    evaluated before any solve.  A forked child never forks, so there each
+    level's ``solve`` runs its side 2 in process.  NotLinear (the oracle
+    with f != 0), and the ConfigError of a level's grid that ``solve``
+    would reject, are raised before anything runs.  No child outlives the
+    call.
     """
     # solve is looked up at call time, so that a wrapper installed on
     # assembly.solve (a tracer, say) sees the study's solves
@@ -504,24 +505,25 @@ def convergence_study(
         reference = partial(linear_oracle, spec)
     grids = [replace(grid, nt=grid.nt * 2**k) for k in range(levels)]
     nodes = sum(build_grid(spec, gp).user_nodes for gp in grids)
-    join = _fork.start(nodes, lambda: [float(reference(t, x)) for t, x in probes])
-    try:
+
+    def at_probes():
+        refs = []
+        for t, x in probes:
+            ref = float(reference(t, x))
+            if not math.isfinite(ref):
+                raise DomainError(f"the reference at (t={t}, x={x}) is not finite ({ref})")
+            refs.append(ref)
+        return refs
+
+    def solve_levels():
         solved = []  # (nt, u at each probe) of each level
         for gp in grids:
             sol = solve(spec, gp, picard)
             solved.append((gp.nt, [evaluate(sol, t, x)[0] for t, x in probes]))
             del sol  # free this level before the next, finer solve
-    except Exception:
-        # the reference's error comes first, as if it had run first
-        try:
-            join()
-        except Exception as failed:
-            raise failed from None
-        raise
-    except BaseException:
-        join(cancel=True)
-        raise
-    refs = join()
+        return solved
+
+    refs, solved = _fork.both(nodes, at_probes, solve_levels)
     scale = max([1.0, *map(abs, refs)])
     entries = []
     for nt_k, us in solved:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 
 import pytest
 
@@ -39,6 +40,17 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+@pytest.fixture
+def sigchld_ignored():
+    """SIGCHLD ignored for the test, as a host may leave it: the kernel then
+    reaps each child itself, and ``waitpid`` finds none."""
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, old)
 
 
 @pytest.fixture(autouse=True)

@@ -383,10 +383,17 @@ class TestSampleUserGrid:
             want[:, on] = field.at(level[on], offset[on])
         assert np.stack((u, p, q)).tobytes() == want.tobytes()
 
+def _same_solution(a, b) -> None:
+    for field in ("field1", "field2", "field3"):
+        fa, fb = getattr(a, field), getattr(b, field)
+        assert fa.w.tobytes() == fb.w.tobytes()
+        assert fa.report == fb.report
+
+
 class TestSideTwoInAChild:
-    """``solve`` starts side 2 with ``_fork.start``: in a child process at
-    ``_fork.FLOOR`` user nodes or more while no second thread runs, in this
-    one otherwise; the two give the same bits."""
+    """``solve`` solves side 2 as the second part of ``_fork.both``: in a
+    child process at ``_fork.FLOOR`` user nodes or more while no second
+    thread runs, in this one otherwise; the two give the same bits."""
 
     @pytest.mark.parametrize("name", [*CORPUS_NAMES, "bench_like"])
     def test_forked_solve_is_the_in_process_solve(self, monkeypatch, forks, name):
@@ -396,11 +403,16 @@ class TestSideTwoInAChild:
             monkeypatch.setattr(_fork, "FLOOR", floor)
             sols.append(solve(*problem))
         assert len(forks) == 1
-        forked, local = sols
-        for field in ("field1", "field2", "field3"):
-            a, b = getattr(forked, field), getattr(local, field)
-            assert a.w.tobytes() == b.w.tobytes()
-            assert a.report == b.report
+        _same_solution(*sols)
+
+    def test_forked_solve_with_sigchld_ignored(self, monkeypatch, forks, sigchld_ignored):
+        # the kernel reaps the child; its whole outcome is still taken
+        sols = []
+        for floor in (0, math.inf):
+            monkeypatch.setattr(_fork, "FLOOR", floor)
+            sols.append(solve(*bench_like()))
+        assert len(forks) == 1
+        _same_solution(*sols)
 
     @pytest.mark.parametrize(
         "data, picard, error, message",
@@ -439,7 +451,7 @@ class TestSideTwoInAChild:
 
         monkeypatch.setattr(_fork, "FLOOR", 0)
         with pytest.raises(type(error)) as err:
-            _fork.start(0, fail)()
+            _fork.both(0, lambda: None, fail)
         assert len(forks) == 1
         assert err.value.args == error.args and vars(err.value) == vars(error)
         assert str(err.value) == str(error)
@@ -455,21 +467,58 @@ class TestSideTwoInAChild:
 
         monkeypatch.setattr(_fork, "FLOOR", 0)
         with pytest.raises(CharwaveError) as err:
-            _fork.start(0, fail)()
+            _fork.both(0, lambda: None, fail)
         assert len(forks) == 1
         assert type(err.value) is CharwaveError
         assert f"{Local.__qualname__}: the reference broke" in str(err.value)
         assert "pickle" in str(err.value)
 
     def test_child_killed_by_a_signal(self, monkeypatch, forks):
-        def die(*args):
-            os.kill(os.getpid(), signal.SIGKILL)
+        real = assembly.solve_cauchy_region
 
-        monkeypatch.setattr(assembly, "_side2_report", die)
+        def side(spec, side, *args, **kwargs):
+            if side == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(spec, side, *args, **kwargs)
+
+        monkeypatch.setattr(assembly, "solve_cauchy_region", side)
         monkeypatch.setattr(_fork, "FLOOR", 0)
         with pytest.raises(CharwaveError, match="killed by signal 9"):
             solve(make_spec(), GP)
         assert len(forks) == 1
+
+    def test_child_killed_with_sigchld_ignored(self, monkeypatch, forks, sigchld_ignored):
+        # no wait status and no whole outcome: nothing tells what happened
+        def die():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        with pytest.raises(CharwaveError, match="reaped elsewhere"):
+            _fork.both(0, lambda: None, die)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("ignored", [False, True], ids=["default", "sigchld_ignored"])
+    def test_error_here_after_the_child_ended(self, monkeypatch, forks, ignored):
+        # the child has ended, and with SIGCHLD ignored has been reaped,
+        # before the caller's part fails: the kill and the reap find nothing
+        def late():
+            time.sleep(0.5)
+            raise NonConvergence("side 1 failed", last_update=1.0)
+
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN if ignored else signal.SIG_DFL)
+        try:
+            with pytest.raises(NonConvergence, match="side 1 failed"):
+                _fork.both(0, late, lambda: 42)
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+        assert len(forks) == 1
+
+    def test_a_child_never_forks(self, monkeypatch, forks):
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        assert _fork.both(0, lambda: None, lambda: _fork.forks(10**9)) == (None, False)
+        assert len(forks) == 1
+        assert _fork.forks(10**9)
 
     def test_side1_error_kills_the_child(self, monkeypatch, forks):
         # side 2 would take a minute; side 1's error stops and reaps it

@@ -264,9 +264,9 @@ class TestSolveCommand:
 
 
 class TestCsvHalves:
-    """``write_csv`` formats the levels from (nt + 1) // 2 on with
-    ``_fork.start``: in a child process at ``_fork.FLOOR`` user nodes or
-    more while no second thread runs, in this one otherwise."""
+    """``write_csv`` formats the levels from (nt + 1) // 2 on as the second
+    part of ``_fork.both``: in a child process at ``_fork.FLOOR`` user nodes
+    or more while no second thread runs, in this one otherwise."""
 
     @pytest.fixture
     def temporaries(self, monkeypatch):
@@ -285,6 +285,17 @@ class TestCsvHalves:
     def test_forked_csv_is_the_in_process_csv(self, tmp_path, monkeypatch, solved, forks, name):
         sol = solve(*bench_like()) if name == "bench_like" else solved[name]
         forks.clear()
+        out = []
+        for floor in (0, math.inf):
+            monkeypatch.setattr(_fork, "FLOOR", floor)
+            path = tmp_path / "out.csv"
+            cli.write_csv(sol, str(path))
+            out.append(path.read_bytes())
+        assert len(forks) == 1
+        assert out[0] == out[1]
+
+    def test_forked_csv_with_sigchld_ignored(self, tmp_path, monkeypatch, solved, forks, sigchld_ignored):
+        sol = solved["psi_step"]
         out = []
         for floor in (0, math.inf):
             monkeypatch.setattr(_fork, "FLOOR", floor)
@@ -778,26 +789,56 @@ class TestExitCodes:
         assert os.strerror(errno.ENOSPC) in err
 
 
-def test_module_entry_point(tmp_path):
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
+def _run_cli(argv, **kw):
+    """``python *argv`` in a subprocess that imports the same charwave as
+    this process, installed or not."""
     import charwave
 
-    # the child imports the same charwave as this process, installed or not
     src = str(pathlib.Path(charwave.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    cfg = write_cfg(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "charwave.cli", "classify", cfg, "--json"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.Popen([sys.executable, *argv], env={**os.environ, "PYTHONPATH": path}, **kw)
+
+
+@pytest.mark.parametrize("command", ["solve", "classify", "verify", "converge"])
+def test_closed_stdout_is_one_error_line(tmp_path, command):
+    # the reader closes stdout before the command prints: exit 1 and one
+    # error line, no traceback, also from the flush at exit
+    argv = [command, write_cfg(tmp_path), "--json"]
+    if command == "solve":
+        argv += ["-o", str(tmp_path / "out.csv")]
+    proc = _run_cli(["-m", "charwave.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err.splitlines() == [f"error: cannot write to stdout: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"]
+
+
+def test_cli_under_a_parent_that_ignores_sigchld(tmp_path, monkeypatch):
+    # SIGCHLD's ignored disposition survives execve: the forked side 2 and
+    # CSV half are reaped by the kernel, and the CSV has the in-process bytes
+    path = write_cfg(tmp_path, A=0.5, phi2="1", f="sin(u)", grid={"nt": 64})
+    spec, grid, picard = cli.load_config(path)
+    assert build_grid(spec, grid).user_nodes >= _fork.FLOOR
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    run = ("import os, signal, sys; signal.signal(signal.SIGCHLD, signal.SIG_IGN); "
+           "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
+    proc = _run_cli(["-c", run, "-m", "charwave.cli", "solve", path, "-o", str(got)],
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert out.startswith(b"wrote ")
+    monkeypatch.setattr(_fork, "FLOOR", math.inf)
+    cli.write_csv(solve(spec, grid, picard), str(want))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_module_entry_point(tmp_path):
+    proc = _run_cli(["-m", "charwave.cli", "classify", write_cfg(tmp_path), "--json"],
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=120)
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["case"] == "Continuous"
+    assert json.loads(out)["case"] == "Continuous"
 
 
 # --------------------------------------------------------------------------

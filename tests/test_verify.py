@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import os
+import select
 import threading
 import time
 import tracemalloc
@@ -391,18 +393,14 @@ class TestConvergence:
         assert len(held) == 3
 
     def test_reference_error_takes_precedence(self, monkeypatch):
-        # the reference's error wins, as if the reference had run before the
-        # solves, even when a solve fails first.  In process: the Event
-        # cannot cross into a child
+        # the reference is the caller's part, so in process it is evaluated
+        # before any solve: its error is raised and no level solves
         monkeypatch.setattr(_fork, "FLOOR", math.inf)
-        solve_level, solve_failed = assembly.solve, threading.Event()
+        solves = []
 
         def failing_solve(*args, **kw):
-            try:
-                return solve_level(*args, **kw)
-            except NonConvergence:
-                solve_failed.set()
-                raise
+            solves.append(args)
+            raise NonConvergence("a level failed", last_update=1.0)
 
         class ReferenceFailed(Exception):
             pass
@@ -411,7 +409,6 @@ class TestConvergence:
 
         def reference(t, x):
             if (t, x) == probes[-1]:
-                assert solve_failed.wait(timeout=10)
                 raise ReferenceFailed
             return 0.0
 
@@ -426,7 +423,7 @@ class TestConvergence:
                 probes=probes,
                 levels=2,
             )
-        assert solve_failed.is_set()
+        assert solves == []
         assert threading.active_count() == before
 
     def test_solve_error_when_the_reference_holds(self, monkeypatch, forks):
@@ -441,7 +438,7 @@ class TestConvergence:
                     reference=lambda t, x: 0.0,
                     levels=2,
                 )
-        assert len(forks) == 2  # forked: the reference and the first level's side 2
+        assert len(forks) == 1  # forked: the levels, whose solves then fork no more
         assert threading.active_count() == before
 
     def test_oracle_study_starts_no_thread(self):
@@ -454,8 +451,9 @@ class TestConvergence:
 
     @pytest.mark.parametrize("name", ["refine_like", "manufactured"])
     def test_forked_study_is_the_in_process_study(self, monkeypatch, forks, name):
-        # forked: the reference in one child, and each level's side 2 in
-        # another; no thread runs beside the solves either way
+        # forked: the levels in one child, which forks no side 2, while the
+        # reference runs here; no thread runs beside the solves either way
+        # (in the child the spy's AssertionError would be raised again here)
         if name == "refine_like":
             spec, grid, picard = refine_like()
             reference = None
@@ -470,7 +468,8 @@ class TestConvergence:
         threads, solve_level, seen = threading.active_count(), assembly.solve, []
 
         def spy(*args, **kw):
-            seen.append(threading.active_count())
+            assert threading.active_count() == threads
+            seen.append(os.getpid())
             return solve_level(*args, **kw)
 
         monkeypatch.setattr(assembly, "solve", spy)
@@ -482,48 +481,81 @@ class TestConvergence:
             )
         forked, local = studies
         assert json.dumps(forked) == json.dumps(local)  # repr of each float: its bits
-        assert len(forks) == 1 + levels
-        assert seen == [threads] * (2 * levels)
+        assert len(forks) == 1
+        assert seen == [os.getpid()] * levels  # the in-process study's; the child's stay there
         assert threading.active_count() == threads
 
+    def test_forked_study_with_sigchld_ignored(self, monkeypatch, forks, sigchld_ignored):
+        spec, grid, picard = refine_like()
+        studies = []
+        for floor in (0, math.inf):
+            monkeypatch.setattr(_fork, "FLOOR", floor)
+            studies.append(convergence_study(spec, grid, picard, levels=3).to_dict())
+        assert json.dumps(studies[0]) == json.dumps(studies[1])
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("floor", [0, math.inf], ids=["forked", "in_process"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_reference_gives_no_verdict(self, monkeypatch, forks, floor, bad):
+        # builtin max would drop a NaN and report the study exact
+        probes = ((0.5, 1.8), (0.75, -2.0))
+        monkeypatch.setattr(_fork, "FLOOR", floor)
+        with pytest.raises(DomainError, match=r"reference at \(t=0\.75, x=-2\.0\) is not finite"):
+            convergence_study(
+                make_spec(psi2="1"),
+                GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8),
+                reference=lambda t, x: bad if (t, x) == probes[-1] else 0.0,
+                probes=probes,
+                levels=2,
+            )
+        assert len(forks) == (floor == 0)
+
     def test_forked_reference_error_takes_precedence(self, monkeypatch, forks):
+        # the first level's solve fails in the child before the reference
+        # fails here; the reference's error is the one raised
         monkeypatch.setattr(_fork, "FLOOR", 0)
-        solve_level, solve_errors = assembly.solve, []
+        solve_level = assembly.solve
+        read, write = os.pipe()
 
         def failing_solve(*args, **kw):
             try:
                 return solve_level(*args, **kw)
-            except NonConvergence as e:
-                solve_errors.append(e)
+            except NonConvergence:
+                os.write(write, b"!")
                 raise
 
         def reference(t, x):
+            assert select.select([read], [], [], 10.0)[0], "no solve failed"
             raise DomainError(f"no reference at (t={t}, x={x})")
 
         monkeypatch.setattr(assembly, "solve", failing_solve)
-        with pytest.raises(DomainError, match="no reference") as err:
-            convergence_study(
-                make_spec(phi1="x", phi2="x", f="sin(u)", lipschitz=1.0),
-                GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8),
-                PicardParams(max_iter=1),
-                reference=reference,
-                levels=2,
-            )
-        assert len(solve_errors) == 1
-        assert err.value.__suppress_context__
-        assert len(forks) == 2  # the reference and the first level's side 2
+        try:
+            with pytest.raises(DomainError, match="no reference") as err:
+                convergence_study(
+                    make_spec(phi1="x", phi2="x", f="sin(u)", lipschitz=1.0),
+                    GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8),
+                    PicardParams(max_iter=1),
+                    reference=reference,
+                    levels=2,
+                )
+            assert os.read(read, 8) == b"!"  # one level solved, and failed
+        finally:
+            os.close(read)
+            os.close(write)
+        assert err.value.__context__ is None
+        assert len(forks) == 1  # the levels; the child forks no side 2
 
-    def test_interrupted_solve_stops_the_reference(self, monkeypatch, forks):
-        # the reference would take a minute; the interrupt kills and reaps it
-        # (the autouse no_child_left fixture checks that none is left)
-        def interrupted(*args, **kw):
-            raise KeyboardInterrupt
+    def test_interrupted_reference_stops_the_solves(self, monkeypatch, forks):
+        # the solves would take a minute; the interrupt kills and reaps
+        # their child (the autouse no_child_left fixture checks that none is
+        # left)
+        def slow(*args, **kw):
+            time.sleep(60.0)
 
         def reference(t, x):
-            time.sleep(60.0)
-            return 0.0
+            raise KeyboardInterrupt
 
-        monkeypatch.setattr(assembly, "solve", interrupted)
+        monkeypatch.setattr(assembly, "solve", slow)
         monkeypatch.setattr(_fork, "FLOOR", 0)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -531,6 +563,20 @@ class TestConvergence:
                 make_spec(), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8), reference=reference
             )
         assert time.monotonic() - started < 30.0
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_interrupted_solve_is_raised_again(self, monkeypatch, forks):
+        def interrupted(*args, **kw):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(assembly, "solve", interrupted)
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        with pytest.raises(KeyboardInterrupt):
+            convergence_study(
+                make_spec(), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8), reference=lambda t, x: 0.0
+            )
         assert len(forks) == 1
 
     def test_explicit_probes(self):

@@ -4,7 +4,8 @@ forked child process where that pays.
 ``both(nodes, here, there)`` returns ``(here(), there())``.  ``there`` runs
 in an ``os.fork()`` child, while ``here`` runs in this process, only when
 ``forks(nodes)``, that is when a fork is safe and pays for itself: on
-Linux, in a process that is not itself such a child, with no second Python
+Linux 5.3 or later (for pidfds, below), in a process that is not itself
+such a child, with no second Python
 thread alive (a fork copies only the calling thread, so a lock another
 thread holds would stay held in the child), and with ``nodes``, the
 user-grid nodes of the caller's problem, at least ``FLOOR``.  Otherwise, or
@@ -34,7 +35,9 @@ again, so no process outlives the call.
 Under a host that ignores SIGCHLD the kernel reaps the child itself.  The
 child writes its outcome whole before it exits, so a whole outcome is still
 taken; a missing or cut-off one raises CharwaveError saying that the exit
-status was reaped elsewhere.
+status was reaped elsewhere.  Such a reaped child's pid is free for another
+process to take, so the child is killed through a pidfd taken right after
+the fork, which names that child only, never by its pid.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import contextlib
 import os
 import pickle
 import signal
-import sys
 import threading
 
 from .errors import CharwaveError
@@ -61,12 +63,23 @@ FLOOR = 12_000
 _in_child = False  # set in a forked child, which never forks again
 
 
+def _has_pidfds() -> bool:
+    """Whether this kernel gives pidfds, which ``both`` kills a child through."""
+    try:
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError):  # not Linux 5.3 or later
+        return False
+    return True
+
+
+_PIDFDS = _has_pidfds()
+
+
 def forks(nodes: int) -> bool:
     """Whether ``both`` runs ``there`` in a child for a problem of ``nodes``
     user-grid nodes (unless the fork itself fails)."""
     return (
-        sys.platform.startswith("linux")
-        and hasattr(os, "fork")
+        _PIDFDS
         and not _in_child
         and threading.active_count() == 1
         and nodes >= FLOOR
@@ -108,16 +121,22 @@ def both(nodes: int, here, there):
             code = 0
         finally:
             os._exit(code)
-    os.close(write)
+    os.close(write)  # frees the descriptor the pidfd takes
+    try:
+        pidfd = os.pidfd_open(pid)
+    except ProcessLookupError:  # ended, and reaped by the kernel (SIGCHLD is ignored)
+        pidfd = None
     with open(read, "rb") as pipe:
         data = None
         try:
             mine = here()
             data = pipe.read()
         finally:
-            if data is None:  # here failed or was interrupted: there's outcome is not wanted
-                with contextlib.suppress(ProcessLookupError):  # reaped already
-                    os.kill(pid, signal.SIGKILL)
+            if pidfd is not None:
+                if data is None:  # here failed or was interrupted: there's outcome is not wanted
+                    with contextlib.suppress(ProcessLookupError):  # ended already
+                        signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+                os.close(pidfd)
             try:
                 status = os.waitpid(pid, 0)[1]
             except ChildProcessError:  # SIGCHLD is ignored: the kernel reaped it

@@ -473,21 +473,25 @@ def convergence_study(
     levels.  Errors all at rounding level, relative to the reference and the
     field at the probes (``_EXACT_FLOOR``), are reported as exact (order None).
 
-    The levels solve in one part of ``_fork.both``, sized by the user-grid
-    nodes of all the levels, so in a forked child when that pays, and keep
-    only their values at the probes.  The reference is evaluated at the
-    probes in this process meanwhile, so a callable reference sees the
-    caller's state.  It is the caller's part, so it comes first: its error
-    (a DomainError naming the probe where a value is not finite, say) is
-    raised even when a solve fails too, and in process the reference is
-    evaluated before any solve.  A forked child never forks, so there each
-    level's ``solve`` runs its side 2 in process.  NotLinear (the oracle
-    with f != 0), and the ConfigError of a level's grid that ``solve``
-    would reject, are raised before anything runs.  No child outlives the
-    call.
+    The reference is evaluated at the probes in this process, so a callable
+    reference sees the caller's state, and the levels keep only their values
+    at the probes.  The reference comes first: its error (a DomainError
+    naming the probe where a value is not finite, say) is raised even when a
+    solve fails too.  The oracle costs about as much as the solves, so it is
+    the caller's part of ``_fork.both``, sized by the user-grid nodes of all
+    the levels, and the levels solve in a forked child meanwhile when that
+    pays; a forked child never forks, so there each level's ``solve`` runs
+    its side 2 in process.  A given reference (an expression, say) is cheap
+    next to the solves: it is evaluated before any solve, and the levels
+    then solve in this process, each ``solve`` forking its side 2 where that
+    pays.  NotLinear (the oracle with f != 0), and the ConfigError of a
+    level's grid that ``solve`` would reject, are raised before anything
+    runs.  No child outlives the call.
     """
     # solve is looked up at call time, so that a wrapper installed on
-    # assembly.solve (a tracer, say) sees the study's solves
+    # assembly.solve (a tracer, say) is called; where the levels solve in a
+    # forked child it runs there, and what it records is not sent back
+    # (ROADMAP item 1)
     from .assembly import solve
 
     if levels < 2:
@@ -500,7 +504,8 @@ def convergence_study(
             f"no convergence probe fits in the window [{grid.x_lo}, {grid.x_hi}] "
             f"at nt={grid.nt}; widen the window or refine the grid"
         )
-    if reference is None:
+    oracle = reference is None
+    if oracle:
         _require_linear(spec)
         reference = partial(linear_oracle, spec)
     grids = [replace(grid, nt=grid.nt * 2**k) for k in range(levels)]
@@ -523,7 +528,10 @@ def convergence_study(
             del sol  # free this level before the next, finer solve
         return solved
 
-    refs, solved = _fork.both(nodes, at_probes, solve_levels)
+    if oracle:
+        refs, solved = _fork.both(nodes, at_probes, solve_levels)
+    else:
+        refs, solved = at_probes(), solve_levels()
     scale = max([1.0, *map(abs, refs)])
     entries = []
     for nt_k, us in solved:

@@ -498,20 +498,25 @@ class TestSideTwoInAChild:
         assert len(forks) == 1
 
     @pytest.mark.parametrize("ignored", [False, True], ids=["default", "sigchld_ignored"])
-    def test_error_here_after_the_child_ended(self, monkeypatch, forks, ignored):
+    def test_error_here_after_the_child_ended(self, request, monkeypatch, forks, ignored):
         # the child has ended, and with SIGCHLD ignored has been reaped,
-        # before the caller's part fails: the kill and the reap find nothing
+        # before the caller's part fails: the kill and the reap find nothing.
+        # A reaped child's pid may be another process's by then, so no signal
+        # goes by pid
+        if ignored:
+            request.getfixturevalue("sigchld_ignored")
+
         def late():
             time.sleep(0.5)
             raise NonConvergence("side 1 failed", last_update=1.0)
 
+        def kill(pid, sig):
+            raise AssertionError(f"signal {sig} sent to pid {pid}")
+
         monkeypatch.setattr(_fork, "FLOOR", 0)
-        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN if ignored else signal.SIG_DFL)
-        try:
-            with pytest.raises(NonConvergence, match="side 1 failed"):
-                _fork.both(0, late, lambda: 42)
-        finally:
-            signal.signal(signal.SIGCHLD, old)
+        monkeypatch.setattr(os, "kill", kill)
+        with pytest.raises(NonConvergence, match="side 1 failed"):
+            _fork.both(0, late, lambda: 42)
         assert len(forks) == 1
 
     def test_a_child_never_forks(self, monkeypatch, forks):

@@ -438,7 +438,9 @@ class TestConvergence:
                     reference=lambda t, x: 0.0,
                     levels=2,
                 )
-        assert len(forks) == 1  # forked: the levels, whose solves then fork no more
+        # forked: the first level's side 2, since with a given reference the
+        # levels solve here
+        assert len(forks) == 1
         assert threading.active_count() == before
 
     def test_oracle_study_starts_no_thread(self):
@@ -451,9 +453,11 @@ class TestConvergence:
 
     @pytest.mark.parametrize("name", ["refine_like", "manufactured"])
     def test_forked_study_is_the_in_process_study(self, monkeypatch, forks, name):
-        # forked: the levels in one child, which forks no side 2, while the
-        # reference runs here; no thread runs beside the solves either way
-        # (in the child the spy's AssertionError would be raised again here)
+        # forked with the oracle: the levels in one child, which forks no
+        # side 2, while the oracle runs here; with a given reference: the
+        # levels here after it, each forking its side 2.  No thread runs
+        # beside the solves either way (in the child the spy's
+        # AssertionError would be raised again here)
         if name == "refine_like":
             spec, grid, picard = refine_like()
             reference = None
@@ -481,8 +485,12 @@ class TestConvergence:
             )
         forked, local = studies
         assert json.dumps(forked) == json.dumps(local)  # repr of each float: its bits
-        assert len(forks) == 1
-        assert seen == [os.getpid()] * levels  # the in-process study's; the child's stay there
+        if reference is None:
+            assert len(forks) == 1
+            assert seen == [os.getpid()] * levels  # the in-process study's; the child's stay there
+        else:
+            assert len(forks) == levels
+            assert seen == [os.getpid()] * 2 * levels
         assert threading.active_count() == threads
 
     def test_forked_study_with_sigchld_ignored(self, monkeypatch, forks, sigchld_ignored):
@@ -494,48 +502,50 @@ class TestConvergence:
         assert json.dumps(studies[0]) == json.dumps(studies[1])
         assert len(forks) == 1
 
-    @pytest.mark.parametrize("floor", [0, math.inf], ids=["forked", "in_process"])
+    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "given"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_reference_gives_no_verdict(self, monkeypatch, forks, floor, bad):
-        # builtin max would drop a NaN and report the study exact
+    def test_non_finite_reference_gives_no_verdict(self, monkeypatch, forks, oracle, bad):
+        # builtin max would drop a NaN and report the study exact.  The
+        # oracle fails while the levels solve in a child, which is killed; a
+        # given reference fails before anything forks
         probes = ((0.5, 1.8), (0.75, -2.0))
-        monkeypatch.setattr(_fork, "FLOOR", floor)
+
+        def value(t, x):
+            return bad if (t, x) == probes[-1] else 0.0
+
+        monkeypatch.setattr(verify, "linear_oracle", lambda spec, t, x: value(t, x))
+        monkeypatch.setattr(_fork, "FLOOR", 0)
         with pytest.raises(DomainError, match=r"reference at \(t=0\.75, x=-2\.0\) is not finite"):
             convergence_study(
                 make_spec(psi2="1"),
                 GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8),
-                reference=lambda t, x: bad if (t, x) == probes[-1] else 0.0,
+                reference=None if oracle else value,
                 probes=probes,
                 levels=2,
             )
-        assert len(forks) == (floor == 0)
+        assert len(forks) == oracle
 
     def test_forked_reference_error_takes_precedence(self, monkeypatch, forks):
-        # the first level's solve fails in the child before the reference
-        # fails here; the reference's error is the one raised
+        # the first level's solve fails in the child before the oracle fails
+        # here; the oracle's error is the one raised
         monkeypatch.setattr(_fork, "FLOOR", 0)
-        solve_level = assembly.solve
         read, write = os.pipe()
 
         def failing_solve(*args, **kw):
-            try:
-                return solve_level(*args, **kw)
-            except NonConvergence:
-                os.write(write, b"!")
-                raise
+            os.write(write, b"!")
+            raise NonConvergence("a level failed", last_update=1.0)
 
-        def reference(t, x):
+        def oracle(spec, t, x):
             assert select.select([read], [], [], 10.0)[0], "no solve failed"
             raise DomainError(f"no reference at (t={t}, x={x})")
 
         monkeypatch.setattr(assembly, "solve", failing_solve)
+        monkeypatch.setattr(verify, "linear_oracle", oracle)
         try:
             with pytest.raises(DomainError, match="no reference") as err:
                 convergence_study(
-                    make_spec(phi1="x", phi2="x", f="sin(u)", lipschitz=1.0),
+                    make_spec(phi1="x", phi2="x"),
                     GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8),
-                    PicardParams(max_iter=1),
-                    reference=reference,
                     levels=2,
                 )
             assert os.read(read, 8) == b"!"  # one level solved, and failed
@@ -552,16 +562,15 @@ class TestConvergence:
         def slow(*args, **kw):
             time.sleep(60.0)
 
-        def reference(t, x):
+        def oracle(spec, t, x):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(assembly, "solve", slow)
+        monkeypatch.setattr(verify, "linear_oracle", oracle)
         monkeypatch.setattr(_fork, "FLOOR", 0)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            convergence_study(
-                make_spec(), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8), reference=reference
-            )
+            convergence_study(make_spec(), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8))
         assert time.monotonic() - started < 30.0
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
@@ -571,12 +580,11 @@ class TestConvergence:
         def interrupted(*args, **kw):
             raise KeyboardInterrupt
 
+        # in the levels' child, beside the oracle
         monkeypatch.setattr(assembly, "solve", interrupted)
         monkeypatch.setattr(_fork, "FLOOR", 0)
         with pytest.raises(KeyboardInterrupt):
-            convergence_study(
-                make_spec(), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8), reference=lambda t, x: 0.0
-            )
+            convergence_study(make_spec(), GridParams(T=1.0, x_lo=-3, x_hi=3, nt=8))
         assert len(forks) == 1
 
     def test_explicit_probes(self):

@@ -238,7 +238,7 @@ def sample_user_grid(sol: Solution, levels=slice(None)):
     the value arrays are read straight from the region fields at their own
     nodes (no interpolation).  On one level the columns of regions 1, 3 and
     2 are three blocks in x order, so a level is read as a slice of each
-    side's row and one gather from the wedge.
+    field's row.
     """
     g = sol.grid
     level = 2 * np.arange(g.nt + 1)[levels]

@@ -86,7 +86,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import ConfigError, DomainError, ExpressionError, NonConvergence
+from .errors import ConfigError, DomainError, NonConvergence
 from .geometry import Region, _as_float, _check_speed
 
 __all__ = [
@@ -179,11 +179,7 @@ class ProblemSpec:
             if not isinstance(src, str):
                 kind = type(src).__name__
                 raise ConfigError(f"{name} must be an expression string, got {kind}")
-            try:
-                exprs[name] = ex.parse(src, _SLOT_VARS[name])
-            except ExpressionError as err:
-                err.args = (f"{name}: {err}",)
-                raise
+            exprs[name] = ex.parse_named(name, src, _SLOT_VARS[name])
         return cls(a=a, x0=x0, A=A, lipschitz=lipschitz, **exprs)
 
     @property
@@ -249,7 +245,8 @@ class SolverGrid:
     plus three columns beyond the characteristics for one-sided jump
     extrapolation; a side's field keeps only part of them (``_runs``).  The
     wedge holds the nodes with |offset| <= level and offset = level
-    (mod 2).  ``RegionField`` reads its nodes by these coordinates.
+    (mod 2).  Every region's field stores its nodes level by level, and
+    ``RegionField`` reads them by these coordinates.
     """
 
     a: float
@@ -330,9 +327,9 @@ _BEYOND = 3
 def _runs(region: Region, grid: SolverGrid) -> tuple[np.ndarray, np.ndarray]:
     """The kept run of each row of a region, the columns [first, stop).
 
-    The wedge keeps every node: row s holds the n_levels + 1 - s nodes (s, r)
-    with s + r <= n_levels, columns r from 0.  A side's row i is level i,
-    over the side's offsets in increasing order as its columns; its run
+    In every region row i is level i.  The wedge keeps every node: row i
+    holds the i + 1 nodes at offsets -i, -i + 2, ..., i as its columns 0..i.
+    A side's columns are the side's offsets in increasing order; its run
     reaches from the characteristic (offset -i or i) out to _STENCIL offsets
     past the window's edge, or to _BEYOND offsets past the characteristic
     where that is farther, inside the level's sector of columns
@@ -340,7 +337,7 @@ def _runs(region: Region, grid: SolverGrid) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = np.arange(grid.n_levels + 1)
     if region is Region.Q3_STAR:
-        return np.zeros_like(rows), grid.n_levels + 1 - rows
+        return np.zeros_like(rows), rows + 1
     if region is Region.Q1_STAR:
         cols, n = 1 - grid.j1_min, grid.n_left
     else:
@@ -368,18 +365,19 @@ class RegionField:
     ``nodes`` and ``interpolate``.
 
     Storage: ``w`` holds each row's kept run (``_runs``) contiguously, row
-    after row, as the row table ``_row_starts`` lays them out.  A side's row
-    i is level i, over the side's offsets in increasing order; its solve
+    after row, as the row table ``_row_starts`` lays them out.  In every
+    region row i is level i: its column 0 sits at the region's origin, the
+    offset j1_min on side 1, 0 on side 2 and -i in the wedge, and its columns
+    step by 1 offset on a side and by 2 in the wedge.  A side's solve
     computes the level's whole sector but keeps only the run read
     afterwards, the window and 4 offsets past it joined to the
     characteristic and the 3 offsets beyond it, so a characteristic that
-    leaves the window keeps its strip.  The wedge keeps every node: its row
-    s holds the nodes (s, r), at level s + r and offset r - s.
+    leaves the window keeps its strip.  The wedge keeps every node: row i
+    holds the offsets -i, -i + 2, ..., i.
 
-    ``u``, ``p``, ``q`` and ``live`` are the rectangles around the rows,
-    (levels, cols) for a side and (s, r) for the wedge, built on each call:
-    ``live`` marks the stored nodes, and the planes are 0 off them.  Nothing
-    in the package reads them.
+    ``u``, ``p`` and ``q`` are the rectangles around the rows, (level,
+    column), built on each call and 0 off the stored nodes.  Nothing in the
+    package reads them; ``benchmarks/spans.py`` reads their shapes.
     """
 
     region: Region
@@ -404,9 +402,12 @@ class RegionField:
         return _row_starts(self.region, self.grid)
 
     @property
-    def _offset0(self) -> int:
-        """The offset of a side's column 0."""
-        return self.grid.j1_min if self.region is Region.Q1_STAR else 0
+    def _frame(self) -> tuple[int, int, int]:
+        """(origin, slope, step): row i's column 0 is the offset
+        origin + slope * i, and its columns step by ``step`` offsets."""
+        if self.region is Region.Q3_STAR:
+            return 0, -1, 2
+        return self.grid.j1_min if self.region is Region.Q1_STAR else 0, 0, 1
 
     def at(self, level, offset) -> np.ndarray:
         """(u, u_t, u_x) at the integer nodes (level, offset), shape (3,)
@@ -416,29 +417,25 @@ class RegionField:
 
     def at_level(self, level: int, offsets: range) -> np.ndarray:
         """(u, u_t, u_x) at the nodes (level, o) for o in ``offsets``, a range
-        of increasing offsets, shape (3, len(offsets)): a strided view of a
-        side's row, or one gather across the wedge's rows.  Raises
-        IndexError as ``at`` does."""
-        if self.region is Region.Q3_STAR or not offsets:
-            offset = np.arange(offsets.start, offsets.stop, offsets.step)
-            return self.w[:, self._index(level, offset)]
-        first, last = self._index(level, np.array([offsets[0], offsets[-1]]))
-        return self.w[:, first : last + 1 : offsets.step]
+        of increasing offsets, shape (3, len(offsets)): a strided view of the
+        level's row.  Raises IndexError as ``at`` does."""
+        if not offsets:
+            return self.w[:, :0]
+        # the ends and the second node, which a step off the row's columns
+        # does not store; a range of one node may have any step
+        index = self._index(level, np.array([*offsets[:2], offsets[-1]]))
+        return self.w[:, index[0] : index[-1] + 1 : offsets.step // self._frame[2] or 1]
 
     def _index(self, level, offset) -> np.ndarray:
         """The position in ``w`` of each node (level, offset), in the
         broadcast shape of the integer arguments; raises IndexError at a node
         the region does not store."""
         first, stop = self._runs
-        if self.region is Region.Q3_STAR:
-            row, col = (level - offset) // 2, (level + offset) // 2
-            stored = (np.abs(offset) <= level) & ((level - offset) % 2 == 0)
-        else:
-            row, col = level, offset - self._offset0
-            # the run of a row in range; a row out of range is refused below
-            r = np.clip(row, 0, self.grid.n_levels)
-            stored = (col >= first[r]) & (col < stop[r]) & (level >= 0)
-        stored = stored & (level <= self.grid.n_levels)
+        origin, slope, step = self._frame
+        # the row of a level in range; a level out of range is refused
+        row = np.clip(level, 0, self.grid.n_levels)
+        col, off_column = np.divmod(offset - origin - slope * row, step)
+        stored = (row == level) & (off_column == 0) & (col >= first[row]) & (col < stop[row])
         if not np.all(stored):
             level, offset, stored = np.broadcast_arrays(level, offset, stored)
             k = np.flatnonzero(~stored)[0]
@@ -454,25 +451,19 @@ class RegionField:
         starts = self._starts
         row = np.repeat(np.arange(starts.size - 1), np.diff(starts))
         col = np.arange(starts[-1]) - starts[row] + self._runs[0][row]
-        if self.region is Region.Q3_STAR:
-            return row + col, col - row
-        return row, col + self._offset0
-
-    @property
-    def live(self) -> np.ndarray:
-        """The rectangle around the rows, True on the stored nodes."""
-        first, stop = self._runs
-        if self.region is Region.Q3_STAR:
-            col = np.arange(first.size)
-        else:
-            col = np.arange(self.grid.region_xcols(self.region.value).size)
-        return (col >= first[:, None]) & (col < stop[:, None])
+        origin, slope, step = self._frame
+        return row, origin + slope * row + step * col
 
     def _rectangle(self, k: int) -> np.ndarray:
-        """Plane k (0 u, 1 u_t, 2 u_x) on the rectangle, 0 off the stored nodes."""
-        live = self.live
-        out = np.zeros(live.shape)
-        out[live] = self.w[k]
+        """Plane k (0 u, 1 u_t, 2 u_x) on the rectangle around the rows, 0
+        off the stored nodes."""
+        first, stop = self._runs
+        width = first.size  # the wedge's square
+        if self.region is not Region.Q3_STAR:
+            width = self.grid.region_xcols(self.region.value).size
+        col = np.arange(width)
+        out = np.zeros((first.size, width))
+        out[(col >= first[:, None]) & (col < stop[:, None])] = self.w[k]
         return out
 
     @property
@@ -515,7 +506,7 @@ class RegionField:
             # s0 + r0 = n_levels forces fs = fr = 0 (query on the top corner)
             return v00
         i_real = t / g.dt
-        c_real = (x - g.x0) / g.dx - self._offset0
+        c_real = (x - g.x0) / g.dx - self._frame[0]
         i0 = min(max(int(math.floor(i_real)), 0), m - 1)
         fi = i_real - i0
         # keep the 2x2 cell inside the kept runs of both rows i0 and i0+1;
@@ -526,7 +517,7 @@ class RegionField:
         c_hi = int(min(stop[i0], stop[i0 + 1])) - 2
         c0 = min(max(int(math.floor(c_real)), c_lo), c_hi)
         fc = c_real - c0
-        return _bilinear(self.at(i0 + _ROW, self._offset0 + c0 + _COL), fi, fc)
+        return _bilinear(self.at(i0 + _ROW, self._frame[0] + c0 + _COL), fi, fc)
 
 
 # --------------------------------------------------------------------------
@@ -556,9 +547,9 @@ def build_grid(spec: ProblemSpec, params: GridParams) -> SolverGrid:
     reach = max(2 * n_left + n_levels + 1, 2 * n_levels + 3)
     reach2 = max(2 * n_right + n_levels + 1, 2 * n_levels + 3)
     # bytes of (3, rows, cols) float arrays over the two sides' rectangles and
-    # the wedge's (s, r) rectangle: they bound both the stored fields and the
-    # u/p/q/live rectangles a reader can still ask for; an exact integer that
-    # may pass any float (hence Decimal below)
+    # the wedge's (level, column) square: they bound both the stored fields
+    # and the u/p/q rectangles a reader can still ask for; an exact integer
+    # that may pass any float (hence Decimal below)
     rows = n_levels + 1
     need = 24 * rows * (reach + 1 + reach2 + 1 + rows)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -381,7 +381,7 @@ def _cmd_converge(args) -> int:
     spec, grid, picard = load_config(args.config)
     reference = None
     if args.reference is not None:
-        exact = ex.parse(args.reference, ("t", "x"))
+        exact = ex.parse_named("--reference", args.reference, ("t", "x"))
         reference = lambda t, x: ex.evaluate(exact, {"t": t, "x": x})
     study = convergence_study(
         spec, grid, picard, reference=reference, levels=args.levels

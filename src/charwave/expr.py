@@ -56,6 +56,7 @@ import numpy as np
 from .errors import (
     ArityError,
     DomainError,
+    ExpressionError,
     ExprSyntaxError,
     MissingBinding,
     NotDifferentiable,
@@ -70,6 +71,7 @@ __all__ = [
     "BinOp",
     "Call",
     "parse",
+    "parse_named",
     "evaluate",
     "free_vars",
     "differentiate",
@@ -238,6 +240,16 @@ def parse(source: str, allowed_vars: Iterable[str]) -> Expr:
     if len(tokens) > MAX_DEPTH and _height(node) > MAX_DEPTH:
         raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels", 0)
     return node
+
+
+def parse_named(name: str, source: str, allowed_vars: Iterable[str]) -> Expr:
+    """``parse``, naming where ``source`` came from (``name``, an expression
+    slot or an option) at the start of an error's message."""
+    try:
+        return parse(source, allowed_vars)
+    except ExpressionError as err:
+        err.args = (f"{name}: {err}",)
+        raise
 
 
 # --------------------------------------------------------------------------

@@ -37,9 +37,10 @@ integral is a separable 2-D composite trapezoid evaluated by running prefix
 sums.  Bands of constant s + r are marched in time exactly like the cauchy
 strips, and every band's boundary nodes reproduce the traces identically
 (their integral prefix is empty).  The solve works in the packed rows that
-the field it returns stores, as ``RegionField`` lays them out: row s holds
-the nodes (s, r), r <= n_levels - s, and node (s, r) is entry
-starts[s] + r of the row table ``starts``.
+the field it returns stores, as ``RegionField`` lays them out: row l is
+level l, and holds its nodes (s, r) = (l - r, r) as entries starts[l] + r,
+r = 0..l, of the row table ``starts``.  So band (b, e] is the one run
+starts[b + 1]:starts[e + 1].
 
 A sweep of band (b, e] costs O(band nodes): the prefix sums along s and r
 of the nodes below the band are final, so each band resumes them from the
@@ -140,7 +141,7 @@ def goursat_traces(
 
 def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, e: int, base):
     """The parallelogram map on band (b, e] of the wedge, in place on ``W``,
-    the stacked (u, u_t, u_x) of the whole triangle.
+    the stacked (u, u_t, u_x) of the band's nodes.
 
     The band's prefix sums run over its levels l = s + r as columns, in two
     skewed layouts: (s, l), where jcol and the double integral U (sums along
@@ -160,9 +161,11 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     nodes, otherwise H does not depend on them and it returns the columns
     the last ``sweep(True)`` built.
 
-    ``W`` is the solve's (3, n_live) array of packed rows.  The band's nodes
-    are gathered from it and scattered back through one index, ``node``,
-    in the order of ``band``'s True entries.
+    ``W`` is the band's run of the solve's packed rows, (3, band nodes): the
+    levels b + 1..e, each with r rising, so s falling.  The (s, l) arrays
+    meet it through the mask ``stored`` on their flipped, transposed layout
+    (l, e - s), whose True entries visit the band's nodes in that order: f
+    reads ``W`` whole, and each candidate plane is written to it whole.
     """
     g = traces.grid
     a = g.a
@@ -170,23 +173,23 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     R, nb = e + 1, e - b
     idx = np.arange(R)[:, None]
     lev = np.arange(b, e + 1)
-    band = idx <= lev[1:]  # the band's nodes, columns 1..
     # no increment where a prefix starts (index == level: s = 0 for jrow,
     # r = 0 for jcol and U) or past the triangle
     skip = idx >= lev[1:]
     # (s, l) <-> (r, l): row c of column l takes row l - c; the rows past
     # the triangle keep their own
     flip = np.where(idx <= lev, lev - idx, idx) * (nb + 1) + np.arange(nb + 1)
-    s, j = np.nonzero(band)
-    r = b + 1 + j - s
-    env = {"t": (s + r) * g.dt, "x": g.x0 + (r - s) * g.dx}
-    # the entry of W at each band node (s, r)
-    node = _row_starts(Region.Q3_STAR, g)[s] + r
-    del s, j, r
+    # the band's nodes, s <= l, on the layout (l, e - s), columns 1..
+    stored = (e - idx <= lev[1:]).T
+    j, s = np.nonzero(stored)
+    level, s = b + 1 + j, e - s
+    env = {"t": level * g.dt, "x": g.x0 + (level - 2 * s) * g.dx}
+    del j, s, level
     F = ex.evaluate(spec.F, env)
-    # f reads the coordinates and state planes it names, gathered per sweep
-    reads = ex.free_vars(spec.f)
-    env = {v: env[v] for v in ("t", "x") if v in reads}
+    # f reads the coordinates and state planes it names; the planes are
+    # views of W, which each sweep writes in place
+    env = {**env, "u": W[0], "ut": W[1], "ux": W[2]}
+    env = {v: env[v] for v in ex.free_vars(spec.f)}
 
     def by_r(trace):  # a trace indexed by r, on the band's (s, l) layout
         return sliding_window_view(np.concatenate([np.zeros(nb), trace[:R]]), nb + 1)[::-1, 1:]
@@ -203,8 +206,7 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     last = []  # level e's columns of the last sweep, when f reads no state
 
     def integrals():
-        env.update((v, W[k][node]) for k, v in enumerate(("u", "ut", "ux")) if v in reads)
-        H[:, 1:][band] = F - ex.evaluate(spec.f, env)
+        H[::-1, 1:].T[stored] = F - ex.evaluate(spec.f, env)
         # int over y in [xi_s, x0] at fixed eta_r
         jrow = np.take(_cumtrapz_row(np.take(H, flip), hc, starts[0], skip), flip)
         jcol = _cumtrapz_row(H, hc, starts[1], skip)  # int over z in [x0, eta_r] at fixed xi_s
@@ -216,12 +218,10 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
         upd = []
 
         def put(k, new):
-            # through the row W[k]: a 1-D index is about twice as fast as W[k, node]
-            new, w = new[band], W[k]
-            d = w[node]
-            np.subtract(new, d, out=d)
+            new = new[::-1].T[stored]
+            d = np.subtract(new, W[k])
             upd.append(np.max(np.abs(d, out=d), initial=0.0))
-            w[node] = new
+            W[k] = new
 
         if feedback:
             sums = integrals()
@@ -295,14 +295,15 @@ def solve_goursat_region(
                 base = carry()  # of the band below, taken after its boundary was pinned
             # sweeps write only the band: the nodes below it are final, and
             # the candidates are not valid above it
-            sweep, carry = _wedge_map(spec, traces, W, lo, hi, base)
+            band = W[:, starts[lo + 1] : starts[hi + 1]]
+            sweep, carry = _wedge_map(spec, traces, band, lo, hi, base)
             norms += _picard(sweep, spec.f_reads_state, picard, f"wedge band [{b}, {e}]")
             # the converged candidates reproduce the traces only up to
             # rounding (they add and subtract the apex value); pin the
             # boundary exactly
             ks = np.arange(lo + 1, hi + 1)
             W[0, starts[ks]] = traces.gamma1[ks]  # nodes (ks, 0)
-            W[0, ks] = traces.gamma2[ks]  # nodes (0, ks)
+            W[0, starts[ks] + ks] = traces.gamma2[ks]  # nodes (0, ks)
         # one entry per planned band: a sub-banded sweep's update is the
         # largest of its parts'
         all_norms.append(tuple(norms) if spec.f_reads_state else (max(norms),))

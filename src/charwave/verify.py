@@ -475,18 +475,18 @@ def convergence_study(
 
     The reference is evaluated at the probes in this process, so a callable
     reference sees the caller's state, and the levels keep only their values
-    at the probes.  The reference comes first: its error (a DomainError
-    naming the probe where a value is not finite, say) is raised even when a
-    solve fails too.  The oracle costs about as much as the solves, so it is
-    the caller's part of ``_fork.both``, sized by the user-grid nodes of all
-    the levels, and the levels solve in a forked child meanwhile when that
-    pays; a forked child never forks, so there each level's ``solve`` runs
-    its side 2 in process.  A given reference (an expression, say) is cheap
-    next to the solves: it is evaluated before any solve, and the levels
-    then solve in this process, each ``solve`` forking its side 2 where that
-    pays.  NotLinear (the oracle with f != 0), and the ConfigError of a
-    level's grid that ``solve`` would reject, are raised before anything
-    runs.  No child outlives the call.
+    at the probes.  The reference comes first: its error is raised even when
+    a solve fails too.  A DomainError names the probe, where a value is not
+    finite or a given reference raised it.  The oracle costs about as much
+    as the solves, so it is the caller's part of ``_fork.both``, sized by
+    the user-grid nodes of all the levels, and the levels solve in a forked
+    child meanwhile when that pays; a forked child never forks, so there
+    each level's ``solve`` runs its side 2 in process.  A given reference
+    (an expression, say) is cheap next to the solves: it is evaluated before
+    any solve, and the levels then solve in this process, each ``solve``
+    forking its side 2 where that pays.  NotLinear (the oracle with
+    f != 0), and the ConfigError of a level's grid that ``solve`` would
+    reject, are raised before anything runs.  No child outlives the call.
     """
     # solve is looked up at call time, so that a wrapper installed on
     # assembly.solve (a tracer, say) is called; where the levels solve in a
@@ -514,7 +514,12 @@ def convergence_study(
     def at_probes():
         refs = []
         for t, x in probes:
-            ref = float(reference(t, x))
+            try:
+                ref = float(reference(t, x))
+            except DomainError as err:
+                if not oracle:  # the oracle's own error names the probe
+                    err.args = (f"the reference at (t={t}, x={x}): {err}",)
+                raise
             if not math.isfinite(ref):
                 raise DomainError(f"the reference at (t={t}, x={x}) is not finite ({ref})")
             refs.append(ref)

@@ -125,17 +125,22 @@ class TestSolveOrchestration:
     def test_dead_nodes_are_zero(self, solved, name):
         # a field stores its kept nodes and no other: the kept run of
         # offsets on a side's level i, the triangle s + r <= n_levels in the
-        # wedge; the rectangles built on demand are 0 off them
+        # wedge; the nodes just past either end of a level's run are refused
         sol = solved[name]
         rows = sol.grid.n_levels + 1
         for side, field in ((1, sol.field1), (2, sol.field2)):
             kept = sum(len(kept_offsets(sol.grid, side, i)) for i in range(rows))
             assert field.w.shape == (3, kept)
         assert sol.field3.w.shape == (3, rows * (rows + 1) // 2)
-        for field in (sol.field1, sol.field2, sol.field3):
-            assert field.live.sum() == field.w.shape[1]
-            for plane in (field.u, field.p, field.q):
-                assert not np.any(plane[~field.live])
+        for field, step in ((sol.field1, 1), (sol.field2, 1), (sol.field3, 2)):
+            level, offset = field.nodes()
+            assert len(set(zip(level.tolist(), offset.tolist()))) == field.w.shape[1]
+            first = np.flatnonzero(np.diff(level, prepend=-1))  # each level's first node
+            last = np.r_[first[1:], level.size] - 1
+            for lv, lo, hi in zip(level[first], offset[first], offset[last]):
+                for dead in (lo - step, hi + step):
+                    with pytest.raises(IndexError, match="stores no node"):
+                        field.at(lv, dead)
 
     def test_state_free_f_solves_in_one_sweep_per_band(self):
         # f reads t and x only: each band's first full sweep is the fixed

@@ -16,6 +16,7 @@ from charwave.cauchy import (
     ProblemSpec,
     _dal_rows,
     _picard,
+    _row_starts,
     build_grid,
     estimate_lipschitz,
     plan_strips,
@@ -23,6 +24,7 @@ from charwave.cauchy import (
     solve_cauchy_region,
 )
 from charwave.errors import ConfigError, InvalidSpeed, NonConvergence
+from charwave.geometry import Region
 
 from helpers import kept_offsets, load_problem, make_spec, solve_side, strip_plan
 
@@ -219,6 +221,8 @@ class TestRegionField:
                 signs = {1: (-1,), 2: (1,), 3: (-1, 1)}[side]
                 for sign in signs:
                     assert field.at(levels, sign * levels).shape == (3, levels.size)
+                # every region stores level after level
+                assert np.all(np.diff(level) >= 0)
                 if side == 3:
                     continue
                 # a side's offsets run along its columns, level 0 first; the
@@ -227,7 +231,21 @@ class TestRegionField:
                 np.testing.assert_array_equal(
                     g.x0 + g.dx * offset[level == 0], g.region_xcols(side)[kept]
                 )
-                assert np.all(np.diff(level) >= 0)
+
+    def test_wedge_rows_are_levels(self, solved):
+        # row l of the wedge holds the l + 1 nodes of level l, offsets -l to
+        # l in steps of 2, so the levels b+1..e of a band are one run of w
+        for sol in solved.values():
+            field = sol.field3
+            starts = _row_starts(Region.Q3_STAR, sol.grid)
+            level, offset = field.nodes()
+            for b, e in ((0, sol.grid.n_levels), *field.report.strips, (3, 5)):
+                run = slice(starts[b + 1], starts[e + 1])
+                want = [(l, o) for l in range(b + 1, e + 1) for o in range(-l, l + 1, 2)]
+                assert list(zip(level[run].tolist(), offset[run].tolist())) == want
+                want_level, want_offset = np.array(want).T
+                got = field.at(want_level, want_offset)
+                assert got.tobytes() == field.w[:, run].tobytes()
 
     def test_at_refuses_a_node_it_does_not_store(self, solved):
         # one column outside level 5's sector at either end of a side, a
@@ -275,8 +293,8 @@ class TestRegionField:
                     field.at_level(level, range(offset, offset + 1))
 
     def test_at_level_reads_what_at_reads(self, solved):
-        # a level's run of offsets read as one slice (sides) or one gather
-        # (wedge) holds the bits ``at`` reads node by node
+        # a level's run of offsets read as one strided view of its row holds
+        # the bits ``at`` reads node by node
         sol = solved["mixed_forcing"]
         g = sol.grid
         for level in (0, 1, 6, g.n_levels - 1, g.n_levels):
@@ -292,7 +310,7 @@ class TestRegionField:
                     want = field.at(np.full(len(offsets), level), np.array(offsets, np.int64))
                     assert got.shape == (3, len(offsets))
                     assert got.tobytes() == want.tobytes()
-                    if field is not sol.field3 and offsets:
+                    if offsets:
                         assert np.shares_memory(got, field.w)
 
     def test_at_level_refuses_a_node_it_does_not_store(self, solved):
@@ -304,34 +322,42 @@ class TestRegionField:
             (sol.field2, 5, range(6, g.j2_max - 3)),
             (sol.field3, 5, range(-7, 7, 2)),
             (sol.field3, 4, range(-3, 4, 2)),
+            (sol.field3, 4, range(-4, 5)),
         )
         for field, level, offsets in bad:
             with pytest.raises(IndexError, match=rf"region {field.region.value} stores no node"):
                 field.at_level(level, offsets)
+        # a step off the wedge's lattice names the first node it does not store
+        with pytest.raises(IndexError, match=r"\(level=4, offset=-3\)"):
+            sol.field3.at_level(4, range(-4, 5))
+        # one stored node needs no step
+        assert sol.field3.at_level(4, range(2, 3)).tobytes() == sol.field3.at(4, [2]).tobytes()
 
     def test_live_nodes_and_views(self):
+        # the rectangles u, p and q around the rows, which the benchmark's
+        # spans read: (level, column) with a side's columns its offsets and
+        # the wedge's the nodes of the level, 0 off the stored nodes
         sol = solve(make_spec(psi2="1"), GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
         g = sol.grid
-        for side, field in ((1, sol.field1), (2, sol.field2)):
-            rows, ncols = field.live.shape
-            assert (rows, ncols) == (g.n_levels + 1, g.region_xcols(side).size)
-            # the kept run of level i
-            assert field.live.sum() == sum(len(kept_offsets(g, side, i)) for i in range(rows))
-            kept = np.array(kept_offsets(g, side, 0)) - (g.j1_min if side == 1 else 0)
-            np.testing.assert_array_equal(np.flatnonzero(field.live[0]), kept)
-        n = g.n_levels + 1  # wedge nodes s + r <= n - 1
-        assert sol.field3.live.shape == (n, n)
-        assert sol.field3.live.sum() == n * (n + 1) // 2
-        assert sol.field3.live[:, 0].all() and sol.field3.live[0, :].all()
-        for field in (sol.field1, sol.field2, sol.field3):
-            assert field.w.shape == (3, field.live.sum())
+        n = g.n_levels + 1
+        for side, field in ((1, sol.field1), (2, sol.field2), (3, sol.field3)):
+            level, offset = field.nodes()
+            if side == 3:
+                shape, col = (n, n), (level + offset) // 2
+            else:
+                shape, col = (n, g.region_xcols(side).size), offset - (g.j1_min if side == 1 else 0)
+            live = np.zeros(shape, bool)
+            live[level, col] = True
+            assert field.w.shape == (3, live.sum())
             assert not field.w.flags.writeable
             # the rectangles are copies built on demand, 0 off the live nodes
             for k, plane in enumerate((field.u, field.p, field.q)):
-                assert plane.shape == field.live.shape
+                assert plane.shape == shape
                 assert not np.shares_memory(plane, field.w)
-                np.testing.assert_array_equal(plane[field.live], field.w[k])
-                assert not np.any(plane[~field.live])
+                np.testing.assert_array_equal(plane[level, col], field.w[k])
+                assert not np.any(plane[~live])
+        # the wedge's nodes (level, r), r <= level
+        np.testing.assert_array_equal(live, np.tril(np.ones((n, n), bool)))
         with pytest.raises(ValueError, match="region 1 stores"):
             replace(sol.field1, w=sol.field1.w[:, 1:])
 
@@ -423,9 +449,10 @@ class TestClosedForms:
     def test_zero_problem_in_one_sweep(self):
         spec = make_spec()
         field = solve_side(spec, 2, GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
-        assert np.all(field.u == 0.0)
-        assert np.all(field.p == 0.0)
-        assert np.all(field.q == 0.0)
+        u, p, q = field.w
+        assert np.all(u == 0.0)
+        assert np.all(p == 0.0)
+        assert np.all(q == 0.0)
         assert field.report.iterations == (1,)
 
     def test_quadratic_data_exact(self):
@@ -434,28 +461,26 @@ class TestClosedForms:
         spec = make_spec(a=a, phi2="x^2")
         field = solve_side(spec, 2, GridParams(T=1.0, x_lo=-4.0, x_hi=4.0, nt=8))
         g = field.grid
-        xs = g.region_xcols(2)
-        ts = g.dt * np.arange(g.n_levels + 1)
-        uex = xs[None, :] ** 2 + a * a * ts[:, None] ** 2
-        pex = 2.0 * a * a * ts[:, None] + 0.0 * xs[None, :]
-        qex = 2.0 * xs[None, :] + 0.0 * ts[:, None]
-        mask = field.live
-        assert np.max(np.abs((field.u - uex)[mask])) < 1e-10
-        assert np.max(np.abs((field.p - pex)[mask])) < 1e-10
-        assert np.max(np.abs((field.q - qex)[mask])) < 1e-10
+        level, offset = field.nodes()
+        xs = g.region_xcols(2)[offset]  # side 2's column j is offset j
+        ts = g.dt * level
+        uex = xs**2 + a * a * ts**2
+        pex = 2.0 * a * a * ts
+        qex = 2.0 * xs
+        u, p, q = field.w
+        assert np.max(np.abs(u - uex)) < 1e-10
+        assert np.max(np.abs(p - pex)) < 1e-10
+        assert np.max(np.abs(q - qex)) < 1e-10
 
     def test_constant_forcing_exact(self):
         # F = 1 with zero data: u = t^2/2, u_t = t, u_x = 0
         spec = make_spec(F="1")
         field = solve_side(spec, 1, GridParams(T=1.0, x_lo=-2.0, x_hi=2.0, nt=8))
-        g = field.grid
-        ts = g.dt * np.arange(g.n_levels + 1)
-        mask = field.live
-        uex = np.broadcast_to((ts * ts / 2.0)[:, None], field.u.shape)
-        pex = np.broadcast_to(ts[:, None], field.p.shape)
-        assert np.max(np.abs((field.u - uex)[mask])) < 1e-12
-        assert np.max(np.abs((field.p - pex)[mask])) < 1e-12
-        assert np.max(np.abs(field.q[mask])) < 1e-12
+        ts = field.grid.dt * field.nodes()[0]
+        u, p, q = field.w
+        assert np.max(np.abs(u - ts * ts / 2.0)) < 1e-12
+        assert np.max(np.abs(p - ts)) < 1e-12
+        assert np.max(np.abs(q)) < 1e-12
 
     def test_initial_rows_reproduce_data(self):
         spec = make_spec(phi2="sin(x)", psi2="cos(2*x)")
@@ -475,7 +500,7 @@ class TestClosedForms:
         spec = make_spec(psi2="cos(x)")
         field = solve_side(spec, 2, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
         g = field.grid
-        level, col = 10, 14  # interior sector node
+        level, col = 10, 14  # interior sector node; side 2's column j is offset j
         x = g.region_xcols(2)[col]
         t = level * g.dt
         lo, hi = x - g.a * t, x + g.a * t
@@ -484,9 +509,10 @@ class TestClosedForms:
         vals = np.cos(ys)
         direct = (vals[0] / 2 + vals[1:-1].sum() + vals[-1] / 2) * (hi - lo) / n_seg
         expected = direct / (2.0 * g.a)
-        assert field.u[level, col] == pytest.approx(expected, abs=1e-13)
+        u = field.at(level, col)[0]
+        assert u == pytest.approx(expected, abs=1e-13)
         closed = (math.sin(hi) - math.sin(lo)) / (2.0 * g.a)
-        assert field.u[level, col] == pytest.approx(closed, abs=5e-4)
+        assert u == pytest.approx(closed, abs=5e-4)
 
     def test_forcing_quadrature_second_order(self):
         # F = t*x with zero data: u = x t^3 / 6
@@ -497,11 +523,9 @@ class TestClosedForms:
                 spec, 2, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=nt)
             )
             g = field.grid
-            xs = g.region_xcols(2)
-            ts = g.dt * np.arange(g.n_levels + 1)
-            uex = xs[None, :] * ts[:, None] ** 3 / 6.0
-            mask = field.live
-            return np.max(np.abs((field.u - uex)[mask]))
+            level, offset = field.nodes()
+            uex = g.region_xcols(2)[offset] * (g.dt * level) ** 3 / 6.0
+            return np.max(np.abs(field.w[0] - uex))
 
         e1, e2 = err(8), err(16)
         assert e2 < e1
@@ -518,11 +542,9 @@ class TestNonlinear:
     def test_matches_manufactured_solution(self):
         field = solve_side(self.spec, 2, self.grid)
         g = field.grid
-        xs = g.region_xcols(2)
-        ts = g.dt * np.arange(g.n_levels + 1)
-        uex = np.sin(xs[None, :] - ts[:, None])
-        mask = field.live
-        assert np.max(np.abs((field.u - uex)[mask])) < 2e-3
+        level, offset = field.nodes()
+        uex = np.sin(g.region_xcols(2)[offset] - g.dt * level)
+        assert np.max(np.abs(field.w[0] - uex)) < 2e-3
 
     def test_fixed_point_residual_small(self):
         picard = PicardParams(tol=1e-10)
@@ -561,16 +583,23 @@ class TestNonlinear:
                 self.spec, 2, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=nt)
             )
             g = field.grid
-            inner = field.live
+            # the stored nodes on side 2's (level, offset) rectangle
+            inner = np.zeros((g.n_levels + 1, g.j2_max + 1), bool)
+            inner[field.nodes()] = True
             inner[0, :] = inner[-1, :] = False
             inner[:, 0] = inner[:, -1] = False
             # shave one more ring so every stencil stays in the sector
             core = inner & np.roll(inner, 1, 0) & np.roll(inner, -1, 0)
             core = core & np.roll(inner, 1, 1) & np.roll(inner, -1, 1)
-            dp = (field.u[2:, 1:-1] - field.u[:-2, 1:-1]) / (2 * g.dt) - field.p[1:-1, 1:-1]
-            dq = (field.u[1:-1, 2:] - field.u[1:-1, :-2]) / (2 * g.dx) - field.q[1:-1, 1:-1]
-            m = core[1:-1, 1:-1]
-            return np.max(np.abs(dp[m])), np.max(np.abs(dq[m]))
+            level, offset = np.nonzero(core)
+            _, p, q = field.at(level, offset)
+
+            def u(dl, do):
+                return field.at(level + dl, offset + do)[0]
+
+            dp = (u(1, 0) - u(-1, 0)) / (2 * g.dt) - p
+            dq = (u(0, 1) - u(0, -1)) / (2 * g.dx) - q
+            return np.max(np.abs(dp)), np.max(np.abs(dq))
 
         (p1, q1), (p2, q2) = errs(8), errs(16)
         assert p1 / p2 > 3.0
@@ -633,11 +662,11 @@ class TestMirrorSymmetry:
             for j in range(-g.n_levels, 1):
                 if j > -level:
                     continue
-                c1 = j - g.j1_min
-                c2 = -j
-                assert f1.u[level, c1] == pytest.approx(f2.u[level, c2], abs=1e-12)
-                assert f1.p[level, c1] == pytest.approx(f2.p[level, c2], abs=1e-12)
-                assert f1.q[level, c1] == pytest.approx(-f2.q[level, c2], abs=1e-12)
+                u1, p1, q1 = f1.at(level, j)
+                u2, p2, q2 = f2.at(level, -j)
+                assert u1 == pytest.approx(u2, abs=1e-12)
+                assert p1 == pytest.approx(p2, abs=1e-12)
+                assert q1 == pytest.approx(-q2, abs=1e-12)
 
 
 def _whole_band_map(spec, grid, x_cols, b, block):

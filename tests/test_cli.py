@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -514,7 +515,7 @@ class TestVerifyCommand:
         sol = solve(*cli.load_config(path))
         assert len(sol.field1.report.strips) > 1
         for field in (sol.field1, sol.field2, sol.field3):
-            assert np.all(field.u[field.live] == 2.0)
+            assert np.all(field.at(*field.nodes())[0] == 2.0)
         assert cli.main(["verify", path]) == 0
         assert "overall: PASS" in capsys.readouterr().out
 
@@ -587,6 +588,28 @@ class TestConvergeCommand:
         assert captured.err.startswith("error: the closed-form reference at (t=")
         assert captured.err.count("\n") == 1 and "Warning" not in captured.err
         assert "order" not in captured.out
+
+    @pytest.mark.parametrize(
+        "reference, message",
+        [
+            ("1e308*10+x", r"the reference at \(t=\S+, x=\S+\): expression produced a non-finite value"),
+            ("log(x)", r"the reference at \(t=\S+, x=-\S+\): log of a non-positive value"),
+            ("sin(y)", r"--reference: unknown variable 'y' \(at offset 4\)"),
+        ],
+        ids=["overflow", "log", "unknown-variable"],
+    )
+    def test_reference_error_names_the_flag_or_the_probe(
+        self, tmp_path, capsys, monkeypatch, forks, reference, message
+    ):
+        # one error line, exit 1, and nothing forks before a given reference
+        # is evaluated, though every level's side 2 would
+        monkeypatch.setattr(_fork, "FLOOR", 0)
+        argv = ["converge", write_cfg(tmp_path), "--levels", "2", "--reference", reference]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(f"error: {message}\n", captured.err)
+        assert captured.out == ""
+        assert forks == []
 
     def test_oracle_with_nonlinear_f_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, f="sin(u)", lipschitz=1.0)

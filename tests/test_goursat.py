@@ -23,6 +23,13 @@ def solve_wedge(spec, gp, picard=PicardParams()):
     return solve_goursat_region(spec, tr, strip_plan(spec, tr.grid, picard), picard), tr
 
 
+def lattice(field):
+    """(s, r) of each node the wedge ``field`` stores, in the order of
+    ``field.w``: node (s, r) is at level s + r and offset r - s."""
+    level, offset = field.nodes()
+    return (level - offset) // 2, (level + offset) // 2
+
+
 class TestTraces:
     def test_step_data_gives_constant_traces(self):
         spec = make_spec(phi1="0", phi2="1", A=1.0)
@@ -69,49 +76,44 @@ class TestWedgeSolve:
     def test_step_case_constant_wedge(self):
         spec = make_spec(phi1="0", phi2="1", A=1.0)
         field, _ = solve_wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
-        tri = field.live
-        assert np.max(np.abs(field.u[tri] - 1.0)) < 1e-13
-        assert np.max(np.abs(field.p[tri])) < 1e-13
-        assert np.max(np.abs(field.q[tri])) < 1e-13
+        u, p, q = field.w
+        assert np.max(np.abs(u - 1.0)) < 1e-13
+        assert np.max(np.abs(p)) < 1e-13
+        assert np.max(np.abs(q)) < 1e-13
 
     def test_psi_step_wedge_closed_form(self):
         # u = (x + a t)/2a in the wedge; on the lattice that is r*dt
         spec = make_spec(psi2="1")
         field, _ = solve_wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
-        g = field.grid
-        n = g.n_levels
-        idx = np.arange(n + 1)
-        uex = g.dt * np.broadcast_to(idx[None, :], field.u.shape)
-        tri = field.live
-        assert np.max(np.abs((field.u - uex)[tri])) < 1e-13
+        _, r = lattice(field)
+        u, p, q = field.w
+        assert np.max(np.abs(u - field.grid.dt * r)) < 1e-13
         # u_t = 1/2, u_x = 1/(2a) inside
-        assert np.max(np.abs(field.p[tri] - 0.5)) < 1e-12
-        assert np.max(np.abs(field.q[tri] - 0.5)) < 1e-12
+        assert np.max(np.abs(p - 0.5)) < 1e-12
+        assert np.max(np.abs(q - 0.5)) < 1e-12
 
     def test_constant_forcing_wedge_exact(self):
         spec = make_spec(F="1")
         field, _ = solve_wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
-        g = field.grid
-        n = g.n_levels
-        idx = np.arange(n + 1)
-        ts = g.dt * (idx[:, None] + idx[None, :])
-        tri = field.live
-        assert np.max(np.abs((field.u - ts * ts / 2.0)[tri])) < 1e-12
-        assert np.max(np.abs((field.p - ts)[tri])) < 1e-12
-        assert np.max(np.abs(field.q[tri])) < 1e-12
+        s, r = lattice(field)
+        ts = field.grid.dt * (s + r)
+        u, p, q = field.w
+        assert np.max(np.abs(u - ts * ts / 2.0)) < 1e-12
+        assert np.max(np.abs(p - ts)) < 1e-12
+        assert np.max(np.abs(q)) < 1e-12
 
     def test_apex_carries_assigned_value(self):
         spec = make_spec(phi1="0", phi2="1", A=0.3, F="t*x")
         field, _ = solve_wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
-        assert field.u[0, 0] == pytest.approx(0.3, abs=1e-12)
+        assert field.at(0, 0)[0] == pytest.approx(0.3, abs=1e-12)
 
     def test_boundary_rows_reproduce_traces_exactly(self):
         spec = make_spec(phi1="x", phi2="x^2", A=0.5, F="t*x", psi2="cos(x)")
         field, tr = solve_wedge(spec, GridParams(T=1.0, x_lo=-3.0, x_hi=3.0, nt=8))
         n = field.grid.n_levels
         lv = np.arange(n + 1)
-        np.testing.assert_array_equal(field.u[lv, 0], tr.gamma1)
-        np.testing.assert_array_equal(field.u[0, lv], tr.gamma2)
+        np.testing.assert_array_equal(field.at(lv, -lv)[0], tr.gamma1)  # nodes (lv, 0)
+        np.testing.assert_array_equal(field.at(lv, lv)[0], tr.gamma2)  # nodes (0, lv)
 
     def test_rectangle_integral_against_direct_sum(self):
         # for f = 0 the interior formula is boundary terms plus the double
@@ -139,7 +141,7 @@ class TestWedgeSolve:
             H = tt * xx + 1.0
             P = hc * hc * float(wi @ H @ wj)
             expected = tr.gamma1[s] + tr.gamma2[r] - spec.A + P / (4 * a * a)
-            assert field.u[s, r] == pytest.approx(expected, abs=1e-12)
+            assert field.at(s + r, r - s)[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestNonlinearWedge:
@@ -154,14 +156,7 @@ class TestNonlinearWedge:
 
     def test_matches_manufactured_solution(self):
         field, _ = self.wedge(32)
-        g = field.grid
-        n = g.n_levels
-        idx = np.arange(n + 1)
-        ts = g.dt * (idx[:, None] + idx[None, :])
-        xs = g.dx * (idx[None, :] - idx[:, None])
-        tri = field.live
-        err = np.max(np.abs((field.u - np.sin(xs - ts))[tri]))
-        assert err < 2e-3
+        assert self._sup_err(field) < 2e-3
 
     def test_stalled_iteration_raises(self):
         # the sides converge as usual; one sweep cannot settle a wedge band
@@ -185,17 +180,21 @@ class TestNonlinearWedge:
         def errs(nt):
             field, _ = self.wedge(nt)
             g = field.grid
-            n = g.n_levels
-            u, p, q = field.u, field.p, field.q
-            idx = np.arange(1, n)
-            ss, rr = np.meshgrid(idx, idx, indexing="ij")
-            keep = ss + rr <= n - 2  # diagonal neighbours stay in triangle
+            s, r = lattice(field)
+            keep = (s >= 1) & (r >= 1) & (s + r <= g.n_levels - 2)  # neighbours stay in triangle
+            s, r = s[keep], r[keep]
+            level, offset = s + r, r - s
+            _, p, q = field.at(level, offset)
+
+            def u(dl, do):
+                return field.at(level + dl, offset + do)[0]
+
             # t-derivative along (s,r) -> (s+1, r+1): dt step 2*dt
-            fd_p = (u[2:, 2:] - u[:-2, :-2]) / (4 * g.dt)
+            fd_p = (u(2, 0) - u(-2, 0)) / (4 * g.dt)
             # x-derivative along (s,r) -> (s-1, r+1): dx step 2*dx
-            fd_q = (u[:-2, 2:] - u[2:, :-2]) / (4 * g.dx)
-            ep = np.max(np.abs((fd_p - p[1:-1, 1:-1])[keep]))
-            eq = np.max(np.abs((fd_q - q[1:-1, 1:-1])[keep]))
+            fd_q = (u(0, 2) - u(0, -2)) / (4 * g.dx)
+            ep = np.max(np.abs(fd_p - p))
+            eq = np.max(np.abs(fd_q - q))
             return ep, eq
 
         (p1, q1), (p2, q2) = errs(8), errs(16)
@@ -206,19 +205,17 @@ class TestNonlinearWedge:
         # with continuous data the three pieces are one smooth field; the
         # wedge must agree with the global manufactured solution at the same
         # order as the side solves
-        e8 = self._sup_err(8)
-        e16 = self._sup_err(16)
+        e8 = self._sup_err(self.wedge(8)[0])
+        e16 = self._sup_err(self.wedge(16)[0])
         assert e8 / e16 > 3.0
 
-    def _sup_err(self, nt):
-        field, _ = self.wedge(nt)
+    @staticmethod
+    def _sup_err(field):
         g = field.grid
-        n = g.n_levels
-        idx = np.arange(n + 1)
-        ts = g.dt * (idx[:, None] + idx[None, :])
-        xs = g.dx * (idx[None, :] - idx[:, None])
-        tri = field.live
-        return np.max(np.abs((field.u - np.sin(xs - ts))[tri]))
+        s, r = lattice(field)
+        ts = g.dt * (s + r)
+        xs = g.dx * (r - s)
+        return np.max(np.abs(field.w[0] - np.sin(xs - ts)))
 
 
 def _cumtrapz_whole(values, h):
@@ -276,8 +273,8 @@ def _whole_block_map(spec, traces, b, block):
 def _whole_block_solve(spec, traces, strips, picard, feeds_back=None):
     """The wedge solve marched with whole-block sweeps: every sweep of band
     (b, e] rebuilds its prefix sums from the final nodes below the band.
-    Returns the stacked (u, u_t, u_x) on the triangle s + r <= n_levels, row
-    s after row s - 1, and the update norms per band; ``feeds_back``
+    Returns the stacked (u, u_t, u_x) on the square (3, s, r), nodes
+    s + r <= n_levels, and the update norms per band; ``feeds_back``
     overrides whether the Picard driver iterates."""
     if feeds_back is None:
         feeds_back = spec.f_reads_state
@@ -296,7 +293,13 @@ def _whole_block_solve(spec, traces, strips, picard, feeds_back=None):
         ks = np.arange(b + 1, e + 1)
         W[0, ks, 0] = traces.gamma1[ks]
         W[0, 0, ks] = traces.gamma2[ks]
-    return W[:, np.arange(n) < (n - np.arange(n))[:, None]], tuple(norms)
+    return W, tuple(norms)
+
+
+def _at_nodes(W, field):
+    """The square ``W`` (3, s, r) read at the nodes that the wedge ``field``
+    stores, in the order of ``field.w``."""
+    return W[(slice(None), *lattice(field))]
 
 
 class TestWedgeKernel:
@@ -305,7 +308,7 @@ class TestWedgeKernel:
         field = sol.field3
         ref, norms = _whole_block_solve(sol.spec, sol.traces, field.report.strips, sol.picard)
         # bit for bit, signed zeros included
-        np.testing.assert_array_equal(field.w.view(np.uint64), ref.view(np.uint64))
+        np.testing.assert_array_equal(field.w.view(np.uint64), _at_nodes(ref, field).view(np.uint64))
         assert field.report.update_norms == norms
 
     @pytest.mark.parametrize("name, n_strips", [("manufactured", 6), ("mixed_forcing", 1)])
@@ -340,7 +343,7 @@ class TestWedgeKernel:
             spec, sol.traces, field.report.strips, sol.picard, feeds_back=True
         )
         assert all(band[-1] == 0.0 for band in norms)
-        np.testing.assert_array_equal(ref.view(np.uint64), field.w.view(np.uint64))
+        np.testing.assert_array_equal(_at_nodes(ref, field).view(np.uint64), field.w.view(np.uint64))
 
     def test_state_free_single_band_is_sub_banded_with_its_bits(self):
         # f reads t and x only and L = 0: one planned band, one norm, its

@@ -98,8 +98,8 @@ def diagnose(spec: ProblemSpec) -> Diagnostics:
     """One-sided limits of phi at x0, jump constants and case; comparisons
     are exact.  With A the midpoint the assembled formula has no indicator
     term (the generalized d'Alembert representation holds)."""
-    p1 = float(ex.evaluate(spec.phi1, {"x": spec.x0}))
-    p2 = float(ex.evaluate(spec.phi2, {"x": spec.x0}))
+    p1 = float(ex.evaluate_named("phi1", spec.phi1, {"x": spec.x0}))
+    p2 = float(ex.evaluate_named("phi2", spec.phi2, {"x": spec.x0}))
     midpoint = spec.A == 0.5 * (p1 + p2)
     if p1 == spec.A and p2 == spec.A:
         case = CaseKind.CONTINUOUS

@@ -63,14 +63,17 @@ of the window, but stores only its kept run: the window widened by the
 audit's residual stencil, joined to the characteristic and the offsets
 beyond it that the wedge traces and the jump extrapolation read.  The runs
 are packed contiguously, level after level.  The row buffers of a sweep (G,
-the ray and triangle integrals, the new row) are full-width and few.
+the ray and triangle integrals, the new row) are full-width and few.  Every
+sweep stores each row it forms, its kept run and, for the band's top row,
+the sector that anchors the next band; the last sweep of a band leaves its
+fixed point.
 
 Memory: when f reads no state every band is swept once, and the sweep forms
-each row's d'Alembert part and F as it reaches the row, in row buffers, and
-stores the row's kept run, so a side solve holds little more than its kept
-array.  A band swept many times iterates in one reused buffer of sector
-rows, forms its d'Alembert parts and F once, one array per row, and stores
-its kept runs once it has converged.
+each row's d'Alembert part and F as it reaches the row, in row buffers, so
+a side solve holds little more than its kept array.  A band swept many
+times also keeps its rows between the anchor and the top in one reused
+buffer of sector rows, which f reads, and forms their d'Alembert parts and
+F once, one array per row.
 """
 
 from __future__ import annotations
@@ -619,8 +622,9 @@ def estimate_lipschitz(spec: ProblemSpec, grid: SolverGrid) -> float:
     hi = grid.x0 + grid.j2_max * grid.dx
     xs_l = np.linspace(lo, grid.x0, 33)
     xs_r = np.linspace(grid.x0, hi, 33)
-    data = ((spec.phi1, xs_l), (spec.psi1, xs_l), (spec.phi2, xs_r), (spec.psi2, xs_r))
-    m = max(0.0, *(float(np.abs(ex.evaluate(e, {"x": xs})).max()) for e, xs in data))
+    data = (("phi1", xs_l), ("psi1", xs_l), ("phi2", xs_r), ("psi2", xs_r))
+    values = (ex.evaluate_named(slot, getattr(spec, slot), {"x": xs}) for slot, xs in data)
+    m = max(0.0, *(float(np.abs(v).max()) for v in values))
     R = 1.0 + 2.0 * m
     us = np.linspace(-R, R, 5)
     # an open mesh: each evaluation broadcasts over the axes f reads alone
@@ -712,9 +716,11 @@ def _dal_rows(a: float, dt: float, Wb: np.ndarray):
 def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, rows, kept):
     """The fixed-point map on the band of levels b..b+nb.  Row m of ``rows``
     is the (3, k) stacked (u, u_t, u_x) of level b+m's sector, the columns
-    [b+m, ncols-1-b-m] of ``x_cols``; the band is anchored at its bottom row
-    ``rows[0]``.  ``kept[m]`` is (dest, run): level b+m's kept run, the
-    columns ``run``, is stored in the array ``dest``.
+    [b+m, ncols-1-b-m] of ``x_cols``, or None where the band holds no such
+    row; the band is anchored at its bottom row ``rows[0]``, and its top row
+    ``rows[nb]`` is the next band's anchor.  ``kept[m]`` is (dest, run):
+    level b+m's kept run, the columns ``run``, is stored in the array
+    ``dest``.
 
     Returns ``sweep(feedback)``, one application of the map on the rows
     1..nb: the recurrences for row m read rows m-1 and m-2 on their own
@@ -723,14 +729,14 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, r
     False), then the row is formed from its d'Alembert part and the running
     I+, I- and D.  The sweep returns the largest update over the sectors.
 
-    When f reads state the band is swept many times: rows 1..nb are a band
-    buffer that each sweep rewrites, the caller stores their kept runs once
-    the band has converged, and the d'Alembert rows and F are formed once,
-    one array per row.  Otherwise the band is swept once and no row is read
-    back: each row's d'Alembert part and F are formed into row buffers as
-    the sweep reaches the row, its update is taken over its sector against
-    the 0 it replaces, and only its kept run is stored; rows 1..nb-1 are
-    unused and ``rows[nb]`` receives the top sector, the next band's anchor.
+    One rule stores every row the sweep forms: its update is taken over its
+    sector, against ``rows[m]`` when f reads state and against 0 otherwise,
+    its kept run is written to ``dest``, and its sector to ``rows[m]``
+    where the band holds one.  When f reads state the band is swept many
+    times, ``rows`` holds every row, and the d'Alembert rows and F are
+    formed once, one array per row.  Otherwise the band is swept once, only
+    the top row is held, and each row's d'Alembert part and F are formed
+    into row buffers as the sweep reaches the row.
     """
     a, dt = grid.a, grid.dt
     nb = len(rows) - 1
@@ -743,14 +749,14 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, r
     ts = dt * np.arange(b, b + nb + 1)
 
     def forcing(m: int):
-        return ex.evaluate(spec.F, {"t": ts[m], "x": x_cols[cols[m][1]]})
+        return ex.evaluate_named("F", spec.F, {"t": ts[m], "x": x_cols[cols[m][1]]})
 
     iterated = spec.f_reads_state
     if iterated:
         # swept many times: form each row's d'Alembert part and F once
-        planes = [dal(m, np.empty_like(row)) for m, row in enumerate(rows)]
+        planes = [dal(m, np.empty_like(row)) for m, row in enumerate(rows) if m]
         Fg = [forcing(m) for m in range(nb + 1)]
-        dal = lambda m, out: planes[m]
+        dal = lambda m, out: planes[m - 1]
         forcing = lambda m: Fg[m]
     half, area, two_a = 0.5 * dt, dt * (a * dt), 2.0 * a
     # G and the running ray integrals keep rows m-1 and m, the triangle
@@ -771,7 +777,7 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, r
         env = {"t": ts[m], "x": x_cols[c]}
         if iterated:
             env.update(zip(("u", "ut", "ux"), rows[m]))
-        np.subtract(forcing(m), ex.evaluate(spec.f, env), out=g[c])
+        np.subtract(forcing(m), ex.evaluate_named("f", spec.f, env), out=g[c])
         return g
 
     def sweep(feedback: bool) -> float:
@@ -792,15 +798,12 @@ def _band_map(spec: ProblemSpec, grid: SolverGrid, x_cols: np.ndarray, b: int, r
             np.add(base[0], d[c] / two_a, out=new[0, c])
             np.add(base[1], 0.5 * (ip[c] + im[c]), out=new[1, c])
             np.add(base[2], (im[c] - ip[c]) / two_a, out=new[2, c])
-            if iterated:
-                upd[m] = abs(new[:, c] - rows[m]).max(initial=0.0)
-                rows[m][...] = new[:, c]
-            else:
-                upd[m] = abs(new[:, c]).max(initial=0.0)
-                dest, run = kept[m]
-                dest[...] = new[:, run]
-        if not iterated:
-            rows[nb][...] = new[:, cols[nb][1]]
+            sector = new[:, c]
+            upd[m] = abs(sector - rows[m] if iterated else sector).max(initial=0.0)
+            dest, run = kept[m]
+            dest[...] = new[:, run]
+            if rows[m] is not None:
+                rows[m][...] = sector
         return float(upd.max())
 
     return sweep
@@ -860,7 +863,11 @@ def solve_cauchy_region(
     """Solve the one-sided Cauchy problem on sector ``side`` (1 left, 2 right)
     by Picard iteration, marching the bands ``strips`` of :func:`plan_strips`.
 
-    ``out``, if given, is a zeroed float64 array of the field's shape,
+    Each band's sweep stores the kept runs of the rows it forms and the
+    sector of its top row, the next band's anchor, in one of two full-width
+    anchor rows; when f reads state, the rows between a band's anchor and
+    its top live in one band buffer that every band reuses.  ``out``, if
+    given, is a zeroed float64 array of the field's shape,
     (3, ``_row_starts(region, grid)[-1]``), that the field is solved into."""
     if side not in (1, 2):
         raise ConfigError(f"side must be 1 or 2, got {side!r}")
@@ -875,34 +882,30 @@ def solve_cauchy_region(
     # the bands' anchors, each level b's sector in the columns [b, ncols-1-b]
     # of a full-width row: two, as a band writes the next band's anchor
     anchors = np.empty((2, 3, ncols))
-    phi, psi = (spec.phi1, spec.psi1) if side == 1 else (spec.phi2, spec.psi2)
-    for k, e in enumerate((phi, psi, ex.differentiate(phi, "x"))):
-        anchors[0, k] = ex.evaluate(e, {"x": x_cols})
+    phi, psi = f"phi{side}", f"psi{side}"
+    data = {phi: getattr(spec, phi), psi: getattr(spec, psi)}
+    data[phi + "'"] = ex.differentiate(data[phi], "x")
+    for k, (name, e) in enumerate(data.items()):
+        anchors[0, k] = ex.evaluate_named(name, e, {"x": x_cols})
     dest, run = kept[0]
     dest[...] = anchors[0][:, run]
     iterated = spec.f_reads_state
-    # the lengths of each band's sector rows 1..nb
-    lengths = [ncols - 2 * np.arange(b + 1, e + 1) for b, e in strips]
+    # the lengths of each band's sector rows between its anchor and its top
+    lengths = [ncols - 2 * np.arange(b + 1, e) for b, e in strips]
     if iterated:
         band = np.empty((3, max(n.sum() for n in lengths)))  # the band buffer
     all_norms = []
     for k, (b, e) in enumerate(strips):
         rows = [anchors[k % 2][:, b : ncols - b]]
-        top = anchors[(k + 1) % 2][:, e : ncols - e]
+        top = anchors[(k + 1) % 2][:, e : ncols - e]  # the next band's anchor
         if iterated:
-            ends = np.cumsum(lengths[k])
-            band[:, : ends[-1]] = 0.0
-            rows += [band[:, lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+            ends = np.cumsum([0, *lengths[k]])
+            band[:, : ends[-1]] = top[...] = 0.0
+            rows += [band[:, lo:hi] for lo, hi in zip(ends, ends[1:])]
         else:
-            rows += [None] * (e - b - 1) + [top]
-        sweep = _band_map(spec, grid, x_cols, b, rows, kept[b : e + 1])
+            rows += [None] * (e - b - 1)
+        sweep = _band_map(spec, grid, x_cols, b, [*rows, top], kept[b : e + 1])
         all_norms.append(_picard(sweep, iterated, picard, f"band [{b}, {e}]"))
         del sweep  # and its band-size planes, before the next band forms its own
-        if iterated:
-            # store the converged rows' kept runs; the top row anchors the next band
-            for i, row in enumerate(rows[1:], b + 1):
-                dest, run = kept[i]
-                dest[...] = row[:, run.start - i : run.stop - i]
-            top[...] = rows[-1]
     report = PicardReport(strips=tuple(strips), update_norms=tuple(all_norms))
     return RegionField(region=region, grid=grid, w=W, report=report)

@@ -73,6 +73,7 @@ __all__ = [
     "parse",
     "parse_named",
     "evaluate",
+    "evaluate_named",
     "free_vars",
     "differentiate",
 ]
@@ -248,6 +249,17 @@ def parse_named(name: str, source: str, allowed_vars: Iterable[str]) -> Expr:
     try:
         return parse(source, allowed_vars)
     except ExpressionError as err:
+        err.args = (f"{name}: {err}",)
+        raise
+
+
+def evaluate_named(name: str, expr: Expr, env: Mapping[str, object]):
+    """``evaluate``, naming where ``expr`` came from (``name``, an expression
+    slot) at the start of a DomainError's message.  ``evaluate`` is looked up
+    at each call, so a wrapper installed on it sees every evaluation."""
+    try:
+        return evaluate(expr, env)
+    except DomainError as err:
         err.args = (f"{name}: {err}",)
         raise
 

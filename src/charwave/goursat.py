@@ -185,7 +185,7 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     level, s = b + 1 + j, e - s
     env = {"t": level * g.dt, "x": g.x0 + (level - 2 * s) * g.dx}
     del j, s, level
-    F = ex.evaluate(spec.F, env)
+    F = ex.evaluate_named("F", spec.F, env)
     # f reads the coordinates and state planes it names; the planes are
     # views of W, which each sweep writes in place
     env = {**env, "u": W[0], "ut": W[1], "ux": W[2]}
@@ -206,7 +206,7 @@ def _wedge_map(spec: ProblemSpec, traces: GoursatTraces, W: np.ndarray, b: int, 
     last = []  # level e's columns of the last sweep, when f reads no state
 
     def integrals():
-        H[::-1, 1:].T[stored] = F - ex.evaluate(spec.f, env)
+        H[::-1, 1:].T[stored] = F - ex.evaluate_named("f", spec.f, env)
         # int over y in [xi_s, x0] at fixed eta_r
         jrow = np.take(_cumtrapz_row(np.take(H, flip), hc, starts[0], skip), flip)
         jcol = _cumtrapz_row(H, hc, starts[1], skip)  # int over z in [x0, eta_r] at fixed xi_s
@@ -282,7 +282,8 @@ def solve_goursat_region(
     # the first band's base: H = F - f at the vertex, with empty prefixes
     zero = np.zeros(1)
     env = {"t": zero, "x": g.x0 + zero, "u": W[0, :1], "ut": W[1, :1], "ux": W[2, :1]}
-    base = (ex.evaluate(spec.F, env) - ex.evaluate(spec.f, env), [-0.0], [-0.0], [-0.0])
+    H = ex.evaluate_named("F", spec.F, env) - ex.evaluate_named("f", spec.f, env)
+    base = (H, [-0.0], [-0.0], [-0.0])
     all_norms = []
     for b, e in strips:
         # without feedback the band's single sweep is marched in sub-bands

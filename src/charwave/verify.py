@@ -168,8 +168,8 @@ def _residuals(sol: Solution) -> tuple[float, int, float]:
         u_tt = _second_difference(field.at(lv - k, off)[0], u, field.at(lv + k, off)[0], k * g.dt)
         u_xx = _second_difference(field.at(lv, off - k)[0], u, field.at(lv, off + k)[0], k * g.dx)
         t, x = lv * g.dt, g.x0 + off * g.dx
-        f = ex.evaluate(spec.f, {"t": t, "x": x, "u": u, "ut": p, "ux": q})
-        F = ex.evaluate(spec.F, {"t": t, "x": x})
+        f = ex.evaluate_named("f", spec.f, {"t": t, "x": x, "u": u, "ut": p, "ux": q})
+        F = ex.evaluate_named("F", spec.F, {"t": t, "x": x})
         residuals.append(np.abs(u_tt - g.a * g.a * u_xx + f - F))
         rhs += [np.abs(f), np.abs(F)]
         count += lv.size
@@ -211,11 +211,12 @@ def _initial_errors(sol: Solution) -> tuple[float, float]:
     spec = sol.spec
     _, xs, region, u, p, _ = sample_user_grid(sol, 0)
     err_u, err_p = np.abs(u[region == 3] - spec.A), 0.0
-    for code, phi, psi in ((1, spec.phi1, spec.psi1), (2, spec.phi2, spec.psi2)):
+    for code in (1, 2):
         on_side = region == code
         env = {"x": xs[on_side]}
-        err_u = _largest(err_u, np.abs(u[on_side] - ex.evaluate(phi, env)))
-        err_p = _largest(err_p, np.abs(p[on_side] - ex.evaluate(psi, env)))
+        phi, psi = f"phi{code}", f"psi{code}"
+        err_u = _largest(err_u, np.abs(u[on_side] - ex.evaluate_named(phi, getattr(spec, phi), env)))
+        err_p = _largest(err_p, np.abs(p[on_side] - ex.evaluate_named(psi, getattr(spec, psi), env)))
     return err_u, err_p
 
 
@@ -333,11 +334,11 @@ def inject_fault(sol: Solution, check: str) -> Solution:
 _QUAD_N = 1024
 
 
-def _trapz_expr(e: ex.Expr, lo: float, hi: float) -> float:
+def _trapz_expr(spec: ProblemSpec, slot: str, lo: float, hi: float) -> float:
     if hi == lo:
         return 0.0
     ys = np.linspace(lo, hi, _QUAD_N + 1)
-    vals = np.asarray(ex.evaluate(e, {"x": ys}), dtype=float)
+    vals = np.asarray(ex.evaluate_named(slot, getattr(spec, slot), {"x": ys}), dtype=float)
     if vals.ndim == 0:
         return float(vals) * (hi - lo)
     return float(np.trapezoid(vals, dx=(hi - lo) / _QUAD_N))
@@ -367,7 +368,7 @@ def _row_trapezoids(F: ex.Expr, taus, lo, widths):
         y, pair = ys[: e - s], pairs[: e - s]
         np.multiply(widths[s:e, None], fracs, out=y)
         y += lo[s:e, None]
-        v = np.broadcast_to(ex.evaluate(F, {"t": taus[s:e, None], "x": y}), y.shape)
+        v = np.broadcast_to(ex.evaluate_named("F", F, {"t": taus[s:e, None], "x": y}), y.shape)
         # np.trapezoid's steps; its factor 1.0 is exact
         np.add(v[:, 1:], v[:, :-1], out=pair)
         pair /= 2.0
@@ -397,37 +398,42 @@ def linear_oracle(spec: ProblemSpec, t: float, x: float, include_jump_term: bool
     ``include_jump_term=False`` evaluates the formula without the indicator
     (the version that is exact when A is the midpoint).
     Raises NegativeTime when t < 0, and DomainError, naming the probe, when
-    the value is not finite.
+    the value is not finite or a data slot leaves its domain there.
     """
     _require_linear(spec)
     region = classify_point(spec.a, spec.x0, t, x)
     a, x0, A = spec.a, spec.x0, spec.A
     xm = x - a * t
     xp = x + a * t
-    if region is Region.Q3_STAR:
-        # read the one-sided branches, so that on the wedge boundary the
-        # formula still reproduces the characteristic traces
-        u = 0.5 * (
-            ex.evaluate(spec.phi1, {"x": xm}) + ex.evaluate(spec.phi2, {"x": xp})
-        )
-        if include_jump_term:
-            p1 = ex.evaluate(spec.phi1, {"x": x0})
-            p2 = ex.evaluate(spec.phi2, {"x": x0})
-            u += A - 0.5 * (p1 + p2)
-        s = _trapz_expr(spec.psi1, xm, x0) + _trapz_expr(spec.psi2, x0, xp)
-    else:
-        phi, psi = (spec.phi1, spec.psi1) if region is Region.Q1_STAR else (spec.phi2, spec.psi2)
-        u = 0.5 * (ex.evaluate(phi, {"x": xm}) + ex.evaluate(phi, {"x": xp}))
-        s = _trapz_expr(psi, xm, xp)
-    u += s / (2.0 * a)
-    if not ex.is_zero(spec.F) and t > 0:
-        taus = np.linspace(0.0, t, _QUAD_N + 1)
-        widths = 2.0 * a * (t - taus)
-        inner = _row_trapezoids(spec.F, taus, x - a * (t - taus), widths) * (widths / _QUAD_N)
-        outer = float(np.trapezoid(inner, dx=t / _QUAD_N))
-        u += outer / (2.0 * a)
+    where = f"the closed-form reference at (t={t}, x={x})"
+
+    def value(slot, at):
+        return ex.evaluate_named(slot, getattr(spec, slot), {"x": at})
+
+    try:
+        if region is Region.Q3_STAR:
+            # read the one-sided branches, so that on the wedge boundary the
+            # formula still reproduces the characteristic traces
+            u = 0.5 * (value("phi1", xm) + value("phi2", xp))
+            if include_jump_term:
+                u += A - 0.5 * (value("phi1", x0) + value("phi2", x0))
+            s = _trapz_expr(spec, "psi1", xm, x0) + _trapz_expr(spec, "psi2", x0, xp)
+        else:
+            side = 1 if region is Region.Q1_STAR else 2
+            u = 0.5 * (value(f"phi{side}", xm) + value(f"phi{side}", xp))
+            s = _trapz_expr(spec, f"psi{side}", xm, xp)
+        u += s / (2.0 * a)
+        if not ex.is_zero(spec.F) and t > 0:
+            taus = np.linspace(0.0, t, _QUAD_N + 1)
+            widths = 2.0 * a * (t - taus)
+            inner = _row_trapezoids(spec.F, taus, x - a * (t - taus), widths) * (widths / _QUAD_N)
+            outer = float(np.trapezoid(inner, dx=t / _QUAD_N))
+            u += outer / (2.0 * a)
+    except DomainError as err:
+        err.args = (f"{where}: {err}",)
+        raise
     if not math.isfinite(u):
-        raise DomainError(f"the closed-form reference at (t={t}, x={x}) is not finite ({u})")
+        raise DomainError(f"{where} is not finite ({u})")
     return float(u)
 
 

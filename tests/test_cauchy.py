@@ -767,26 +767,45 @@ class TestBandKernel:
             assert field.report.update_norms == norms
 
     def test_streamed_rows_keep_f_of_t_and_x(self):
-        # f reads t and x but no state: one band, swept once, each row's
-        # d'Alembert part, F and f formed as the sweep reaches the row
-        spec = make_spec(
-            phi1="sin(x)", phi2="cos(x) - 1", psi1="x", psi2="1", F="t*x + 1", f="sin(t*x)",
-        )
+        # f reads t and x but no state: each band is swept once, each row's
+        # d'Alembert part, F and f formed as the sweep reaches the row.  A
+        # declared L plans 8 bands, and each band's top row, formed by its
+        # sweep, anchors the next
         params = GridParams(T=1.5, x_lo=-3.0, x_hi=3.0, nt=16)
         picard = PicardParams()
-        for side in (1, 2):
-            field = solve_side(spec, side, params, picard)
-            assert field.report.strips == ((0, 32),)
-            assert field.report.iterations == (1,)
-            W, norms = _whole_band_solve(spec, side, field.grid, field.report.strips, picard)
-            np.testing.assert_array_equal(field.w.view(np.uint64), _at_nodes(W, field).view(np.uint64))
-            assert field.report.update_norms == norms
-            # iterated as if f fed back, the reference moves nothing more
-            W, norms = _whole_band_solve(
-                spec, side, field.grid, field.report.strips, picard, feeds_back=True
+        for lipschitz, n_strips in ((None, 1), (1.0, 8)):
+            spec = make_spec(
+                phi1="sin(x)", phi2="cos(x) - 1", psi1="x", psi2="1", F="t*x + 1", f="sin(t*x)",
+                lipschitz=lipschitz,
             )
-            np.testing.assert_array_equal(field.w.view(np.uint64), _at_nodes(W, field).view(np.uint64))
-            assert norms[0][-1] == 0.0
+            for side in (1, 2):
+                field = solve_side(spec, side, params, picard)
+                assert len(field.report.strips) == n_strips
+                assert field.report.iterations == (1,) * n_strips
+                W, norms = _whole_band_solve(spec, side, field.grid, field.report.strips, picard)
+                np.testing.assert_array_equal(field.w.view(np.uint64), _at_nodes(W, field).view(np.uint64))
+                assert field.report.update_norms == norms
+                # iterated as if f fed back, the reference moves nothing more
+                W, norms = _whole_band_solve(
+                    spec, side, field.grid, field.report.strips, picard, feeds_back=True
+                )
+                np.testing.assert_array_equal(field.w.view(np.uint64), _at_nodes(W, field).view(np.uint64))
+                assert all(band[-1] == 0.0 for band in norms)
+
+    def test_feedback_that_reads_zero_stores_the_same_bits(self):
+        # f = 0 sweeps each band once; f = 0*u and 0*ut + 0*ux feed back and
+        # iterate in the band buffer: all three store the same fields
+        base = dict(
+            x0=0.25, A=0.4, phi1="0.5*sin(2*x)", phi2="1 + 0.25*cos(3*x)",
+            psi1="0.1*x", psi2="-0.2", F="t*x", lipschitz=1.0,
+        )
+        params = GridParams(T=1.5, x_lo=-3.0, x_hi=3.0, nt=16)
+        sols = [solve(make_spec(**base, f=f), params) for f in ("0", "0*u", "0*ut + 0*ux")]
+        assert len(sols[0].field1.report.strips) == 8
+        assert [sol.spec.f_reads_state for sol in sols] == [False, True, True]
+        for sol in sols[1:]:
+            for name in ("field1", "field2", "field3"):
+                assert np.array_equal(getattr(sol, name).w, getattr(sols[0], name).w)
 
     def test_single_strip_side_solve_memory(self):
         # one sweep forms each row as it goes: row buffers, no band-size

@@ -663,6 +663,48 @@ class TestExitCodes:
         assert "lipschitz" in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
 
+    # a data slot that leaves its domain on configs/phi_sq.json, and the
+    # message the error names it by
+    SLOT_ERRORS = {
+        "phi1": ({"phi1": "log(x+4)"}, "phi1: log of a non-positive value"),
+        "F": ({"F": "exp(1000*t)"}, "F: expression produced a non-finite value"),
+        "f": ({"f": "log(u)", "lipschitz": 1.0}, "f: log of a non-positive value"),
+        "T-1e300": (
+            {"window": {"T": 1e300, "xmin": -3.0, "xmax": 3.0}},
+            "phi1: power produced a non-finite value",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "case, command",
+        [
+            *((case, command) for case in SLOT_ERRORS for command in ("solve", "verify")),
+            ("phi1", "converge"),
+            ("F", "converge"),
+        ],
+    )
+    def test_domain_error_names_its_slot(self, tmp_path, capsys, case, command):
+        overrides, message = self.SLOT_ERRORS[case]
+        cfg = json.loads(config_path("phi_sq").read_text())
+        cfg.update(overrides)
+        path = tmp_path / "slot.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "x.csv"
+        argv = {
+            "solve": ["solve", str(path), "-o", str(out)],
+            "verify": ["verify", str(path)],
+            "converge": ["converge", str(path), "--levels", "2"],
+        }[command]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        if command == "converge":
+            # the oracle runs first, and its error names the probe as well
+            message = r"the closed-form reference at \(t=\S+, x=\S+\): " + re.escape(message)
+        else:
+            message = re.escape(message)
+        assert re.fullmatch(f"error: {message}\n", captured.err)
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -182,6 +182,19 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             ex.evaluate(ex.parse("1/x", ("x",)), {"x": np.array([1.0, 0.0])})
 
+    def test_named_evaluation_names_a_domain_error(self, monkeypatch):
+        e = ex.parse("log(x)", ("x",))
+        assert ex.evaluate_named("phi1", e, {"x": 1.0}) == 0.0
+        with pytest.raises(DomainError, match=r"^phi1: log of a non-positive value$"):
+            ex.evaluate_named("phi1", e, {"x": np.array([1.0, 0.0])})
+        with pytest.raises(MissingBinding, match=r"^no value bound"):  # not a DomainError
+            ex.evaluate_named("phi1", e, {})
+        # evaluate is looked up at each call, as a wrapper installed on it sees
+        calls = []
+        monkeypatch.setattr(ex, "evaluate", lambda e, env: calls.append(env) or 2.0)
+        assert ex.evaluate_named("phi1", e, {"x": 3.0}) == 2.0
+        assert calls == [{"x": 3.0}]
+
     def test_purity(self):
         e = ex.parse("sin(x)*exp(t) - x/3", ("t", "x"))
         env = {"t": 0.7, "x": -1.3}

@@ -6,10 +6,11 @@ ROOT is a charwave checkout.  The script imports charwave from ROOT/src and
 the benchmark's problem generator from ROOT/benchmarks/problems.py, and
 writes nothing under ROOT: problem files and CSVs go to a temporary
 directory, and no bytecode is cached.  The problems are each
-ROOT/configs/*.json, seed 501 of each benchmark workload and ``EXTREMES``
+ROOT/configs/*.json, seed 501 of each benchmark workload, ``EXTREMES``
 below, whose CSV holds exact zeros, values below 1e-4 and values at or above
-1e16, which the CSV writer formats on separate paths.  For each one it
-prints, as sorted JSON:
+1e16, which the CSV writer formats on separate paths, and ``BANDS_ONCE``,
+whose f of t and x alone, with a declared Lipschitz constant, sweeps each of
+several bands once.  For each one it prints, as sorted JSON:
 
 * the sha256 of each field's (u, u_t, u_x), read through ``at`` on a node
   set that does not depend on how the field is stored: the user nodes of
@@ -30,7 +31,7 @@ prints, as sorted JSON:
 
 Run it on two checkouts and compare the outputs byte for byte, e.g.
 ``cmp <(python3 tools/fingerprint.py old) <(python3 tools/fingerprint.py .)``.
-A full run takes about 11 s on a 2-vCPU machine.
+A full run takes about 15 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -55,6 +56,15 @@ EXTREMES = {
     "phi1": "0", "phi2": "1e17", "psi1": "0", "psi2": "1e-6*x", "F": "0", "f": "0",
     "window": {"T": 1.0, "xmin": -2.0, "xmax": 2.0},
     "grid": {"nt": 32},
+}
+# f reads no state but L is declared: 8 bands, each swept once, and each
+# band's top row, formed by its sweep, anchors the next
+BANDS_ONCE = {
+    "a": 1.0, "x0": 0.0, "A": 0.5,
+    "phi1": "sin(x)", "phi2": "cos(x) - 1", "psi1": "x", "psi2": "1",
+    "F": "t*x + 1", "f": "sin(t*x)", "lipschitz": 1.0,
+    "window": {"T": 1.5, "xmin": -3.0, "xmax": 3.0},
+    "grid": {"nt": 16},
 }
 
 
@@ -168,10 +178,11 @@ def main(argv: list[str]) -> int:
                 json.dump(problems.GENERATORS[workload](SEED)[0], fh, indent=1)
             name = f"{workload}:{SEED}"
             report[name] = fingerprint(charwave, path, tmp, converge=workload == "refine_study")
-        path = os.path.join(tmp, "extremes.json")
-        with open(path, "w") as fh:
-            json.dump(EXTREMES, fh)
-        report["extremes"] = fingerprint(charwave, path, tmp, converge=False)
+        for name, problem in (("extremes", EXTREMES), ("bands_once", BANDS_ONCE)):
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(problem, fh)
+            report[name] = fingerprint(charwave, path, tmp, converge=False)
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0
 

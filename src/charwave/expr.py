@@ -305,11 +305,11 @@ def _eval(node: Expr, env: Mapping[str, object]):
         args = [_eval(a, env) for a in node.args]
     if key in _GUARDS:
         i, bad, message = _GUARDS[key]
-        if np.any(bad(args[i], 0.0)):
+        if bad(args[i], 0.0).any():
             raise DomainError(message)
     out = fn(*args)
     # NaN for a negative base with a fractional exponent, inf for 0^negative
-    if key == "^" and np.any(~np.isfinite(out)):
+    if key == "^" and not np.isfinite(out).all():
         raise DomainError("power produced a non-finite value")
     return out
 
@@ -323,7 +323,7 @@ def evaluate(expr: Expr, env: Mapping[str, object]):
     numpy warning.
     """
     arr = np.asarray(_eval(expr, env), dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("expression produced a non-finite value")
     if arr.ndim == 0:
         return float(arr)

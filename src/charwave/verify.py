@@ -344,9 +344,11 @@ def _trapz_expr(spec: ProblemSpec, slot: str, lo: float, hi: float) -> float:
     return float(np.trapezoid(vals, dx=(hi - lo) / _QUAD_N))
 
 
-# tau-rows of the F lattice per tile: the tiles keep a call's peak near 3 MiB,
-# where the whole lattice takes 32 MiB
-_TILE_ROWS = 64
+# tau-rows of the F lattice per tile: a tile's temporaries take 131 KiB and
+# stay in cache, where a fresh process faulted the pages of 64 rows' 525 KiB
+# in again and again (150 k minor faults in a fresh `converge --levels 3` on
+# refine_study seed 501, against 30 k)
+_TILE_ROWS = 16
 
 
 def _row_trapezoids(F: ex.Expr, taus, lo, widths):
@@ -355,8 +357,12 @@ def _row_trapezoids(F: ex.Expr, taus, lo, widths):
 
     The lattice is visited _TILE_ROWS rows at a time through two reused
     buffers.  Every element takes the operations of ``np.trapezoid`` on the
-    whole lattice, and every row keeps its pairwise sum, so the values equal
-    the whole-lattice rule bit for bit.
+    whole lattice but its halving, and every row keeps its pairwise sum.
+    The row sums are halved once, after the loop, where ``np.trapezoid``
+    halves each pair: halving is exact in binary, so each pairwise partial
+    sum is exactly twice the halved one, and the values equal the
+    whole-lattice rule bit for bit, unless a half-pair is subnormal or a row
+    sum lies within a factor 2 of overflow.
     """
     n = taus.size
     fracs = np.linspace(0.0, 1.0, n)
@@ -371,8 +377,8 @@ def _row_trapezoids(F: ex.Expr, taus, lo, widths):
         v = np.broadcast_to(ex.evaluate_named("F", F, {"t": taus[s:e, None], "x": y}), y.shape)
         # np.trapezoid's steps; its factor 1.0 is exact
         np.add(v[:, 1:], v[:, :-1], out=pair)
-        pair /= 2.0
-        out[s:e] = np.add.reduce(pair, axis=1)
+        np.add.reduce(pair, axis=1, out=out[s:e])
+    out /= 2.0
     return out
 
 
@@ -392,9 +398,10 @@ def linear_oracle(spec: ProblemSpec, t: float, x: float, include_jump_term: bool
     average of phi1(x - a t) and phi2(x + a t), plus the psi integral split at
     x0, plus the indicator term A - (phi1(x0)+phi2(x0))/2.  Then the double
     integral of F over the dependence triangle with _QUAD_N^2 trapezoid
-    cells, integrated in tiles of _TILE_ROWS tau-rows: on a quadratic F a
-    call allocates about 3 MiB at its peak instead of the whole lattice's
-    32 MiB, and returns the whole-lattice rule's bits.
+    cells, integrated in tiles of _TILE_ROWS tau-rows: a call on
+    F = sin(3*x)*exp(-t) + t*x^2 allocates 0.85 MiB at its peak
+    (tracemalloc) instead of the whole lattice's 32 MiB, and returns the
+    whole-lattice rule's bits.
     ``include_jump_term=False`` evaluates the formula without the indicator
     (the version that is exact when A is the midpoint).
     Raises NegativeTime when t < 0, and DomainError, naming the probe, when
@@ -484,10 +491,14 @@ def convergence_study(
     at the probes.  The reference comes first: its error is raised even when
     a solve fails too.  A DomainError names the probe, where a value is not
     finite or a given reference raised it.  The oracle costs about as much
-    as the solves, so it is the caller's part of ``_fork.both``, sized by
-    the user-grid nodes of all the levels, and the levels solve in a forked
-    child meanwhile when that pays; a forked child never forks, so there
-    each level's ``solve`` runs its side 2 in process.  A given reference
+    as the solves (on refine_study seed 501, 52 probes and nt 128 to 512,
+    0.47 s against the levels' 0.48 s beside it: medians of 9 studies in a
+    warm process, 2-vCPU Xeon), so it is the caller's part of
+    ``_fork.both``, sized by the user-grid nodes of all the levels, and the
+    levels solve in a forked child meanwhile when that pays, and set the
+    call's wall time about as often as the oracle does; a forked child
+    never forks, so there each level's ``solve`` runs its side 2 in
+    process.  A given reference
     (an expression, say) is cheap next to the solves: it is evaluated before
     any solve, and the levels then solve in this process, each ``solve``
     forking its side 2 where that pays.  NotLinear (the oracle with

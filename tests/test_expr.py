@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,26 @@ class TestEvaluate:
     def test_domain_errors(self, src, env):
         with pytest.raises(DomainError):
             ex.evaluate(ex.parse(src, ("x",)), env)
+
+    # each guard's verdict and message, on a scalar binding and on an array
+    # whose other entry is fine (0.5 passes every one of them)
+    @pytest.mark.parametrize(
+        "src,bad,message",
+        [
+            # the overflow that min would mask: the reason for the ^ guard
+            ("min(x^400, 1)", 10.0, "power produced a non-finite value"),
+            ("1/x", 0.0, "division by zero"),
+            ("log(x)", -1.0, "log of a non-positive value"),
+            ("sqrt(x)", -1.0, "sqrt of a negative value"),
+            ("exp(1000*x)", 1.0, "expression produced a non-finite value"),
+        ],
+    )
+    def test_guard_verdicts_and_messages(self, src, bad, message):
+        e = ex.parse(src, ("x",))
+        assert math.isfinite(ex.evaluate(e, {"x": 0.5}))
+        for x in (bad, np.array([0.5, bad])):
+            with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+                ex.evaluate(e, {"x": x})
 
     def test_domain_error_on_any_array_entry(self):
         with pytest.raises(DomainError):

@@ -151,8 +151,29 @@ class TestTiledForcing:
             want = whole_lattice_forcing(spec.F, spec.a, t, x, quad_n)
             assert linear_oracle(spec, t, x) == want
 
-    def test_one_call_allocates_at_most_8_mib(self):
-        # the whole 1025^2 lattice at once takes 32 MiB
+    # F of 1e300 and of 1e-300: the row sums are halved once, after the
+    # tiles, where np.trapezoid halves each pair, and both stay clear of
+    # where that moves a bit (a subnormal half-pair, a row sum within a
+    # factor 2 of overflow)
+    EXTREMES = {
+        "huge": make_spec(a=1.3, F="1e300*(1+t)"),
+        "tiny": make_spec(a=1.3, F="1e-300*(1+x^2)"),
+    }
+
+    # 1025 rows make a last tile of 1 row at 16 and 64 rows a tile, of 3 at
+    # 7, and one tile holding the whole lattice at 1025
+    @pytest.mark.parametrize("tile_rows", [1, 7, 16, 64, 1025])
+    @pytest.mark.parametrize("name", [*SPECS, *EXTREMES])
+    def test_tiling_keeps_the_bits(self, name, tile_rows, monkeypatch):
+        spec = {**self.SPECS, **self.EXTREMES}[name]
+        monkeypatch.setattr(verify, "_TILE_ROWS", tile_rows)
+        for t, x in ((0.8, 1.7), (1.35, -0.4), (0.3, 0.05)):
+            want = whole_lattice_forcing(spec.F, spec.a, t, x, verify._QUAD_N)
+            assert linear_oracle(spec, t, x) == want
+
+    def test_one_call_allocates_at_most_2_mib(self):
+        # the whole 1025^2 lattice at once takes 32 MiB; tiles of 16 rows
+        # peak at about 0.85 MiB, and tiles of 64 rows took 3.1 MiB
         spec = self.SPECS["t-and-x"]
         tracemalloc.start()
         try:
@@ -160,7 +181,7 @@ class TestTiledForcing:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        assert peak <= 2 * 2**20
 
 
 def residual_check(sol):
